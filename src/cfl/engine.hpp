@@ -15,9 +15,11 @@
 // exactly the algorithmic work reduction responsible for the paper's
 // superlinear speedups; see DESIGN.md §1.
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -200,6 +202,20 @@ class BatchRunner {
   /// Cumulative counters over every batch run so far (merged over workers).
   support::QueryCounters lifetime_totals() const;
 
+  /// Schedule plans built so far. ParCFL_DQ builds one at the first batch on
+  /// each graph revision and reuses it for every later batch on that
+  /// revision. The bound Pag may be move-assigned between batches as long as
+  /// the replacement carries a new revision() (pag::apply_delta bumps it).
+  /// Safe to read concurrently with run().
+  std::uint64_t schedule_plan_builds() const {
+    return plan_builds_.load(std::memory_order_relaxed);
+  }
+  /// Heap bytes of the held schedule plan (0 before the first DQ batch).
+  /// Safe to read concurrently with run().
+  std::uint64_t schedule_plan_bytes() const {
+    return plan_bytes_.load(std::memory_order_relaxed);
+  }
+
  private:
   const pag::Pag& pag_;
   EngineOptions options_;
@@ -212,6 +228,11 @@ class BatchRunner {
   /// the slow-query hook can export a query's trace at any point).
   std::vector<std::unique_ptr<obs::TraceRing>> rings_;
   std::unique_ptr<support::ThreadPool> pool_;  // null when threads == 1
+  /// DQ schedule plan of the graph revision it is stamped with; rebuilt at
+  /// the first batch after pag_ changes revision.
+  std::optional<SchedulePlan> plan_;
+  std::atomic<std::uint64_t> plan_builds_{0};
+  std::atomic<std::uint64_t> plan_bytes_{0};
 };
 
 }  // namespace parcfl::cfl

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "support/check.hpp"
 #include "support/scc.hpp"
 #include "support/union_find.hpp"
 
@@ -74,9 +75,11 @@ Schedule identity_schedule(std::span<const NodeId> queries) {
   return s;
 }
 
-Schedule schedule_queries(const Pag& pag, std::span<const NodeId> queries,
-                          SchedulingMetrics* metrics) {
+SchedulePlan SchedulePlan::build(const Pag& pag) {
   const std::uint32_t n = pag.node_count();
+  SchedulePlan plan;
+  plan.revision = pag.revision();
+  plan.node_count = n;
 
   // ---- 1. direct-relation groups (eq. 5) ---------------------------------
   support::UnionFind uf(n);
@@ -86,6 +89,8 @@ Schedule schedule_queries(const Pag& pag, std::span<const NodeId> queries,
     uf.unite(e.dst.value(), e.src.value());
     direct_edges.emplace_back(e.src.value(), e.dst.value());  // value-flow dir
   }
+  plan.group_root.resize(n);
+  for (std::uint32_t v = 0; v < n; ++v) plan.group_root[v] = uf.find(v);
 
   // ---- 2. connection distances: longest direct path through each node,
   //         modulo recursion (SCC condensation + DAG longest paths) ---------
@@ -111,41 +116,61 @@ Schedule schedule_queries(const Pag& pag, std::span<const NodeId> queries,
       up[succ] = std::max(up[succ] == 0 ? comp_size[succ] : up[succ],
                           up[c] + comp_size[succ]);
   }
-  auto cd_of = [&](NodeId v) {
-    const std::uint32_t c = scc.component_of[v.value()];
-    return up[c] + down[c] - comp_size[c];
-  };
+  plan.cd.resize(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    const std::uint32_t c = scc.component_of[v];
+    plan.cd[v] = up[c] + down[c] - comp_size[c];
+  }
 
-  // ---- 3. dependence depths from type levels ------------------------------
-  const std::vector<std::uint32_t> type_levels = compute_type_levels(pag);
-  auto level_of = [&](NodeId v) -> std::uint32_t {
-    const pag::TypeId t = pag.node(v).type;
-    if (!t.valid() || t.value() >= type_levels.size()) return 1;
-    return type_levels[t.value()];
-  };
+  // ---- 3. type levels, for dependence depths ------------------------------
+  plan.type_levels = compute_type_levels(pag);
+  plan.level.resize(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    const pag::TypeId t = pag.node(NodeId(v)).type;
+    plan.level[v] = t.valid() && t.value() < plan.type_levels.size()
+                        ? plan.type_levels[t.value()]
+                        : 1;
+  }
+  return plan;
+}
 
-  // Dense group ids over the query set; a group's DD is the min member DD,
-  // i.e. 1 / max member level.
+std::uint64_t SchedulePlan::memory_bytes() const {
+  return group_root.capacity() * sizeof(std::uint32_t) +
+         cd.capacity() * sizeof(std::uint64_t) +
+         level.capacity() * sizeof(std::uint32_t) +
+         type_levels.capacity() * sizeof(std::uint32_t);
+}
+
+Schedule schedule_queries(const Pag& pag, std::span<const NodeId> queries,
+                          SchedulingMetrics* metrics) {
+  return schedule_queries(SchedulePlan::build(pag), queries, metrics);
+}
+
+Schedule schedule_queries(const SchedulePlan& plan,
+                          std::span<const NodeId> queries,
+                          SchedulingMetrics* metrics) {
+  // Dense group ids over the query set, in first-seen order; a group's DD is
+  // the min member DD, i.e. 1 / max member level.
   std::unordered_map<std::uint32_t, std::uint32_t> root_to_group;
   std::vector<std::uint32_t> group_of(queries.size());
   std::vector<std::uint32_t> group_max_level;
+  std::vector<std::uint64_t> cds(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const std::uint32_t root = uf.find(queries[i].value());
+    const std::uint32_t v = queries[i].value();
+    PARCFL_CHECK_MSG(v < plan.node_count, "query outside the schedule plan");
     auto [it, fresh] = root_to_group.emplace(
-        root, static_cast<std::uint32_t>(group_max_level.size()));
+        plan.group_root[v], static_cast<std::uint32_t>(group_max_level.size()));
     if (fresh) group_max_level.push_back(0);
     group_of[i] = it->second;
     group_max_level[it->second] =
-        std::max(group_max_level[it->second], level_of(queries[i]));
+        std::max(group_max_level[it->second], plan.level[v]);
+    cds[i] = plan.cd[v];
   }
   const auto group_count = static_cast<std::uint32_t>(group_max_level.size());
 
   // ---- 4. order: groups by increasing DD, members by increasing CD --------
   std::vector<std::uint32_t> query_index(queries.size());
   for (std::uint32_t i = 0; i < queries.size(); ++i) query_index[i] = i;
-
-  std::vector<std::uint64_t> cds(queries.size());
-  for (std::uint32_t i = 0; i < queries.size(); ++i) cds[i] = cd_of(queries[i]);
 
   std::sort(query_index.begin(), query_index.end(),
             [&](std::uint32_t a, std::uint32_t b) {
@@ -179,7 +204,7 @@ Schedule schedule_queries(const Pag& pag, std::span<const NodeId> queries,
   if (metrics != nullptr) {
     metrics->group_of = std::move(group_of);
     metrics->cd = std::move(cds);
-    metrics->type_level = type_levels;
+    metrics->type_level = plan.type_levels;
     metrics->group_dd.resize(group_count);
     for (std::uint32_t gidx = 0; gidx < group_count; ++gidx)
       metrics->group_dd[gidx] = 1.0 / group_max_level[gidx];

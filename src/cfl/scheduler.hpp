@@ -15,6 +15,10 @@
 //  4. *Load-balanced*: with M the mean group size, larger groups are split
 //     and adjacent smaller groups merged so each work unit holds ~M queries,
 //     reducing synchronisation on the shared work list.
+//
+// Groups, CDs and type levels depend on the graph alone, so they live in a
+// SchedulePlan built once per graph revision (O(V + E)); scheduling a batch
+// over a plan only groups, sorts and splits the batch (O(b log b)).
 
 #include <cstdint>
 #include <span>
@@ -46,6 +50,25 @@ struct SchedulingMetrics {
   std::vector<double> group_dd;           // group id -> dependence depth
 };
 
+/// The query-independent half of the schedule: per-node direct-relation
+/// group, connection distance and type level, stamped with the revision and
+/// node count of the graph it was built from.
+struct SchedulePlan {
+  std::uint32_t revision = 0;
+  std::uint32_t node_count = 0;
+  std::vector<std::uint32_t> group_root;   // node -> union-find root
+  std::vector<std::uint64_t> cd;           // node -> connection distance
+  std::vector<std::uint32_t> level;        // node -> L(type(node))
+  std::vector<std::uint32_t> type_levels;  // type id -> L(t)
+
+  static SchedulePlan build(const pag::Pag& pag);
+  /// True when the plan was built from `pag`'s current revision.
+  bool matches(const pag::Pag& pag) const {
+    return revision == pag.revision() && node_count == pag.node_count();
+  }
+  std::uint64_t memory_bytes() const;
+};
+
 /// Compute L(t) for every type from the PAG's node typing and field uses:
 /// L(t) = 1 + max over the types stored into t's fields (0 for value types),
 /// with type-recursion collapsed. Field containment is recovered from the
@@ -54,6 +77,11 @@ std::vector<std::uint32_t> compute_type_levels(const pag::Pag& pag);
 
 /// Produce the full §III-C schedule for `queries` (PAG variable nodes).
 /// When `metrics` is non-null it is filled for inspection.
+Schedule schedule_queries(const SchedulePlan& plan,
+                          std::span<const pag::NodeId> queries,
+                          SchedulingMetrics* metrics = nullptr);
+
+/// Same, building a one-off plan from `pag` first.
 Schedule schedule_queries(const pag::Pag& pag, std::span<const pag::NodeId> queries,
                           SchedulingMetrics* metrics = nullptr);
 

@@ -609,7 +609,7 @@ void QueryService::execute_batch(std::vector<Pending> batch) {
       r.charged_steps = 0;
       const double latency_ms =
           std::chrono::duration<double, std::milli>(now - p.enqueued).count();
-      recorder_.record_request(latency_ms, /*alias=*/true);
+      recorder_.record_request(latency_ms, StatsRecorder::Served::kAlias);
       recorder_.record_tenant_request(tenant_label(tenant), latency_ms);
       p.promise.set_value(std::move(r));
       continue;

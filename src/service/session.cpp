@@ -836,7 +836,8 @@ bool Session::spill(const std::string& state_path,
 std::uint64_t Session::resident_bytes() const {
   std::shared_lock lock(pag_mu_);
   std::uint64_t total = pag_.memory_bytes() + store_.memory_bytes() +
-                        contexts_.size() * 16;  // entry + intern slot
+                        contexts_.size() * 16 +  // entry + intern slot
+                        runner_.schedule_plan_bytes();
   if (base_pag_) total += base_pag_->memory_bytes();
   return total;
 }

@@ -258,9 +258,15 @@ class Session {
   bool spill(const std::string& state_path, const std::string& spill_pag_path,
              bool* wrote_pag, std::string* error);
 
-  /// Approximate resident footprint: serving + base graph, jmp store, and
-  /// context table. What the manager's max_resident_bytes cap meters.
+  /// Approximate resident footprint: serving + base graph, jmp store,
+  /// context table and the batch runner's schedule plan. What the manager's
+  /// max_resident_bytes cap meters.
   std::uint64_t resident_bytes() const;
+  /// Schedule plans the batch runner has built (one per graph revision that
+  /// served a ParCFL_DQ batch).
+  std::uint64_t schedule_plan_builds() const {
+    return runner_.schedule_plan_builds();
+  }
 
   /// Validation reads for client threads; consistent under concurrent
   /// update (node ids are never removed, so a request validated against any

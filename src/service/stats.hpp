@@ -132,10 +132,6 @@ class StatsRecorder {
   enum class Served : std::uint8_t { kQuery, kAlias, kTaint, kDepends };
 
   void record_request(double latency_ms, Served served);
-  /// Legacy two-verb form, kept for callers predating the grammar verbs.
-  void record_request(double latency_ms, bool alias) {
-    record_request(latency_ms, alias ? Served::kAlias : Served::kQuery);
-  }
   /// Per-tenant view of record_request: bumps the tenant-labeled request
   /// counter and latency histogram. `tenant` is the display label — the
   /// service passes "default" for bare (unprefixed) requests.

@@ -15,10 +15,12 @@
 #include <vector>
 
 #include "cfl/scheduler.hpp"
+#include "frontend/lower.hpp"
 #include "pag/delta.hpp"
 #include "service/session.hpp"
 #include "support/rng.hpp"
 #include "support/scc.hpp"
+#include "synth/generator.hpp"
 #include "test_util.hpp"
 
 namespace parcfl::cfl {
@@ -250,6 +252,76 @@ TEST_P(SchedulerPropertyTest, OrderRespectsSortKeys) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerPropertyTest,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+// ---- plan reuse == one-off plan ---------------------------------------------
+//
+// BatchRunner builds one SchedulePlan per graph revision and schedules every
+// micro-batch against it. A reused plan must give exactly the schedule and
+// metrics a plan built for that batch alone gives: for empty batches, tiny
+// ones (repeats allowed), and the full variable set in shuffled order.
+
+void expect_same_schedule(const Schedule& a, const SchedulingMetrics& ma,
+                          const Schedule& b, const SchedulingMetrics& mb,
+                          const std::string& where) {
+  EXPECT_EQ(a.ordered, b.ordered) << where;
+  EXPECT_EQ(a.source_index, b.source_index) << where;
+  EXPECT_EQ(a.units, b.units) << where;
+  EXPECT_EQ(a.group_count, b.group_count) << where;
+  EXPECT_EQ(a.mean_group_size, b.mean_group_size) << where;
+  EXPECT_EQ(ma.group_of, mb.group_of) << where;
+  EXPECT_EQ(ma.cd, mb.cd) << where;
+  EXPECT_EQ(ma.type_level, mb.type_level) << where;
+  EXPECT_EQ(ma.group_dd, mb.group_dd) << where;
+}
+
+class SchedulePlanIdentityTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SchedulePlanIdentityTest, ReusedPlanMatchesFreeFunction) {
+  synth::GeneratorConfig cfg;
+  cfg.seed = GetParam();
+  cfg.app_methods = 8;
+  cfg.library_methods = 8;
+  cfg.containers = 3;
+  cfg.container_use_blocks = 6;
+  const Pag pag = frontend::lower(synth::generate(cfg)).pag;
+  const auto vars = test::all_variables(pag);
+  ASSERT_FALSE(vars.empty());
+  const SchedulePlan plan = SchedulePlan::build(pag);
+  ASSERT_TRUE(plan.matches(pag));
+  EXPECT_EQ(plan.memory_bytes(), 16u * pag.node_count() +
+                                     4u * plan.type_levels.size());
+
+  support::Rng rng(GetParam() * 7919 + 3);
+  for (int round = 0; round < 4; ++round) {
+    for (const std::size_t size : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{2}, std::size_t{3},
+                                   vars.size()}) {
+      std::vector<NodeId> batch;
+      if (size == vars.size()) {
+        batch = vars;
+        for (std::size_t i = batch.size(); i > 1; --i)
+          std::swap(batch[i - 1], batch[rng.below(i)]);
+      } else {
+        for (std::size_t i = 0; i < size; ++i)
+          batch.push_back(vars[rng.below(vars.size())]);
+      }
+      SchedulingMetrics from_plan, one_off;
+      const Schedule a = schedule_queries(plan, batch, &from_plan);
+      const Schedule b = schedule_queries(pag, batch, &one_off);
+      expect_same_schedule(a, from_plan, b, one_off,
+                           "seed " + std::to_string(GetParam()) + " round " +
+                               std::to_string(round) + " size " +
+                               std::to_string(size));
+      if (size == vars.size()) {
+        EXPECT_GT(a.group_count, 1u);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulePlanIdentityTest,
+                         ::testing::Range<std::uint64_t>(1, 13));
 
 // ---- warm + delta across engine modes ---------------------------------------
 //

@@ -566,7 +566,7 @@ TEST(Percentile, EmptyWindowReportsZero) {
 TEST(Percentile, SingleSampleReportsZero) {
   obs::MetricsRegistry reg;
   StatsRecorder recorder(reg);
-  recorder.record_request(5.0, /*alias=*/false);
+  recorder.record_request(5.0, StatsRecorder::Served::kQuery);
   ServiceStats s;
   recorder.snapshot(s);
   EXPECT_EQ(s.p50_ms, 0.0);
@@ -578,8 +578,8 @@ TEST(Percentile, SingleSampleReportsZero) {
 TEST(Percentile, TwoSamplesUseNearestRank) {
   obs::MetricsRegistry reg;
   StatsRecorder recorder(reg);
-  recorder.record_request(1.0, false);
-  recorder.record_request(3.0, false);
+  recorder.record_request(1.0, StatsRecorder::Served::kQuery);
+  recorder.record_request(3.0, StatsRecorder::Served::kQuery);
   ServiceStats s;
   recorder.snapshot(s);
   // Nearest rank over {1, 3}: p50 -> rank ceil(0.5*2)=1 -> 1.0;

@@ -634,6 +634,126 @@ TEST(ServiceUpdate, RidesTheQueueOverTheWireProtocol) {
   EXPECT_NE(stats.to_json().find("\"updates\""), std::string::npos);
 }
 
+// ---- DQ schedule plan across revisions --------------------------------------
+//
+// The warm BatchRunner builds one schedule plan per graph revision and reuses
+// it for every batch on that revision. Each update must retire it: a stale
+// plan indexes past its node arrays for nodes a delta added, and keeps a
+// direct group that an added or removed assign edge merged or split.
+
+TEST(SessionUpdate, SchedulePlanFollowsEveryRevision) {
+  const Workload w = container_workload();
+  service::Session::Options o = session_options(1);
+  // Every query reaches the solver on one worker, in issue order, and the
+  // slow-query sink (armed for every query) records that order.
+  o.reduce_graph = false;  // added assign edges stay in the serving graph
+  o.prefilter = false;
+  o.index = false;
+  std::vector<NodeId> issued;
+  o.engine.slow_query_ms = 1e-12;
+  o.engine.slow_query_sink = [&issued](const cfl::SlowQueryRecord& r) {
+    issued.push_back(r.var);
+  };
+  service::Session session(w.pag, o);
+
+  cfl::EngineOptions cold_options = o.engine;
+  cold_options.slow_query_ms = 0.0;
+  cold_options.slow_query_sink = nullptr;
+  cold_options.collect_objects = true;
+
+  // One warm batch: issue order == a one-off schedule of the live graph, and
+  // answers == a cold Engine::run on it.
+  const auto check_batch = [&](const std::vector<NodeId>& batch,
+                               const std::string& where) {
+    std::vector<service::Session::Item> items;
+    for (const NodeId v : batch) items.push_back({v, 0});
+    issued.clear();
+    const auto warm = session.run_batch(items);
+    EXPECT_EQ(issued, cfl::schedule_queries(session.pag(), batch).ordered)
+        << where;
+    const auto cold = cfl::Engine(session.pag(), cold_options).run(batch);
+    ASSERT_EQ(warm.items.size(), cold.outcomes.size()) << where;
+    for (std::size_t i = 0; i < cold.outcomes.size(); ++i) {
+      const auto& item = warm.items[cold.source_index[i]];
+      EXPECT_EQ(item.status, cold.outcomes[i].status) << where << " #" << i;
+      EXPECT_EQ(item.objects, cold.objects[i]) << where << " #" << i;
+    }
+  };
+  const auto apply = [&](const pag::Delta& d) {
+    std::string error;
+    ASSERT_TRUE(session.update(d, &error)) << error;
+  };
+
+  std::vector<NodeId> batch(w.queries.begin(),
+                            w.queries.begin() +
+                                std::min<std::size_t>(w.queries.size(), 16));
+  ASSERT_GE(batch.size(), 4u);
+  EXPECT_EQ(session.schedule_plan_builds(), 0u);
+  check_batch(batch, "rev 0");
+  check_batch(batch, "rev 0 again");
+  EXPECT_EQ(session.schedule_plan_builds(), 1u);
+
+  // Revision 1: new variable nodes, queried straight away.
+  {
+    const NodeId q = batch.front();
+    const pag::NodeInfo& info = session.pag().node(q);
+    pag::Delta d(session.pag());
+    const NodeId n1 = d.add_node(NodeKind::kLocal, info.type, info.method);
+    const NodeId n2 = d.add_node(NodeKind::kLocal, info.type, info.method);
+    d.add_edge(EdgeKind::kAssignLocal, n1, q);
+    d.add_edge(EdgeKind::kAssignLocal, n2, n1);
+    apply(d);
+    batch.push_back(n2);
+    batch.push_back(n1);
+  }
+  check_batch(batch, "rev 1");
+  check_batch(batch, "rev 1 again");
+  EXPECT_EQ(session.schedule_plan_builds(), 2u);
+
+  // Revision 2 merges the direct groups of the first and last query in issue
+  // order; revision 3 follows before any batch runs.
+  const cfl::SchedulePlan before_merge = cfl::SchedulePlan::build(session.pag());
+  const cfl::Schedule split = cfl::schedule_queries(before_merge, batch);
+  const NodeId a = split.ordered.front();
+  const NodeId b = split.ordered.back();
+  ASSERT_NE(before_merge.group_root[a.value()],
+            before_merge.group_root[b.value()]);
+  {
+    pag::Delta d(session.pag());
+    d.add_edge(EdgeKind::kAssignLocal, a, b);
+    apply(d);
+  }
+  {
+    pag::Delta d(session.pag());
+    const NodeId obj = d.add_node(NodeKind::kObject, session.pag().node(a).type,
+                                  session.pag().node(a).method);
+    d.add_edge(EdgeKind::kNew, b, obj);
+    apply(d);
+  }
+  const cfl::SchedulePlan merged = cfl::SchedulePlan::build(session.pag());
+  EXPECT_EQ(merged.group_root[a.value()], merged.group_root[b.value()]);
+  EXPECT_NE(cfl::schedule_queries(merged, batch).ordered, split.ordered)
+      << "the merge must change the schedule, or a stale plan would pass";
+  check_batch(batch, "rev 3");
+  check_batch(batch, "rev 3 again");
+  EXPECT_EQ(session.schedule_plan_builds(), 3u);
+
+  // Revision 4 removes the edge again and splits the group.
+  {
+    pag::Delta d(session.pag());
+    d.remove_edge(EdgeKind::kAssignLocal, a, b);
+    apply(d);
+  }
+  const cfl::SchedulePlan resplit = cfl::SchedulePlan::build(session.pag());
+  EXPECT_NE(resplit.group_root[a.value()], resplit.group_root[b.value()]);
+  EXPECT_NE(cfl::schedule_queries(resplit, batch).ordered,
+            cfl::schedule_queries(merged, batch).ordered);
+  check_batch(batch, "rev 4");
+  check_batch(batch, "rev 4 again");
+  EXPECT_EQ(session.schedule_plan_builds(), 4u);
+  EXPECT_EQ(session.revision(), 4u);
+}
+
 /// var -> sorted points-to set from a cold sequential engine run.
 std::map<std::uint32_t, std::vector<NodeId>> cold_baseline(
     const pag::Pag& pag, const std::vector<NodeId>& queries) {
