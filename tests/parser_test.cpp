@@ -168,9 +168,14 @@ TEST(Parser, QueriesAreAppLocalsOnly) {
 }
 
 struct ErrorCase {
+  const char* name;
   const char* source;
   const char* expect;  // substring of the error message
 };
+
+// The printed param becomes the CTest case name. gtest's default prints the
+// struct's bytes, i.e. string addresses that change with every run.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
 
 class ParserErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
@@ -186,21 +191,21 @@ TEST_P(ParserErrorTest, ReportsUsefulErrors) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, ParserErrorTest,
     ::testing::Values(
-        ErrorCase{"class T {} class T {}", "duplicate class"},
-        ErrorCase{"wibble", "expected 'class'"},
-        ErrorCase{"class T {} method app m() { x: U = new T; }", "unknown type"},
-        ErrorCase{"class T {} method app m() { x = y; }", "unknown variable"},
-        ErrorCase{"class T {} method app m() { x: T = call nope(); }",
+        ErrorCase{"DuplicateClass", "class T {} class T {}", "duplicate class"},
+        ErrorCase{"MissingClassKeyword", "wibble", "expected 'class'"},
+        ErrorCase{"UnknownType", "class T {} method app m() { x: U = new T; }", "unknown type"},
+        ErrorCase{"UnknownVariable", "class T {} method app m() { x = y; }", "unknown variable"},
+        ErrorCase{"UnknownMethod", "class T {} method app m() { x: T = call nope(); }",
                   "unknown method"},
-        ErrorCase{"class T {} method app m(a: T) { y: T = call m(); }",
+        ErrorCase{"WrongArity", "class T {} method app m(a: T) { y: T = call m(); }",
                   "wrong arity"},
-        ErrorCase{"class T {} method app m() { x: T = new T; x: T = new T; }",
+        ErrorCase{"Redeclaration", "class T {} method app m() { x: T = new T; x: T = new T; }",
                   "redeclaration"},
-        ErrorCase{"class T { f: T; } method app m() { x: T = new T; y: T = x.g; }",
+        ErrorCase{"UnknownField", "class T { f: T; } method app m() { x: T = new T; y: T = x.g; }",
                   "unknown field"},
-        ErrorCase{"class A extends B {} class B extends A {}", "subtype cycle"},
-        ErrorCase{"class T {} method app m() { x: T @ }", "unexpected character"},
-        ErrorCase{"class T {} method app m() { x: T = new T", "expected ';'"}));
+        ErrorCase{"SubtypeCycle", "class A extends B {} class B extends A {}", "subtype cycle"},
+        ErrorCase{"UnexpectedCharacter", "class T {} method app m() { x: T @ }", "unexpected character"},
+        ErrorCase{"MissingSemicolon", "class T {} method app m() { x: T = new T", "expected ';'"}));
 
 }  // namespace
 }  // namespace parcfl::frontend
