@@ -53,7 +53,6 @@ inline std::string git_revision() {
     const char* v = std::getenv(env);
     if (v != nullptr && *v != '\0') return std::string(v).substr(0, 40);
   }
-#ifndef _WIN32
   if (std::FILE* p = ::popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
     char buffer[64] = {0};
     const bool got = std::fgets(buffer, sizeof buffer, p) != nullptr;
@@ -65,7 +64,6 @@ inline std::string git_revision() {
       if (!rev.empty()) return rev;
     }
   }
-#endif
   return "unknown";
 }
 

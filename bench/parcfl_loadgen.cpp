@@ -68,12 +68,10 @@
 #include "service/service.hpp"
 #include "support/stats.hpp"
 
-#ifndef _WIN32
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 using namespace parcfl;
 
@@ -299,7 +297,6 @@ void emit_phase(std::FILE* f, const char* name, const Config& cfg,
   std::fprintf(f, "}");
 }
 
-#ifndef _WIN32
 /// Minimal blocking line client for --connect mode.
 class TcpClient {
  public:
@@ -427,7 +424,6 @@ bool dump_answers(const std::vector<service::Request>& requests,
               requests.size());
   return true;
 }
-#endif  // _WIN32
 
 void write_scrape(const std::string& path, const std::string& exposition);
 
@@ -715,7 +711,6 @@ int main(int argc, char** argv) {
   bool with_engine = false;
 
   if (cfg.connect_port >= 0) {
-#ifndef _WIN32
     // Replay against a live parcfl_serve: each client owns one connection.
     std::vector<std::unique_ptr<TcpClient>> conns;
     for (unsigned c = 0; c < cfg.clients; ++c) {
@@ -753,10 +748,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "parcfl_loadgen: metrics scrape failed\n");
     }
     if (!cfg.answers_out.empty() && !dump_answers(requests, cfg)) return 1;
-#else
-    std::fprintf(stderr, "parcfl_loadgen: --connect is POSIX-only\n");
-    return 1;
-#endif
   } else {
     service::ServiceOptions options;
     options.session.engine.threads = cfg.threads;

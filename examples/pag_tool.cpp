@@ -283,27 +283,26 @@ int cmd_batch(const pag::Pag& raw, int argc, char** argv) {
   cfl::ContextTable contexts;
   cfl::JmpStore store;
   const char* state_path = argc > 5 ? argv[5] : nullptr;
-  if (state_path != nullptr) {
-    std::ifstream state_in(state_path);
-    if (state_in) {
-      std::string error;
-      if (cfl::load_sharing_state(state_in, collapsed.pag, contexts, store, &error))
-        std::printf("warm start: loaded %zu jmp entries from %s\n",
-                    store.entry_count(), state_path);
-      else
-        std::fprintf(stderr, "pag_tool: ignoring state (%s)\n", error.c_str());
-    }
+  if (state_path != nullptr && std::ifstream(state_path)) {
+    std::string error;
+    if (cfl::load_sharing_state_file_v3(state_path, collapsed.pag, contexts,
+                                        store, cfl::StateLoadMode::kAuto,
+                                        &error))
+      std::printf("warm start: loaded %zu jmp entries from %s\n",
+                  store.entry_count(), state_path);
+    else
+      std::fprintf(stderr, "pag_tool: ignoring state (%s)\n", error.c_str());
   }
 
   cfl::Engine engine(collapsed.pag, options);
   const auto result = engine.run(queries, contexts, store);
 
   if (state_path != nullptr) {
-    // Crash-safe write (temp file + rename): a crash mid-save leaves the
-    // previous state file intact for the next warm start.
+    // Crash-safe write (temp file + fsync + rename): a crash mid-save leaves
+    // the previous state file intact for the next warm start.
     std::string error;
-    if (cfl::save_sharing_state_file(state_path, collapsed.pag, contexts,
-                                     store, &error))
+    if (cfl::save_sharing_state_file_v3(state_path, collapsed.pag, contexts,
+                                        store, &error))
       std::printf("saved sharing state to %s (%zu entries)\n", state_path,
                   store.entry_count());
     else

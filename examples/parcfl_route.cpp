@@ -33,10 +33,8 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
 #include <signal.h>
 #include <unistd.h>
-#endif
 
 #include "parcfl.hpp"
 
@@ -103,13 +101,11 @@ int main(int argc, char** argv) {
   }
   if (map_path == nullptr || options.workers.empty()) return usage();
 
-#ifndef _WIN32
   sigset_t shutdown_signals;
   sigemptyset(&shutdown_signals);
   sigaddset(&shutdown_signals, SIGINT);
   sigaddset(&shutdown_signals, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &shutdown_signals, nullptr);
-#endif
 
   std::string error;
   auto map = pag::read_partition_map_file(map_path, &error);
@@ -138,7 +134,6 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "parcfl_route: listening on 127.0.0.1:%u\n",
                server.port());
 
-#ifndef _WIN32
   std::atomic<bool> exiting{false};
   std::thread watcher([&] {
     int sig = 0;
@@ -151,9 +146,6 @@ int main(int argc, char** argv) {
   exiting.store(true, std::memory_order_release);
   ::kill(::getpid(), SIGTERM);
   watcher.join();
-#else
-  server.serve();
-#endif
   server.shutdown();
   return 0;
 }

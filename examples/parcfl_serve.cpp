@@ -58,10 +58,8 @@
 #include <string>
 #include <thread>
 
-#ifndef _WIN32
 #include <signal.h>
 #include <unistd.h>
-#endif
 
 #include "parcfl.hpp"
 
@@ -160,7 +158,6 @@ int main(int argc, char** argv) {
     }
   }
 
-#ifndef _WIN32
   // Block the shutdown signals *before* the service spawns its threads, so
   // every thread inherits the mask and only the watcher's sigwait ever sees
   // them — the sigwait pattern avoids doing real work in a signal handler.
@@ -169,7 +166,6 @@ int main(int argc, char** argv) {
   sigaddset(&shutdown_signals, SIGINT);
   sigaddset(&shutdown_signals, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &shutdown_signals, nullptr);
-#endif
 
   std::ifstream in(argv[1]);
   if (!in) {
@@ -251,7 +247,6 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "parcfl_serve: listening on 127.0.0.1:%u\n",
                server.port());
 
-#ifndef _WIN32
   std::atomic<bool> exiting{false};
   std::thread watcher([&] {
     int sig = 0;
@@ -266,9 +261,6 @@ int main(int argc, char** argv) {
   // already fired leaves this one pending-and-blocked; it dies with us.
   ::kill(::getpid(), SIGTERM);
   watcher.join();
-#else
-  server.serve();
-#endif
   server.shutdown();  // idempotent; covers the no-signal exit path
   return save_dirty_sessions();
 }

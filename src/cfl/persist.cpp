@@ -2,23 +2,17 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <iterator>
-#include <ostream>
-#include <sstream>
 #include <type_traits>
 #include <vector>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace parcfl::cfl {
 
@@ -45,39 +39,6 @@ std::uint64_t pag_fingerprint(const pag::Pag& pag) {
   return h;
 }
 
-void save_sharing_state(std::ostream& os, const pag::Pag& pag,
-                        const ContextTable& contexts, const JmpStore& store) {
-  os << "parcfl-state 2\n";
-  os << "pag " << pag.node_count() << ' ' << pag.edge_count() << ' '
-     << pag_fingerprint(pag) << ' ' << pag.revision() << "\n";
-
-  // Contexts in id order: a parent is always interned before its children,
-  // so parents precede children in the file.
-  const auto count = contexts.size();
-  for (std::uint64_t id = 1; id < count; ++id) {
-    const CtxId c(static_cast<std::uint32_t>(id));
-    os << "ctx " << id << ' ' << contexts.pop(c).value() << ' '
-       << contexts.top(c).value() << "\n";
-  }
-
-  store.for_each_entry([&](std::uint64_t key, const JmpStore::Lookup& entry) {
-    const auto dir = static_cast<unsigned>(key & 1);
-    const auto ctx = static_cast<std::uint32_t>((key >> 1) & 0xffffffffu);
-    const auto node = static_cast<std::uint32_t>(key >> 33);
-    if (entry.finished != nullptr) {
-      os << "fin " << dir << ' ' << node << ' ' << ctx << ' '
-         << entry.finished->cost << ' ' << entry.finished->targets.size();
-      for (const JmpTarget& t : entry.finished->targets)
-        os << ' ' << t.node.value() << ' ' << t.ctx.value() << ' ' << t.steps;
-      os << "\n";
-    }
-    if (entry.unfinished_s != 0) {
-      os << "unf " << dir << ' ' << node << ' ' << ctx << ' '
-         << entry.unfinished_s << "\n";
-    }
-  });
-}
-
 namespace {
 
 bool fail(std::string* error, const std::string& msg) {
@@ -93,101 +54,6 @@ bool fail_stale(std::string* error, bool* stale, const std::string& msg) {
 
 }  // namespace
 
-bool load_sharing_state(std::istream& is, const pag::Pag& pag,
-                        ContextTable& contexts, JmpStore& store,
-                        std::string* error, bool* stale) {
-  if (stale != nullptr) *stale = false;
-  std::string line;
-  if (!std::getline(is, line)) return fail(error, "bad header");
-  const bool v1 = line == "parcfl-state 1";
-  if (!v1 && line != "parcfl-state 2") return fail(error, "bad header");
-
-  std::uint32_t nodes = 0, edges = 0, revision = 0;
-  std::uint64_t fingerprint = 0;
-  {
-    if (!std::getline(is, line)) return fail(error, "missing pag line");
-    std::istringstream ls(line);
-    std::string tag;
-    if (!(ls >> tag >> nodes >> edges >> fingerprint) || tag != "pag")
-      return fail(error, "bad pag line");
-    // v2 carries the delta epoch; v1 predates incremental updates and is
-    // treated as epoch 0.
-    if (!v1 && !(ls >> revision)) return fail(error, "bad pag line");
-    if (nodes != pag.node_count() || edges != pag.edge_count() ||
-        fingerprint != pag_fingerprint(pag))
-      return fail_stale(error, stale, "state was computed for a different PAG");
-    if (revision != pag.revision())
-      return fail_stale(error, stale,
-                        "state was computed at delta epoch " +
-                            std::to_string(revision) + ", graph is at " +
-                            std::to_string(pag.revision()));
-  }
-
-  // old ctx id -> id in the receiving table. Index 0 is the empty context.
-  std::vector<CtxId> remap{ContextTable::empty()};
-  auto mapped = [&](std::uint32_t old) -> CtxId {
-    return old < remap.size() ? remap[old] : CtxId::invalid();
-  };
-
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag == "ctx") {
-      std::uint64_t id = 0;
-      std::uint32_t parent = 0, site = 0;
-      if (!(ls >> id >> parent >> site) || id != remap.size())
-        return fail(error, "bad or out-of-order ctx line");
-      const CtxId p = mapped(parent);
-      if (!p.valid() && parent != 0) return fail(error, "ctx parent unknown");
-      const CtxId fresh = contexts.push(p, pag::CallSiteId(site));
-      if (!fresh.valid()) return fail(error, "context depth cap on load");
-      remap.push_back(fresh);
-    } else if (tag == "fin") {
-      unsigned dir = 0;
-      std::uint32_t node = 0, ctx = 0, cost = 0;
-      std::size_t n = 0;
-      if (!(ls >> dir >> node >> ctx >> cost >> n) || dir > 1 ||
-          node >= pag.node_count())
-        return fail(error, "bad fin line");
-      const CtxId c = mapped(ctx);
-      if (!c.valid()) return fail(error, "fin ctx unknown");
-      // The count came from untrusted input: every target needs at least
-      // "0 0 0" = five bytes of line, so a count past line.size() cannot be
-      // satisfied. Reject it before reserve() turns it into an allocation.
-      if (n > line.size())
-        return fail(error, "fin target count exceeds the line");
-      std::vector<JmpTarget> targets;
-      targets.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t tn = 0, tc = 0, ts = 0;
-        if (!(ls >> tn >> tc >> ts) || tn >= pag.node_count())
-          return fail(error, "bad fin target");
-        const CtxId tctx = mapped(tc);
-        if (!tctx.valid()) return fail(error, "fin target ctx unknown");
-        targets.push_back(JmpTarget{pag::NodeId(tn), tctx, ts});
-      }
-      store.insert_finished(
-          JmpStore::key(static_cast<Direction>(dir), pag::NodeId(node), c), cost,
-          std::move(targets));
-    } else if (tag == "unf") {
-      unsigned dir = 0;
-      std::uint32_t node = 0, ctx = 0, s = 0;
-      if (!(ls >> dir >> node >> ctx >> s) || dir > 1 || s == 0 ||
-          node >= pag.node_count())
-        return fail(error, "bad unf line");
-      const CtxId c = mapped(ctx);
-      if (!c.valid()) return fail(error, "unf ctx unknown");
-      store.insert_unfinished(
-          JmpStore::key(static_cast<Direction>(dir), pag::NodeId(node), c), s);
-    } else {
-      return fail(error, "unknown directive: " + tag);
-    }
-  }
-  return true;
-}
-
 bool write_file_atomic(const std::string& path, const std::string& data,
                        std::string* error) {
   const std::string tmp = path + ".tmp";
@@ -197,12 +63,8 @@ bool write_file_atomic(const std::string& path, const std::string& data,
   const bool wrote =
       std::fwrite(data.data(), 1, data.size(), f) == data.size() &&
       std::fflush(f) == 0;
-#ifndef _WIN32
   // Make the rename durable: data must hit the disk before the new name does.
   const bool synced = wrote && ::fsync(::fileno(f)) == 0;
-#else
-  const bool synced = wrote;
-#endif
   if (std::fclose(f) != 0 || !synced) {
     std::remove(tmp.c_str());
     return fail(error, "short write to " + tmp);
@@ -212,24 +74,6 @@ bool write_file_atomic(const std::string& path, const std::string& data,
     return fail(error, "rename to " + path + " failed: " + std::strerror(errno));
   }
   return true;
-}
-
-bool save_sharing_state_file(const std::string& path, const pag::Pag& pag,
-                             const ContextTable& contexts, const JmpStore& store,
-                             std::string* error) {
-  // Serialise into memory first: the snapshot holds each store shard's lock
-  // only while copying, never across file I/O.
-  std::ostringstream buffer;
-  save_sharing_state(buffer, pag, contexts, store);
-  return write_file_atomic(path, buffer.str(), error);
-}
-
-bool load_sharing_state_file(const std::string& path, const pag::Pag& pag,
-                             ContextTable& contexts, JmpStore& store,
-                             std::string* error, bool* stale) {
-  std::ifstream in(path);
-  if (!in) return fail(error, "cannot open " + path);
-  return load_sharing_state(in, pag, contexts, store, error, stale);
 }
 
 // ---- v3 binary format ------------------------------------------------------
@@ -467,7 +311,9 @@ bool load_sharing_state_v3(const char* data, std::size_t size,
     std::vector<JmpTarget> targets(f.target_len);
     const char* run = tgt_base + f.target_begin * sizeof(V3Target);
     if (identity) {
-      std::memcpy(targets.data(), run, f.target_len * sizeof(V3Target));
+      // An empty run leaves targets.data() null, which memcpy must not see.
+      if (f.target_len != 0)
+        std::memcpy(targets.data(), run, f.target_len * sizeof(V3Target));
     } else {
       for (std::uint32_t t = 0; t < f.target_len; ++t) {
         V3Target raw;
@@ -519,7 +365,6 @@ bool load_sharing_state_file_v3(const std::string& path, const pag::Pag& pag,
                                 StateLoadMode mode, std::string* error,
                                 std::vector<std::uint64_t>* hot_out,
                                 bool* stale) {
-#ifndef _WIN32
   if (mode != StateLoadMode::kStream) {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
@@ -548,32 +393,7 @@ bool load_sharing_state_file_v3(const std::string& path, const pag::Pag& pag,
     ::munmap(map, map_size);
     return ok;
   }
-#else
-  (void)mode;
-#endif
   return load_v3_stream(path, pag, contexts, store, error, hot_out, stale);
-}
-
-bool load_sharing_state_file_any(const std::string& path, const pag::Pag& pag,
-                                 ContextTable& contexts, JmpStore& store,
-                                 std::string* error,
-                                 std::vector<std::uint64_t>* hot_out,
-                                 bool* stale) {
-  if (stale != nullptr) *stale = false;
-  if (hot_out != nullptr) hot_out->clear();
-  char magic[8] = {};
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return fail(error, "cannot open " + path);
-    in.read(magic, sizeof magic);
-    if (in.gcount() < static_cast<std::streamsize>(sizeof magic))
-      return fail(error, "state file too short");
-  }
-  if (std::memcmp(magic, kStateV3Magic, sizeof magic) == 0)
-    return load_sharing_state_file_v3(path, pag, contexts, store,
-                                      StateLoadMode::kAuto, error, hot_out,
-                                      stale);
-  return load_sharing_state_file(path, pag, contexts, store, error, stale);
 }
 
 }  // namespace parcfl::cfl

@@ -8,29 +8,8 @@
 // batch takes shortcuts from step one. State is only meaningful for the
 // exact PAG it was computed on — a fingerprint is stored and checked.
 //
-// Format v2 (line-oriented text, '#' comments):
-//   parcfl-state 2
-//   pag <node-count> <edge-count> <fingerprint> <revision>
-//   ctx <id> <parent-id> <site>                (in increasing id order)
-//   fin <dir> <node> <ctx> <cost> <n> {<node> <ctx> <steps>}*n
-//   unf <dir> <node> <ctx> <s>
-//
-// v2 adds the delta epoch: <revision> is Pag::revision() at save time, so a
-// session that applied incremental updates (pag::apply_delta) never feeds
-// state from one epoch into another even when the graphs happen to collide
-// structurally (e.g. a delta applied and then reverted — the fingerprint
-// matches, the revision does not). v1 files (header `parcfl-state 1`, pag
-// line without the revision column) are still accepted and are treated as
-// epoch 0, which is exactly what every v1 writer was running at.
-//
-// Context ids are remapped on load (the receiving table may already hold
-// other contexts), so state can be merged into a live analysis. Counts read
-// from the input are validated against the line before any allocation, so a
-// hostile or corrupt file cannot demand unbounded memory.
-//
-// Format v3 (binary, native-endian, mmap-able) exists for the session
-// manager's evict/reopen cycle, where reload latency is the product with
-// tenant count. Layout:
+// Format v3 — the one state format (binary, native-endian, mmap-able).
+// Layout:
 //
 //   [V3Header 72B] [ctx: (ctx_count-1) × {u32 parent, u32 site}]
 //   [fin: fin_count × {u64 key, u64 target_begin, u32 cost, u32 target_len}]
@@ -41,21 +20,30 @@
 // Section strides are 8-byte multiples except the target array (12B =
 // sizeof(JmpTarget)); the trailing hot section is advisory (the compactor's
 // hot-region queue — see DESIGN.md §13) and 8-byte-strided, tolerating the
-// unaligned start. The header carries the same fingerprint + revision guard
-// as v2 plus every section count and the total file size, all validated
-// against the actual byte count before any allocation. Entries are
-// key-sorted at save time, so equal state produces byte-identical files.
+// unaligned start. Entries are key-sorted at save time, so equal state
+// produces byte-identical files.
 //
-// The fast path: reopening an evicted session loads into a *fresh*
-// ContextTable, where pushing the ctx section in file order reproduces the
-// file's ids exactly (identity remap). Finished-jmp target arrays are then
-// bulk-memcpy'd straight out of the mapped file — no text parse, no
-// per-target id translation. A non-empty receiving table falls back to the
-// same per-target remap as the text loader. v1/v2 text files are still
-// accepted everywhere via load_sharing_state_file_any.
+// The header carries the graph guard: node and edge count, fingerprint and
+// the delta epoch (Pag::revision() at save time). A session that applied
+// incremental updates (pag::apply_delta) therefore never feeds state from
+// one epoch into another, even when the graphs collide structurally (a delta
+// applied and then reverted — the fingerprint matches, the revision does
+// not). It also carries every section count and the total file size; each
+// count is bounded against the actual byte count before any multiply or
+// allocation, and the sections must tile the file exactly, so a hostile or
+// corrupt file cannot demand unbounded memory or read out of bounds. Any
+// other input — including a leftover text state from an older build — fails
+// the magic check and is rejected before anything is touched.
+//
+// Context ids are remapped on load (the receiving table may already hold
+// other contexts), so state can be merged into a live analysis. The fast
+// path: reopening an evicted session loads into a *fresh* ContextTable,
+// where pushing the ctx section in file order reproduces the file's ids
+// exactly (identity remap). Finished-jmp target arrays are then
+// bulk-memcpy'd straight out of the mapped file — no per-target id
+// translation. A non-empty receiving table takes the per-target remap.
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -71,39 +59,9 @@ namespace parcfl::cfl {
 std::uint64_t pag_fingerprint(const pag::Pag& pag);
 
 /// Crash-safe whole-file write: tmp sibling + fsync + rename. Shared by the
-/// state writers here and by the session manager's graph spill.
+/// state writer here and by the session manager's graph spill.
 bool write_file_atomic(const std::string& path, const std::string& data,
                        std::string* error = nullptr);
-
-/// Serialise every context and jmp entry.
-void save_sharing_state(std::ostream& os, const pag::Pag& pag,
-                        const ContextTable& contexts, const JmpStore& store);
-
-/// Load state saved by save_sharing_state into (possibly non-empty) contexts
-/// and store. Returns false and fills *error on malformed input or a PAG
-/// fingerprint mismatch. `stale`, when non-null, is set to true exactly when
-/// the file is a well-formed state image for a *different* graph or delta
-/// epoch — the session manager unlinks such spills instead of letting them
-/// shadow future saves.
-bool load_sharing_state(std::istream& is, const pag::Pag& pag,
-                        ContextTable& contexts, JmpStore& store,
-                        std::string* error = nullptr, bool* stale = nullptr);
-
-/// Crash-safe save to `path`: the state is written to a temporary sibling
-/// file, flushed to disk (fsync), and renamed into place, so a process
-/// killed mid-save never leaves a torn state file — the previous state file,
-/// if any, survives intact. Safe to call while solvers are concurrently
-/// inserting into the store (shard-consistent snapshot). Returns false and
-/// fills *error on any I/O failure.
-bool save_sharing_state_file(const std::string& path, const pag::Pag& pag,
-                             const ContextTable& contexts, const JmpStore& store,
-                             std::string* error = nullptr);
-
-/// Open `path` and load_sharing_state from it.
-bool load_sharing_state_file(const std::string& path, const pag::Pag& pag,
-                             ContextTable& contexts, JmpStore& store,
-                             std::string* error = nullptr,
-                             bool* stale = nullptr);
 
 // ---- v3 binary format ------------------------------------------------------
 
@@ -113,12 +71,18 @@ inline constexpr char kStateV3Magic[8] = {'p', 'c', 'f', 'l', 's', 't', '3',
 
 /// How load_sharing_state_file_v3 gets the bytes. kMmap maps the file
 /// read-only and parses in place (the zero-copy reopen path); kStream reads
-/// it through a heap buffer (also the non-POSIX fallback); kAuto prefers
-/// mmap and falls back to stream.
+/// it through a heap buffer; kAuto prefers mmap and falls back to stream.
 enum class StateLoadMode { kAuto, kMmap, kStream };
 
-/// Serialise to the v3 binary format (key-sorted, deterministic) and write
-/// crash-safely (tmp + fsync + rename), like save_sharing_state_file.
+/// Serialise to the v3 binary format (key-sorted, deterministic) and save
+/// crash-safely to `path`: the image is written to a temporary sibling file,
+/// flushed to disk (fsync), and renamed into place, so a process killed
+/// mid-save never leaves a torn state file — the previous state file, if
+/// any, survives intact. Safe to call while solvers are concurrently
+/// inserting into the store: the snapshot is one lock-free, epoch-pinned
+/// pass into memory, and no store access overlaps the file I/O. Returns
+/// false and fills *error on any I/O failure.
+///
 /// `revision_override` (≥ 0) replaces the stored delta epoch: the session
 /// manager's evict path spills an updated graph *and* its state together, and
 /// stamps the pair as epoch 0 so a reopen — which reads the spilled graph
@@ -137,30 +101,27 @@ bool save_sharing_state_file_v3(
     std::int64_t revision_override = -1,
     std::span<const std::uint64_t> hot_keys = {});
 
-/// Parse a v3 image already in memory (mapped or buffered). Same semantics
-/// as load_sharing_state: merges into possibly non-empty contexts/store,
-/// validates fingerprint, revision, every count and every id before use.
-/// `hot_out`, when non-null, receives the advisory hot-key section (empty if
-/// the file has none); `stale` as in load_sharing_state.
+/// Parse a v3 image already in memory (mapped or buffered) and merge it
+/// into possibly non-empty contexts/store. Validates fingerprint, revision,
+/// every count and every id before use; returns false and fills *error on
+/// malformed input or a graph mismatch. `hot_out`, when non-null, receives
+/// the advisory hot-key section (empty if the file has none). `stale`, when
+/// non-null, is set to true exactly when the input is a well-formed image for
+/// a *different* graph or delta epoch — the session manager unlinks such
+/// spills instead of letting them shadow future saves.
 bool load_sharing_state_v3(const char* data, std::size_t size,
                            const pag::Pag& pag, ContextTable& contexts,
                            JmpStore& store, std::string* error = nullptr,
                            std::vector<std::uint64_t>* hot_out = nullptr,
                            bool* stale = nullptr);
 
+/// Read `path` (per `mode`) and load_sharing_state_v3 from it. A missing,
+/// empty or unreadable file fails like a malformed one.
 bool load_sharing_state_file_v3(const std::string& path, const pag::Pag& pag,
                                 ContextTable& contexts, JmpStore& store,
                                 StateLoadMode mode = StateLoadMode::kAuto,
                                 std::string* error = nullptr,
                                 std::vector<std::uint64_t>* hot_out = nullptr,
                                 bool* stale = nullptr);
-
-/// Sniff the leading magic and dispatch: v3 → binary loader (kAuto), anything
-/// else → text v1/v2 loader. The one entry point sessions use for warm-start.
-bool load_sharing_state_file_any(const std::string& path, const pag::Pag& pag,
-                                 ContextTable& contexts, JmpStore& store,
-                                 std::string* error = nullptr,
-                                 std::vector<std::uint64_t>* hot_out = nullptr,
-                                 bool* stale = nullptr);
 
 }  // namespace parcfl::cfl

@@ -130,7 +130,7 @@ class Pag {
 
   /// Delta epoch: 0 for a freshly built graph, incremented by each
   /// pag::apply_delta. Persisted sharing state records the revision it was
-  /// computed at (cfl/persist.hpp format v2).
+  /// computed at (the v3 header, cfl/persist.hpp).
   std::uint32_t revision() const { return revision_; }
 
   /// Optional display name (empty when not recorded).

@@ -329,8 +329,8 @@ std::size_t SessionManager::save_dirty(std::string* error) {
       bool wrote_pag = false;
       if (pinned) {
         // Adopted sessions have no reopenable graph file; their state_path
-        // is the service-level warm-state file, saved in the long-lived text
-        // format for compatibility with --state across versions.
+        // is the service-level warm-state file (--state); Session::save
+        // writes it in place without a graph spill.
         ok = session->save(state_path, &spill_error);
       } else {
         ok = session->spill(state_path, pag_spill, &wrote_pag, &spill_error);

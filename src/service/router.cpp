@@ -12,7 +12,6 @@
 #include <unordered_set>
 #include <utility>
 
-#ifndef _WIN32
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -20,7 +19,6 @@
 #include <sys/time.h>
 #include <unistd.h>
 #include <cerrno>
-#endif
 
 #include "cfl/solver.hpp"
 
@@ -81,12 +79,6 @@ std::string cfg_key(std::uint8_t dir, std::uint32_t node,
 }
 
 constexpr std::uint32_t kNoWorker = 0xffffffffu;
-
-}  // namespace
-
-#ifndef _WIN32
-
-namespace {
 
 /// One pooled connection to a worker. `sent` tracks the facts already seeded
 /// on the worker side of this connection (per configuration), so re-seeding
@@ -733,41 +725,5 @@ std::string RouterCore::stats_json() const {
   os << "]}";
   return os.str();
 }
-
-#else  // _WIN32
-
-struct RouterCore::Impl {
-  RouterOptions options;
-  bool ready = false;
-};
-
-RouterCore::RouterCore(RouterOptions options, std::string* error)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->options = std::move(options);
-  if (error != nullptr) *error = "router is POSIX-only";
-}
-RouterCore::~RouterCore() = default;
-bool RouterCore::ok() const { return false; }
-std::uint32_t RouterCore::node_count() const { return 0; }
-Reply RouterCore::handle(const Request&) {
-  Reply r;
-  r.status = Reply::Status::kError;
-  r.text = "router is POSIX-only";
-  return r;
-}
-bool RouterCore::handle_line(const std::string&, std::string& reply_line) {
-  reply_line = "err router is POSIX-only\n";
-  return true;
-}
-TcpServer::HandlerFactory RouterCore::handler_factory() {
-  return [this]() -> TcpServer::LineHandler {
-    return [this](const std::string& line, std::string& reply_line) {
-      return handle_line(line, reply_line);
-    };
-  };
-}
-std::string RouterCore::stats_json() const { return "{}"; }
-
-#endif
 
 }  // namespace parcfl::service

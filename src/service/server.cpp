@@ -9,7 +9,6 @@
 
 #include "service/worker.hpp"
 
-#ifndef _WIN32
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -17,7 +16,6 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
-#endif
 
 namespace parcfl::service {
 
@@ -49,8 +47,6 @@ std::uint64_t serve_stream(QueryService& service, std::istream& in,
   }
   return handled;
 }
-
-#ifndef _WIN32
 
 TcpServer::TcpServer(QueryService& service, std::uint16_t port,
                      std::string* error)
@@ -166,22 +162,5 @@ void TcpServer::handle_connection(int fd) {
   live_fds_.erase(std::find(live_fds_.begin(), live_fds_.end(), fd));
   ::close(fd);
 }
-
-#else  // _WIN32
-
-TcpServer::TcpServer(QueryService& service, std::uint16_t port,
-                     std::string* error)
-    : TcpServer(service_factory(service), port, error) {}
-TcpServer::TcpServer(HandlerFactory factory, std::uint16_t, std::string* error)
-    : factory_(std::move(factory)) {
-  if (error != nullptr) *error = "TCP server is POSIX-only";
-}
-void TcpServer::init(std::uint16_t, std::string*) {}
-TcpServer::~TcpServer() = default;
-void TcpServer::serve() {}
-void TcpServer::shutdown() {}
-void TcpServer::handle_connection(int) {}
-
-#endif
 
 }  // namespace parcfl::service

@@ -28,7 +28,7 @@ std::uint64_t serve_stream(QueryService& service, std::istream& in,
 
 /// Blocking TCP front-end. Construction binds and listens (port 0 picks an
 /// ephemeral port — see port()); serve() accepts until shutdown() is called
-/// from another thread. POSIX-only; construction fails on other platforms.
+/// from another thread. POSIX sockets, one thread per connection.
 class TcpServer {
  public:
   /// Handles one protocol line, writing the reply frame (with newline) into

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <tuple>
@@ -13,10 +14,6 @@
 #include "pag/pag_io.hpp"
 #include "support/ebr.hpp"
 
-#ifndef _WIN32
-#include <ctime>
-#endif
-
 namespace parcfl::service {
 
 namespace {
@@ -25,12 +22,10 @@ namespace {
 /// instead of wall time so occupancy stays exact on oversubscribed hosts —
 /// a preemption while batch_mu_ is held must not count as worker work.
 std::uint64_t thread_cpu_ns() {
-#ifndef _WIN32
   timespec ts{};
   if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0)
     return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
            static_cast<std::uint64_t>(ts.tv_nsec);
-#endif
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
@@ -144,13 +139,13 @@ Session::Session(pag::Pag pag, Options options)
       probe.close();
       // A stale or torn state file must not keep the service from starting;
       // it just starts cold (and will overwrite the file on the next save).
-      // The auto loader takes the mmap fast path on v3 spill files — the
-      // reopen latency the session manager's evict cycle depends on — and
-      // the text slow path on v1/v2.
+      // The auto loader takes the mmap fast path — the reopen latency the
+      // session manager's evict cycle depends on.
       std::string error;
       std::vector<std::uint64_t> hot;
-      if (!cfl::load_sharing_state_file_any(options.state_path, pag_, contexts_,
-                                            store_, &error, &hot, &warm_stale_))
+      if (!cfl::load_sharing_state_file_v3(options.state_path, pag_, contexts_,
+                                           store_, cfl::StateLoadMode::kAuto,
+                                           &error, &hot, &warm_stale_))
         std::fprintf(stderr, "parcfl-service: ignoring warm-start state %s: %s\n",
                      options.state_path.c_str(), error.c_str());
       // The spill's advisory hot section re-seeds the compactor queue, so a
@@ -784,12 +779,13 @@ support::QueryCounters Session::lifetime_totals() const {
 
 bool Session::save(const std::string& path, std::string* error) {
   std::shared_lock lock(pag_mu_);
-  return cfl::save_sharing_state_file(path, pag_, contexts_, store_, error);
+  return cfl::save_sharing_state_file_v3(path, pag_, contexts_, store_, error);
 }
 
 bool Session::load(const std::string& path, std::string* error) {
   std::shared_lock lock(pag_mu_);
-  return cfl::load_sharing_state_file_any(path, pag_, contexts_, store_, error);
+  return cfl::load_sharing_state_file_v3(path, pag_, contexts_, store_,
+                                         cfl::StateLoadMode::kAuto, error);
 }
 
 bool Session::spill(const std::string& state_path,

@@ -241,12 +241,12 @@ class Session {
   bool update_from_file(const std::string& path, std::string* error,
                         UpdateStats* stats = nullptr);
 
-  /// Crash-safe snapshot of the shared state (temp file + rename); safe
-  /// while batches run (jmp snapshots are shard-consistent), serialised only
-  /// against update's swap window.
+  /// Crash-safe v3 snapshot of the shared state (temp file + fsync +
+  /// rename); safe while batches run (the jmp snapshot is epoch-pinned),
+  /// serialised only against update's swap window.
   bool save(const std::string& path, std::string* error);
-  /// Merge a previously saved state file (any format: v3 binary or v1/v2
-  /// text) into the live session.
+  /// Merge a previously saved v3 state file into the live session. Any other
+  /// file (a leftover text state, say) fails and leaves the session as is.
   bool load(const std::string& path, std::string* error);
 
   /// Eviction spill (session manager): write the warm state as mmap-able v3

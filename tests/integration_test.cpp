@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
+#include <cstdio>
 
 #include "parcfl.hpp"
 
@@ -92,16 +92,20 @@ TEST(Integration, FullPipelineEndToEnd) {
   (void)modref;
 
   // 7. Sharing state persists and warm-starts an equivalent second batch.
-  std::ostringstream state;
-  cfl::save_sharing_state(state, collapsed.pag, contexts, store);
+  const std::string state_path =
+      testing::TempDir() + "integration_full_pipeline.state";
+  std::string persist_error;
+  ASSERT_TRUE(cfl::save_sharing_state_file_v3(state_path, collapsed.pag,
+                                              contexts, store, &persist_error))
+      << persist_error;
 
   cfl::ContextTable warm_contexts;
   cfl::JmpStore warm_store;
-  std::istringstream in(state.str());
-  std::string persist_error;
-  ASSERT_TRUE(cfl::load_sharing_state(in, collapsed.pag, warm_contexts,
-                                      warm_store, &persist_error))
+  ASSERT_TRUE(cfl::load_sharing_state_file_v3(
+      state_path, collapsed.pag, warm_contexts, warm_store,
+      cfl::StateLoadMode::kAuto, &persist_error))
       << persist_error;
+  std::remove(state_path.c_str());
 
   const auto warm = engine.run(queries, warm_contexts, warm_store);
   EXPECT_LT(warm.totals.traversed_steps, result.totals.traversed_steps);

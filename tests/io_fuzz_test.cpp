@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -806,71 +808,116 @@ cfl::SolverOptions state_fuzz_opts() {
 
 class StateFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// Warm a store on every variable of `pag`, save it as a v3 file under the
+/// test temp dir, and return the image read back from disk.
+std::string warmed_v3_image(const pag::Pag& pag, const std::string& name) {
+  cfl::ContextTable contexts;
+  cfl::JmpStore store;
+  cfl::Solver solver(pag, contexts, &store, state_fuzz_opts());
+  for (const NodeId v : test::all_variables(pag)) (void)solver.points_to(v);
+  const std::string path = testing::TempDir() + name + ".state";
+  std::string error;
+  EXPECT_TRUE(
+      cfl::save_sharing_state_file_v3(path, pag, contexts, store, &error))
+      << error;
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// One to four random edits: byte flips (any value — this is binary data),
+/// truncations (a torn write), and span deletes and duplicates (which shear
+/// every later section offset).
+std::string mutate_image(std::string image, support::Rng& rng) {
+  const std::size_t edits = 1 + rng.below(4);
+  for (std::size_t e = 0; e < edits; ++e) {
+    if (image.empty()) break;
+    const std::size_t pos = rng.below(image.size());
+    switch (rng.below(4)) {
+      case 0:
+        image[pos] = static_cast<char>(rng.below(256));
+        break;
+      case 1:
+        image.resize(pos);
+        break;
+      case 2:
+        image.erase(pos, 1 + rng.below(16));
+        break;
+      case 3:
+        image.insert(pos, image.substr(pos, 1 + rng.below(16)));
+        break;
+    }
+  }
+  return image;
+}
+
+/// Whatever a loader accepted (possibly a well-formed corruption), the tables
+/// must still be usable: the solver must run to completion and return only
+/// ids that are objects of this PAG. Exact sets are not checked — a mutation
+/// can produce a loadable image with different but well-formed entries.
+void expect_usable(const pag::Pag& pag, const std::vector<NodeId>& vars,
+                   cfl::ContextTable& contexts, cfl::JmpStore& store) {
+  cfl::Solver solver(pag, contexts, &store, state_fuzz_opts());
+  for (std::size_t i = 0; i < vars.size() && i < 4; ++i) {
+    const auto result = solver.points_to(vars[i]);
+    for (const NodeId n : result.nodes()) {
+      ASSERT_LT(n.value(), pag.node_count());
+      EXPECT_TRUE(pag.is_object(n));
+    }
+  }
+}
+
+// Mutated images go through the file-level loader — the open / fstat / mmap
+// path that warm start and tenant reopen both use — in every load mode,
+// including a 0-byte file. The same bytes must get the same verdict and the
+// same entries whichever way they are read.
 TEST_P(StateFuzzTest, MutatedStateFilesNeverCrashTheLoader) {
   test::RandomPagConfig cfg;
   cfg.seed = GetParam();
   cfg.heap_edge_pairs = 4;  // load/store matches are what mint jmp entries
   const auto pag = test::random_layered_pag(cfg);
   const auto vars = test::all_variables(pag);
-
-  const cfl::SolverOptions opts = state_fuzz_opts();
-  std::string text;
-  {
-    cfl::ContextTable contexts;
-    cfl::JmpStore store;
-    cfl::Solver solver(pag, contexts, &store, opts);
-    for (const NodeId v : vars) (void)solver.points_to(v);
-    std::ostringstream os;
-    cfl::save_sharing_state(os, pag, contexts, store);
-    text = os.str();
-  }
+  const std::string name = "fuzz_file_" + std::to_string(GetParam());
+  const std::string image = warmed_v3_image(pag, name);
+  ASSERT_GE(image.size(), 72u);
+  const std::string path = testing::TempDir() + name + ".mutated";
 
   support::Rng rng(GetParam() * 48271 + 11);
   for (int trial = 0; trial < 40; ++trial) {
-    std::string mutated = text;
-    const std::size_t edits = 1 + rng.below(4);
-    for (std::size_t e = 0; e < edits; ++e) {
-      if (mutated.empty()) break;
-      const std::size_t pos = rng.below(mutated.size());
-      switch (rng.below(4)) {
-        case 0:  // flip a character
-          mutated[pos] = static_cast<char>(' ' + rng.below(95));
-          break;
-        case 1:  // truncate (a torn write)
-          mutated.resize(pos);
-          break;
-        case 2:  // delete a span
-          mutated.erase(pos, 1 + rng.below(8));
-          break;
-        case 3:  // duplicate a span
-          mutated.insert(pos, mutated.substr(pos, 1 + rng.below(8)));
-          break;
-      }
+    const std::string mutated =
+        trial == 0 ? std::string() : mutate_image(image, rng);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
     }
 
-    cfl::ContextTable contexts;
-    cfl::JmpStore store;
-    std::istringstream is(mutated);
-    std::string error;
-    const bool ok = cfl::load_sharing_state(is, pag, contexts, store, &error);
-    if (!ok) {
-      EXPECT_FALSE(error.empty());
-    }
-
-    // Whatever the loader accepted (possibly a prefix-valid corruption), the
-    // tables must still be usable: the solver must run to completion and
-    // return only ids that are objects of this PAG. Exact sets are not
-    // checked — a mutation can produce a parseable file with different but
-    // well-formed entries.
-    cfl::Solver solver(pag, contexts, &store, opts);
-    for (std::size_t i = 0; i < vars.size() && i < 4; ++i) {
-      const auto result = solver.points_to(vars[i]);
-      for (const NodeId n : result.nodes()) {
-        ASSERT_LT(n.value(), pag.node_count());
-        EXPECT_TRUE(pag.is_object(n));
+    std::optional<bool> verdict;
+    std::size_t entries = 0;
+    for (const cfl::StateLoadMode mode :
+         {cfl::StateLoadMode::kMmap, cfl::StateLoadMode::kStream,
+          cfl::StateLoadMode::kAuto}) {
+      cfl::ContextTable contexts;
+      cfl::JmpStore store;
+      std::string error;
+      const bool ok = cfl::load_sharing_state_file_v3(path, pag, contexts,
+                                                      store, mode, &error);
+      if (!ok) {
+        EXPECT_FALSE(error.empty());
       }
+      if (!verdict) {
+        verdict = ok;
+        entries = store.entry_count();
+      } else {
+        EXPECT_EQ(ok, *verdict) << "trial " << trial << ": " << error;
+        EXPECT_EQ(store.entry_count(), entries) << "trial " << trial;
+      }
+      expect_usable(pag, vars, contexts, store);
+    }
+    if (trial == 0) {
+      EXPECT_FALSE(*verdict);  // a 0-byte file is never a state image
     }
   }
+  std::remove(path.c_str());
 }
 
 // The binary v3 loader takes the same hammering: bit flips, truncations,
@@ -884,48 +931,13 @@ TEST_P(StateFuzzTest, MutatedV3StateImagesNeverCrashTheLoader) {
   const auto pag = test::random_layered_pag(cfg);
   const auto vars = test::all_variables(pag);
 
-  const cfl::SolverOptions opts = state_fuzz_opts();
-  std::string image;
-  {
-    cfl::ContextTable contexts;
-    cfl::JmpStore store;
-    cfl::Solver solver(pag, contexts, &store, opts);
-    for (const NodeId v : vars) (void)solver.points_to(v);
-    const std::string path = testing::TempDir() + "fuzz_v3_" +
-                             std::to_string(GetParam()) + ".state";
-    std::string error;
-    ASSERT_TRUE(
-        cfl::save_sharing_state_file_v3(path, pag, contexts, store, &error))
-        << error;
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    image = os.str();
-  }
+  const std::string image =
+      warmed_v3_image(pag, "fuzz_v3_" + std::to_string(GetParam()));
   ASSERT_GT(image.size(), 64u);
 
   support::Rng rng(GetParam() * 69621 + 17);
   for (int trial = 0; trial < 40; ++trial) {
-    std::string mutated = image;
-    const std::size_t edits = 1 + rng.below(4);
-    for (std::size_t e = 0; e < edits; ++e) {
-      if (mutated.empty()) break;
-      const std::size_t pos = rng.below(mutated.size());
-      switch (rng.below(4)) {
-        case 0:  // flip a byte (any value — this is binary data)
-          mutated[pos] = static_cast<char>(rng.below(256));
-          break;
-        case 1:  // truncate (a torn write)
-          mutated.resize(pos);
-          break;
-        case 2:  // delete a span (shears every later section offset)
-          mutated.erase(pos, 1 + rng.below(16));
-          break;
-        case 3:  // duplicate a span
-          mutated.insert(pos, mutated.substr(pos, 1 + rng.below(16)));
-          break;
-      }
-    }
+    const std::string mutated = mutate_image(image, rng);
 
     cfl::ContextTable contexts;
     cfl::JmpStore store;
@@ -935,42 +947,39 @@ TEST_P(StateFuzzTest, MutatedV3StateImagesNeverCrashTheLoader) {
     if (!ok) {
       EXPECT_FALSE(error.empty());
     }
-    cfl::Solver solver(pag, contexts, &store, opts);
-    for (std::size_t i = 0; i < vars.size() && i < 4; ++i) {
-      const auto result = solver.points_to(vars[i]);
-      for (const NodeId n : result.nodes()) {
-        ASSERT_LT(n.value(), pag.node_count());
-        EXPECT_TRUE(pag.is_object(n));
-      }
-    }
+    expect_usable(pag, vars, contexts, store);
   }
 }
 
 TEST(StateFuzz, HostileFinishedCountIsRejectedWithoutAllocating) {
   test::RandomPagConfig cfg;
   cfg.seed = 3;
+  cfg.heap_edge_pairs = 4;
   const auto pag = test::random_layered_pag(cfg);
+  const std::string image = warmed_v3_image(pag, "hostile_counts");
+  ASSERT_GE(image.size(), 72u);
 
-  // A structurally valid file whose trailing fin line claims four billion
-  // targets. The loader must reject it from the line length alone — a
-  // reserve() of the claimed count would be an instant multi-GB allocation.
-  std::string text;
-  {
+  // A well-formed image whose header claims four billion finished entries
+  // (or targets). The loader must reject it from the file size alone — an
+  // allocation sized by the claimed count would be an instant multi-GB
+  // request. The total-size field is left true, so it is the per-count bound
+  // that has to catch it.
+  constexpr std::size_t kFinCountAt = 32;
+  constexpr std::size_t kTargetCountAt = 48;
+  for (const std::size_t at : {kFinCountAt, kTargetCountAt}) {
+    std::string hostile = image;
+    const std::uint64_t huge = 4'000'000'000ull;
+    std::memcpy(hostile.data() + at, &huge, sizeof huge);
+
     cfl::ContextTable contexts;
     cfl::JmpStore store;
-    std::ostringstream os;
-    cfl::save_sharing_state(os, pag, contexts, store);
-    text = os.str();
+    std::string error;
+    EXPECT_FALSE(cfl::load_sharing_state_v3(hostile.data(), hostile.size(),
+                                            pag, contexts, store, &error))
+        << "count at offset " << at;
+    EXPECT_NE(error.find("exceed"), std::string::npos) << error;
+    EXPECT_EQ(store.entry_count(), 0u);
   }
-  text += "fin 0 1 0 5 4000000000\n";
-
-  cfl::ContextTable contexts;
-  cfl::JmpStore store;
-  std::istringstream is(text);
-  std::string error;
-  EXPECT_FALSE(cfl::load_sharing_state(is, pag, contexts, store, &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_EQ(store.entry_count(), 0u);
 }
 
 TEST_P(StateFuzzTest, BudgetCappedQueriesPublishOnlySoundJmps) {

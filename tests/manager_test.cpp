@@ -5,8 +5,9 @@
 //  * LRU eviction — resident-count and resident-bytes caps, warm state
 //    surviving an evict/reopen cycle, leases pinning sessions;
 //  * v3 state — mmap vs streamed loads are byte-identical after
-//    re-serialisation, v2 text and v3 binary warm-starts agree (format
-//    differential), and the v3 loader refuses truncation/corruption;
+//    re-serialisation, a leftover text state from an older build starts
+//    cold and is replaced by v3, and the v3 loader refuses
+//    truncation/corruption;
 //  * concurrency — open/close/evict/query churn across threads (the tsan
 //    target), close-while-leased draining the in-flight lease;
 //  * service integration — open/close/@tenant verbs end to end, per-tenant
@@ -36,12 +37,10 @@
 #include "service/service.hpp"
 #include "synth/generator.hpp"
 
-#ifndef _WIN32
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace parcfl::service {
 namespace {
@@ -384,45 +383,63 @@ TEST(ManagerTest, MmapAndStreamLoadsAreByteIdentical) {
   EXPECT_EQ(a, slurp(v3));  // and identical to the original snapshot
 }
 
-TEST(ManagerTest, TextV2AndBinaryV3WarmStartsAgree) {
+// A state file left behind by a build that still wrote the retired text
+// format (`parcfl-state 2`) must neither keep a service from starting nor
+// leak into its answers: the warm start ignores it and says so, the `load`
+// verb refuses it without touching the store, and the next `save` replaces
+// it with a v3 image.
+TEST(ManagerTest, LeftoverTextStateStartsColdAndIsReplacedByV3) {
   const Workload w = small_workload();
-  auto base_options = [] {
-    auto o = session_options();
-    o.reduce_graph = false;
-    return o;
-  };
-  Session session(w.pag, base_options());
-  const auto items = query_items(w, 24);
-  const auto cold = session.run_batch(items).items;
-
-  const std::string dir = fresh_spill_dir("v2v3");
-  const std::string v2 = dir + "/s.v2state";
-  const std::string v3 = dir + "/s.state";
-  std::string error;
-  ASSERT_TRUE(session.save(v2, &error)) << error;  // text format
-  bool wrote_pag = false;
-  ASSERT_TRUE(session.spill(v3, dir + "/s.pag", &wrote_pag, &error)) << error;
-
-  // Warm-start two fresh sessions through load_sharing_state_file_any (the
-  // Session ctor path) and compare entry counts and answers — against each
-  // other and against the cold run.
-  auto warm_session = [&](const std::string& state_path) {
-    auto o = base_options();
-    o.state_path = state_path;
-    return std::make_unique<Session>(w.pag, std::move(o));
-  };
-  auto from_v2 = warm_session(v2);
-  auto from_v3 = warm_session(v3);
-  EXPECT_GT(from_v3->store().entry_count(), 0u);
-  EXPECT_EQ(from_v2->store().entry_count(), from_v3->store().entry_count());
-  const auto r2 = from_v2->run_batch(items).items;
-  const auto r3 = from_v3->run_batch(items).items;
-  ASSERT_EQ(r2.size(), cold.size());
-  ASSERT_EQ(r3.size(), cold.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    EXPECT_EQ(r2[i].objects, cold[i].objects) << i;
-    EXPECT_EQ(r3[i].objects, cold[i].objects) << i;
+  const std::string dir = fresh_spill_dir("migrate");
+  const std::string leftover = dir + "/service.state";
+  {
+    std::ofstream os(leftover);
+    os << "parcfl-state 2\npag " << w.pag.node_count() << ' '
+       << w.pag.edge_count() << ' ' << cfl::pag_fingerprint(w.pag)
+       << " 0\nctx 1 0 3\n";
   }
+  ServiceOptions options;
+  options.session = session_options();
+  options.session.state_path = leftover;
+  options.spill_dir = dir;
+
+  testing::internal::CaptureStderr();
+  QueryService svc(w.pag, options);
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("ignoring warm-start state " + leftover),
+            std::string::npos)
+      << log;
+
+  Session& session = svc.session();
+  EXPECT_FALSE(session.warm_start_stale());
+  EXPECT_EQ(session.store().entry_count(), 0u);
+  const auto items = query_items(w, 24);
+  Session cold(w.pag, session_options());
+  const auto expected = cold.run_batch(items).items;
+  const auto got = session.run_batch(items).items;
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i].objects, expected[i].objects) << i;
+
+  const std::size_t entries = session.store().entry_count();
+  std::istringstream in("load " + leftover + "\nsave " + leftover +
+                        "\nquit\n");
+  std::ostringstream out;
+  serve_stream(svc, in, out);
+  std::istringstream replies(out.str());
+  std::string load_reply, save_reply;
+  std::getline(replies, load_reply);
+  std::getline(replies, save_reply);
+  EXPECT_EQ(load_reply.rfind("err ", 0), 0u) << load_reply;
+  EXPECT_EQ(session.store().entry_count(), entries);
+  EXPECT_EQ(save_reply.rfind("ok ", 0), 0u) << save_reply;
+
+  const std::string saved = slurp(leftover);
+  ASSERT_GE(saved.size(), sizeof cfl::kStateV3Magic);
+  EXPECT_EQ(saved.compare(0, sizeof cfl::kStateV3Magic,
+                          std::string(cfl::kStateV3Magic,
+                                      sizeof cfl::kStateV3Magic)),
+            0);
 }
 
 TEST(ManagerTest, V3LoaderRejectsTruncationAndCorruption) {
@@ -628,7 +645,6 @@ TEST(ManagerTest, PerTenantQuotaShedsOnlyTheNoisyTenant) {
   EXPECT_GE(svc.stats().shed_overload, shed);
 }
 
-#ifndef _WIN32
 TEST(ManagerTest, GracefulTcpTeardownWithConnectedClient) {
   const Workload w = small_workload();
   QueryService svc(w.pag, tenant_service_options("teardown"));
@@ -662,7 +678,6 @@ TEST(ManagerTest, GracefulTcpTeardownWithConnectedClient) {
   EXPECT_EQ(::recv(fd, buf, sizeof(buf), 0), 0);
   ::close(fd);
 }
-#endif
 
 }  // namespace
 }  // namespace parcfl::service

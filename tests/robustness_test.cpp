@@ -7,7 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <sstream>
+#include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "andersen/andersen.hpp"
@@ -184,27 +185,33 @@ TEST(PersistFuzz, MutatedStateNeverCrashes) {
   Solver solver(fx.lowered.pag, contexts, &store, o);
   for (const NodeId q : fx.lowered.queries) (void)solver.points_to(q);
 
-  std::ostringstream out;
-  cfl::save_sharing_state(out, fx.lowered.pag, contexts, store);
-  const std::string text = out.str();
+  const std::string path = testing::TempDir() + "persist_fuzz_fig2.state";
+  std::string error;
+  ASSERT_TRUE(cfl::save_sharing_state_file_v3(path, fx.lowered.pag, contexts,
+                                              store, &error))
+      << error;
+  std::ifstream file(path, std::ios::binary);
+  const std::string image((std::istreambuf_iterator<char>(file)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_FALSE(image.empty());
 
   support::Rng rng(99);
   for (int trial = 0; trial < 200; ++trial) {
-    std::string mutated = text;
+    std::string mutated = image;
     for (int e = 0; e < 3 && !mutated.empty(); ++e) {
       const std::size_t pos = rng.below(mutated.size());
       if (rng.chance(0.5))
-        mutated[pos] = static_cast<char>('0' + rng.below(10));
+        mutated[pos] = static_cast<char>(rng.below(256));
       else
         mutated.erase(pos, 1 + rng.below(4));
     }
     ContextTable c2;
     JmpStore s2;
-    std::istringstream in(mutated);
-    std::string error;
-    const bool ok = cfl::load_sharing_state(in, fx.lowered.pag, c2, s2, &error);
+    std::string load_error;
+    const bool ok = cfl::load_sharing_state_v3(
+        mutated.data(), mutated.size(), fx.lowered.pag, c2, s2, &load_error);
     if (!ok) {
-      EXPECT_FALSE(error.empty());
+      EXPECT_FALSE(load_error.empty());
     }
     // Whatever loaded must be usable without crashing.
     Solver probe(fx.lowered.pag, c2, &s2, o);

@@ -71,8 +71,6 @@ cfl::EngineOptions engine_options(cfl::Mode mode, unsigned threads) {
   return o;
 }
 
-#ifndef _WIN32
-
 /// An in-process fleet: one partition Session + TcpServer per partition and
 /// a RouterCore over all of them — the same wiring parcfl_route does across
 /// processes.
@@ -388,8 +386,6 @@ TEST(WorkerWire, ContinuationRunsAndFactsReset) {
     EXPECT_EQ(reply.rfind("err ", 0), 0u) << bad << " -> " << reply;
   }
 }
-
-#endif  // _WIN32
 
 }  // namespace
 }  // namespace parcfl::service

@@ -35,12 +35,10 @@
 #include "synth/generator.hpp"
 #include "test_util.hpp"
 
-#ifndef _WIN32
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace parcfl::service {
 namespace {
@@ -501,7 +499,6 @@ TEST(Wire, ServeStreamSpeaksTheProtocol) {
   EXPECT_EQ(svc.stats().protocol_errors, 1u);
 }
 
-#ifndef _WIN32
 TEST(Wire, TcpServerAnswersOverLoopback) {
   const auto w = container_workload();
   QueryService svc(w.pag, service_options(2));
@@ -546,7 +543,6 @@ TEST(Wire, TcpServerAnswersOverLoopback) {
   EXPECT_EQ(lines[1].rfind("ok ", 0), 0u) << lines[1];
   EXPECT_EQ(lines[2], "ok bye");
 }
-#endif  // _WIN32
 
 // ---- observability ---------------------------------------------------------
 
