@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -17,7 +18,6 @@
 
 #include "andersen/andersen.hpp"
 #include "cfl/context.hpp"
-#include "cfl/grammar.hpp"
 #include "cfl/jmp_store.hpp"
 #include "cfl/solver.hpp"
 #include "frontend/lower.hpp"
@@ -320,32 +320,10 @@ void BM_QueryBatchMedium(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryBatchMedium);
 
-// The same batch answered through the generic compiled-table walker with the
-// pointer grammar. The delta vs. BM_QueryBatchMedium is the whole cost of
-// table dispatch over the hard-coded fast path — DESIGN.md §15 records why
-// that delta stays small (the table fits in one cache line; the fast path
-// keeps the headline free of even that).
-void BM_QueryBatchMediumGenericTable(benchmark::State& state) {
-  const auto& pag = workload_pag();
-  const auto queries = workload_queries(pag);
-  cfl::ContextTable contexts;
-  cfl::SolverOptions so;
-  so.budget = 50'000;
-  cfl::Solver solver(pag, contexts, nullptr, so);
-  const cfl::GrammarTable& table = cfl::pointer_backward_table();
-  for (auto _ : state) {
-    for (const pag::NodeId q : queries)
-      benchmark::DoNotOptimize(solver.reach(q, table));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(queries.size()));
-}
-BENCHMARK(BM_QueryBatchMediumGenericTable);
-
 // Per-kind throughput for the flow verbs (EXPERIMENTS.md records all three
-// rows). Taint/depends traverse copy chains without the ReachableNodes
-// sub-query fan-out of the pointer grammar, so they complete more traversals
-// per budget unit on the same graph.
+// rows): the same walker as BM_QueryBatchMedium, instantiated forward with
+// `new` edges skipped (taint) and backward with every visited variable
+// answering (depends).
 void BM_QueryBatchTaint(benchmark::State& state) {
   const auto& pag = workload_pag();
   const auto queries = workload_queries(pag);
@@ -353,10 +331,9 @@ void BM_QueryBatchTaint(benchmark::State& state) {
   cfl::SolverOptions so;
   so.budget = 50'000;
   cfl::Solver solver(pag, contexts, nullptr, so);
-  const cfl::GrammarTable& table = cfl::taint_table();
   for (auto _ : state) {
     for (const pag::NodeId q : queries)
-      benchmark::DoNotOptimize(solver.reach(q, table));
+      benchmark::DoNotOptimize(solver.taint(q));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(queries.size()));
@@ -370,10 +347,9 @@ void BM_QueryBatchDepends(benchmark::State& state) {
   cfl::SolverOptions so;
   so.budget = 50'000;
   cfl::Solver solver(pag, contexts, nullptr, so);
-  const cfl::GrammarTable& table = cfl::depends_table();
   for (auto _ : state) {
     for (const pag::NodeId q : queries)
-      benchmark::DoNotOptimize(solver.reach(q, table));
+      benchmark::DoNotOptimize(solver.depends(q));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(queries.size()));
@@ -498,7 +474,11 @@ BENCHMARK(BM_SccLargeChainWithCycles);
 // BM_QueryBatchMedium workload with best-of-N wall-clock batches (robust to
 // scheduler noise on shared runners, where taskset is unavailable), writes
 // the verdict to BENCH_headline.json, and exits non-zero when the measured
-// queries/sec falls more than 2% below the baseline.
+// queries/sec falls more than 2% below the baseline. It also checks the
+// charged-step total of one pass over the batch for each query kind against
+// a pinned value: the run is sequential and the synthetic graph is
+// deterministic, so the totals repeat exactly on any hardware, and a
+// mismatch means a walk instantiation changed behaviour.
 
 // Seed headline on the reference builder: best-of-9 in-process reps from a
 // clean Release build of the pre-grammar-table tree (git worktree at the
@@ -506,6 +486,22 @@ BENCHMARK(BM_SccLargeChainWithCycles);
 // uses. Interleaved cross-process A/B put the median delta at +0.1%. Pass
 // --headline-guard=<qps> to re-pin on different hardware.
 constexpr double kSeedHeadlineQps = 1.21e6;
+
+// Charged steps of one pass, measured before the hand-coded pointer loops
+// and the table-driven taint/depends walker were folded into one walker.
+struct PinnedKind {
+  const char* name;
+  std::uint64_t steps;
+  void (*query)(cfl::Solver&, pag::NodeId, cfl::QueryResult&);
+};
+constexpr PinnedKind kPinnedKinds[] = {
+    {"points_to", 5719,
+     [](cfl::Solver& s, pag::NodeId q, cfl::QueryResult& r) { s.points_to(q, r); }},
+    {"taint", 7553,
+     [](cfl::Solver& s, pag::NodeId q, cfl::QueryResult& r) { s.taint(q, r); }},
+    {"depends", 5738,
+     [](cfl::Solver& s, pag::NodeId q, cfl::QueryResult& r) { s.depends(q, r); }},
+};
 
 template <class Batch>
 double best_qps(std::size_t n_queries, int warmups, int reps, Batch&& batch) {
@@ -533,20 +529,32 @@ int run_headline_guard(double baseline_qps) {
     for (const pag::NodeId q : queries)
       benchmark::DoNotOptimize(fast.points_to(q));
   });
-  auto kind_qps = [&](const cfl::GrammarTable& table) {
+
+  // Per kind: the step total of one pass from a fresh solver, then q/s.
+  std::uint64_t steps[std::size(kPinnedKinds)] = {};
+  double qps[std::size(kPinnedKinds)] = {};
+  bool steps_pass = true;
+  for (std::size_t k = 0; k < std::size(kPinnedKinds); ++k) {
+    const PinnedKind& kind = kPinnedKinds[k];
     cfl::ContextTable contexts;
     cfl::Solver solver(pag, contexts, nullptr, so);
-    return best_qps(queries.size(), 1, 3, [&] {
-      for (const pag::NodeId q : queries)
-        benchmark::DoNotOptimize(solver.reach(q, table));
-    });
-  };
-  const double generic = kind_qps(cfl::pointer_backward_table());
-  const double taint = kind_qps(cfl::taint_table());
-  const double depends = kind_qps(cfl::depends_table());
+    cfl::QueryResult r;
+    auto batch = [&] {
+      for (const pag::NodeId q : queries) kind.query(solver, q, r);
+    };
+    batch();
+    steps[k] = solver.counters().charged_steps;
+    steps_pass = steps_pass && steps[k] == kind.steps;
+    if (steps[k] != kind.steps)
+      std::fprintf(stderr, "headline-guard: %s charged %llu steps, pinned %llu\n",
+                   kind.name, static_cast<unsigned long long>(steps[k]),
+                   static_cast<unsigned long long>(kind.steps));
+    qps[k] = best_qps(queries.size(), 0, 3, batch);
+  }
+
   const double floor_qps = baseline_qps * 0.98;
   const double delta_pct = 100.0 * (headline - baseline_qps) / baseline_qps;
-  const bool pass = headline >= floor_qps;
+  const bool pass = headline >= floor_qps && steps_pass;
   if (std::FILE* f = std::fopen("BENCH_headline.json", "w")) {
     std::fprintf(f,
                  "{\n"
@@ -554,21 +562,30 @@ int run_headline_guard(double baseline_qps) {
                  "  \"baseline_qps\": %.1f,\n"
                  "  \"headline_qps\": %.1f,\n"
                  "  \"delta_pct\": %.2f,\n"
-                 "  \"floor_qps\": %.1f,\n"
-                 "  \"pass\": %s,\n"
-                 "  \"generic_table_qps\": %.1f,\n"
-                 "  \"taint_qps\": %.1f,\n"
-                 "  \"depends_qps\": %.1f\n"
+                 "  \"floor_qps\": %.1f,\n",
+                 baseline_qps, headline, delta_pct, floor_qps);
+    for (std::size_t k = 0; k < std::size(kPinnedKinds); ++k) {
+      const char* name = kPinnedKinds[k].name;
+      std::fprintf(f,
+                   "  \"%s_qps\": %.1f,\n"
+                   "  \"%s_steps\": %llu,\n"
+                   "  \"%s_steps_pinned\": %llu,\n",
+                   name, qps[k], name,
+                   static_cast<unsigned long long>(steps[k]), name,
+                   static_cast<unsigned long long>(kPinnedKinds[k].steps));
+    }
+    std::fprintf(f,
+                 "  \"steps_pass\": %s,\n"
+                 "  \"pass\": %s\n"
                  "}\n",
-                 baseline_qps, headline, delta_pct, floor_qps,
-                 pass ? "true" : "false", generic, taint, depends);
+                 steps_pass ? "true" : "false", pass ? "true" : "false");
     std::fclose(f);
   }
   std::fprintf(stderr,
                "headline-guard: %.0f q/s vs baseline %.0f q/s "
-               "(%+.2f%%, floor %.0f) -> %s\n",
+               "(%+.2f%%, floor %.0f), steps %s -> %s\n",
                headline, baseline_qps, delta_pct, floor_qps,
-               pass ? "PASS" : "FAIL");
+               steps_pass ? "match" : "MISMATCH", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }
 

@@ -98,16 +98,13 @@ EngineResult run_batch(const EngineOptions& options, Schedule schedule,
       if (slow_log) q0 = std::chrono::steady_clock::now();
       switch (kind) {
         case QueryKind::kPointsTo:
-          if (options.grammar != nullptr)
-            solver.reach(var, *options.grammar, ws.qr);
-          else
-            solver.points_to(var, ws.qr);
+          solver.points_to(var, ws.qr);
           break;
         case QueryKind::kTaint:
-          solver.reach(var, taint_table(), ws.qr);
+          solver.taint(var, ws.qr);
           break;
         case QueryKind::kDepends:
-          solver.reach(var, depends_table(), ws.qr);
+          solver.depends(var, ws.qr);
           break;
       }
       const std::uint64_t charged =

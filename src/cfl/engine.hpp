@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "cfl/context.hpp"
-#include "cfl/grammar.hpp"
 #include "cfl/jmp_store.hpp"
 #include "cfl/scheduler.hpp"
 #include "cfl/solver.hpp"
@@ -78,13 +77,6 @@ struct EngineOptions {
   /// empty set is a definite no). Called concurrently from worker threads —
   /// must be thread-safe and stable for the duration of a run.
   std::function<bool(pag::NodeId)> definitely_empty;
-  /// Diagnostic/test override (DESIGN.md §15): when set, pointer-kind queries
-  /// run Solver::reach over this compiled table instead of the hard-coded
-  /// fast path. The metamorphic identity suite drives the generic walker with
-  /// the pointer grammar through every engine mode this way; production
-  /// sessions leave it null. The table must outlive the engine/runner.
-  /// Incompatible with `partition` (the generic walker checks).
-  const GrammarTable* grammar = nullptr;
   /// Partitioned worker execution (DESIGN.md §14): when set, every solver
   /// runs with this view — cross-partition pushes are dropped (batch-path
   /// answers become partition-local) and any partition-contaminated query
@@ -192,7 +184,7 @@ class BatchRunner {
   /// charged-step budget at min(entry, options.solver.budget); 0 keeps the
   /// engine default (per-request admission control). `kinds`, when non-empty,
   /// also parallels `queries` and routes each one to its query kind
-  /// (empty = all points-to; taint/depends run the generic grammar walker).
+  /// (empty = all points-to).
   EngineResult run(std::span<const pag::NodeId> queries,
                    std::span<const std::uint64_t> budgets = {},
                    std::span<const QueryKind> kinds = {});

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "cfl/grammar.hpp"
+#include "cfl/walk.hpp"
 #include "support/check.hpp"
 
 namespace parcfl::cfl {
@@ -10,6 +10,24 @@ namespace parcfl::cfl {
 using pag::EdgeKind;
 using pag::HalfEdge;
 using pag::NodeId;
+
+// The taint/depends walks are instantiated in flow_kinds.cpp (see walk.hpp).
+extern template const Solver::ResultSet&
+Solver::walk<Direction::kForward, Solver::OnNew::kSkip>(NodeId, CtxId);
+extern template const Solver::ResultSet&
+Solver::walk<Direction::kBackward, Solver::OnNew::kSkip>(NodeId, CtxId);
+
+const char* to_string(QueryKind kind) {
+  switch (kind) {
+    case QueryKind::kPointsTo:
+      return "points-to";
+    case QueryKind::kTaint:
+      return "taint";
+    case QueryKind::kDepends:
+      return "depends";
+  }
+  return "?";
+}
 
 std::vector<NodeId> QueryResult::nodes() const {
   std::vector<NodeId> out;
@@ -53,36 +71,19 @@ QueryResult Solver::flows_to(NodeId o) {
 
 void Solver::points_to(NodeId l, QueryResult& out) {
   PARCFL_CHECK_MSG(pag_.is_variable(l), "points_to takes a variable node");
-  run_query(l, Direction::kBackward, out);
+  run_query(Direction::kBackward, OnNew::kRecord, l, ContextTable::empty(), out);
 }
 
 void Solver::flows_to(NodeId o, QueryResult& out) {
   PARCFL_CHECK_MSG(pag_.is_object(o), "flows_to takes an object node");
-  run_query(o, Direction::kForward, out);
+  run_query(Direction::kForward, OnNew::kPush, o, ContextTable::empty(), out);
 }
 
-Solver::Key Solver::generic_key(std::uint32_t state, NodeId n, CtxId c) {
-  PARCFL_DCHECK(state < GrammarTable::kMaxStates);
-  PARCFL_DCHECK(n.value() < (1u << 31) && c.value() < (1u << 31));
-  return (static_cast<std::uint64_t>(state) << 62) |
-         (static_cast<std::uint64_t>(n.value()) << 31) | c.value();
-}
-
-QueryResult Solver::reach(NodeId root, const GrammarTable& table) {
-  QueryResult out;
-  reach(root, table, out);
-  return out;
-}
-
-void Solver::reach(NodeId root, const GrammarTable& table, QueryResult& out) {
-  PARCFL_CHECK_MSG(partition_ == nullptr,
-                   "generic-grammar queries are unsupported on partitioned "
-                   "workers (the router rejects them upstream)");
-  PARCFL_CHECK_MSG(!table.root_is_variable || pag_.is_variable(root),
-                   "grammar query root must be a variable node");
-  grammar_ = &table;
-  run_query(root, table.direction, out);
-  grammar_ = nullptr;
+void Solver::run_config(NodeId root, CtxId rc, Direction dir, QueryResult& out) {
+  if (dir == Direction::kBackward)
+    run_query(Direction::kBackward, OnNew::kRecord, root, rc, out);
+  else
+    run_query(Direction::kForward, OnNew::kPush, root, rc, out);
 }
 
 const char* Solver::to_string(Via via) {
@@ -139,7 +140,7 @@ Solver::PendingJmp& Solver::pending_for(std::uint64_t jmp_key) {
 Solver::MemoryStats Solver::memory_stats() const {
   MemoryStats m;
   m.table_rehashes = pts_memo_.rehash_count() + flows_memo_.rehash_count() +
-                     generic_memo_.rehash_count() + pending_map_.rehash_count() +
+                     slice_memo_.rehash_count() + pending_map_.rehash_count() +
                      consumed_jmp_keys_.rehash_count() +
                      witness_pred_.rehash_count() + witness_obj_.rehash_count();
   memo_slab_.for_each_constructed([&](const MemoEntry& e) {
@@ -155,7 +156,6 @@ Solver::MemoryStats Solver::memory_stats() const {
                         frame->rn_out.present.rehash_count();
     m.scratch_capacity_bytes +=
         frame->work.capacity() * sizeof(PtPair) +
-        frame->work_state.capacity() +
         frame->rn_found.capacity() * sizeof(JmpTarget) +
         frame->rn_out.items.capacity() * sizeof(PtPair);
   }
@@ -176,7 +176,8 @@ std::vector<Solver::WitnessStep> Solver::explain_points_to(NodeId var,
   witness_obj_.clear();
   recording_witness_ = true;
   QueryResult result;
-  run_query(var, Direction::kBackward, result);
+  run_query(Direction::kBackward, OnNew::kRecord, var, ContextTable::empty(),
+                                                  result);
   recording_witness_ = false;
   (void)result;
 
@@ -451,10 +452,11 @@ void Solver::reachable_nodes_backward(NodeId x, CtxId c, ResultSet& out) {
             }
             continue;
           }
-          const ResultSet& pts = compute_points_to(p, c);
+          const ResultSet& pts = walk<Direction::kBackward, OnNew::kRecord>(p, c);
           for (std::size_t i = 0; i < pts.items.size(); ++i) {
             const PtPair oc = pts.items[i];
-            const ResultSet& aliased = compute_flows_to(oc.node, oc.ctx);
+            const ResultSet& aliased =
+                walk<Direction::kForward, OnNew::kPush>(oc.node, oc.ctx);
             for (std::size_t j = 0; j < aliased.items.size(); ++j) {
               const PtPair qc = aliased.items[j];
               for (const HalfEdge st : pag_.in_edges(qc.node, EdgeKind::kStore)) {
@@ -491,10 +493,11 @@ void Solver::reachable_nodes_forward(NodeId z, CtxId c, ResultSet& out) {
             }
             continue;
           }
-          const ResultSet& pts = compute_points_to(q, c);
+          const ResultSet& pts = walk<Direction::kBackward, OnNew::kRecord>(q, c);
           for (std::size_t i = 0; i < pts.items.size(); ++i) {
             const PtPair oc = pts.items[i];
-            const ResultSet& aliased = compute_flows_to(oc.node, oc.ctx);
+            const ResultSet& aliased =
+                walk<Direction::kForward, OnNew::kPush>(oc.node, oc.ctx);
             for (std::size_t j = 0; j < aliased.items.size(); ++j) {
               const PtPair pc = aliased.items[j];
               for (const HalfEdge ld : pag_.out_edges(pc.node, EdgeKind::kLoad)) {
@@ -510,340 +513,8 @@ void Solver::reachable_nodes_forward(NodeId z, CtxId c, ResultSet& out) {
       });
 }
 
-const Solver::ResultSet& Solver::compute_points_to(NodeId root, CtxId rc) {
-  const Key key = make_key(root, rc);
-  MemoEntry& entry = memo_entry(pts_memo_, key);
-  if (entry.state == MemoEntry::State::kDone) {
-    taint_flag_ = taint_flag_ || entry.tainted;
-    return entry.set;
-  }
-  if (entry.state == MemoEntry::State::kInProgress) {
-    taint_flag_ = true;  // cycle: the caller sees a partial set
-    return entry.set;
-  }
-
-  if (entry.state == MemoEntry::State::kFresh)
-    seed_entry(entry, key, Direction::kBackward);
-  if (partition_ != nullptr && !partition_owns(root)) {
-    // Foreign-rooted sub-query: no local edges to walk. Serve the injected
-    // facts (already seeded above) and ask the router to task the owner.
-    record_request(key, Direction::kBackward);
-    entry.tainted = false;
-    entry.state = MemoEntry::State::kDone;
-    return entry.set;
-  }
-
-  entry.state = MemoEntry::State::kInProgress;
-  if (++recursion_depth_ > options_.max_recursion_depth)
-    out_of_budget(0, /*early=*/false);
-  if (trace_ != nullptr && recursion_depth_ > depth_high_water_)
-    depth_high_water_ = recursion_depth_;
-  const bool outer_taint = taint_flag_;
-  taint_flag_ = false;
-
-  // Witnesses are recorded for the root (depth-1) computation only: the
-  // chain from the query variable to an allocation lives entirely inside it
-  // (heap matches appear as single annotated hops).
-  const bool record = recording_witness_ && recursion_depth_ == 1;
-
-  Frame& frame = frame_at(recursion_depth_);
-  std::vector<PtPair>& work = frame.work;
-  support::FlatSet& visited = frame.visited;
-  work.clear();
-  visited.clear();
-  auto push = [&](NodeId n, CtxId cc, const PtPair& from, Via via) {
-    if (!visited.insert(make_key(n, cc))) return;
-    if (partition_ != nullptr && !partition_owns(n)) {
-      record_escape(key, make_key(n, cc), Direction::kBackward);
-      return;
-    }
-    work.push_back(PtPair{n, cc});
-    if (record) {
-      const auto pred = witness_pred_.try_emplace(make_key(n, cc));
-      if (pred.inserted)
-        pred.value = WitnessPred{make_key(from.node, from.ctx), via};
-    }
-  };
-  push(root, rc, PtPair{root, rc}, Via::kQueryRoot);
-
-  while (!work.empty()) {
-    const PtPair cur = work.back();
-    work.pop_back();
-    const NodeId u = cur.node;
-    const CtxId cu = cur.ctx;
-    step();
-
-    // flowsTo̅ terminals over incoming edges (Alg. 1 lines 7-15).
-    for (const HalfEdge he : pag_.in_edges(u, EdgeKind::kNew)) {
-      if (entry.set.add(he.other, cu)) grew_ = true;
-      if (record) {
-        const auto pred = witness_obj_.try_emplace(make_key(he.other, cu));
-        if (pred.inserted)
-          pred.value = WitnessPred{make_key(u, cu), Via::kNew};
-      }
-    }
-    for (const HalfEdge he : pag_.in_edges(u, EdgeKind::kAssignLocal))
-      push(he.other, cu, cur, Via::kAssignLocal);
-    for (const HalfEdge he : pag_.in_edges(u, EdgeKind::kAssignGlobal))
-      push(he.other, ContextTable::empty(), cur, Via::kAssignGlobal);
-    for (const HalfEdge he : pag_.in_edges(u, EdgeKind::kParam)) {
-      if (!options_.context_sensitive) {
-        push(he.other, cu, cur, Via::kParam);
-        continue;
-      }
-      // Backward over param_i exits the callee: match the top of the stack,
-      // allowing partially balanced parentheses when the stack is empty.
-      if (cu == ContextTable::empty())
-        push(he.other, ContextTable::empty(), cur, Via::kParam);
-      else if (contexts_.top(cu) == pag::CallSiteId(he.aux))
-        push(he.other, contexts_.pop(cu), cur, Via::kParam);
-    }
-    for (const HalfEdge he : pag_.in_edges(u, EdgeKind::kRet)) {
-      if (!options_.context_sensitive) {
-        push(he.other, cu, cur, Via::kRet);
-        continue;
-      }
-      // Backward over ret_i enters the callee: push the call site.
-      const CtxId cc = contexts_.push(cu, pag::CallSiteId(he.aux));
-      if (!cc.valid()) out_of_budget(0, /*early=*/false);  // depth overflow
-      push(he.other, cc, cur, Via::kRet);
-    }
-
-    if (options_.field_sensitive && !pag_.in_edges(u, EdgeKind::kLoad).empty()) {
-      ResultSet& rch = frame.rn_out;
-      rch.reset();
-      reachable_nodes_backward(u, cu, rch);
-      for (const PtPair& t : rch.items) push(t.node, t.ctx, cur, Via::kHeapMatch);
-    }
-  }
-
-  --recursion_depth_;
-  entry.tainted = taint_flag_;
-  entry.state = MemoEntry::State::kDone;
-  taint_flag_ = outer_taint || entry.tainted;
-  return entry.set;
-}
-
-const Solver::ResultSet& Solver::compute_flows_to(NodeId root, CtxId rc) {
-  const Key key = make_key(root, rc);
-  MemoEntry& entry = memo_entry(flows_memo_, key);
-  if (entry.state == MemoEntry::State::kDone) {
-    taint_flag_ = taint_flag_ || entry.tainted;
-    return entry.set;
-  }
-  if (entry.state == MemoEntry::State::kInProgress) {
-    taint_flag_ = true;
-    return entry.set;
-  }
-
-  if (entry.state == MemoEntry::State::kFresh)
-    seed_entry(entry, key, Direction::kForward);
-  if (partition_ != nullptr && !partition_owns(root)) {
-    record_request(key, Direction::kForward);
-    entry.tainted = false;
-    entry.state = MemoEntry::State::kDone;
-    return entry.set;
-  }
-
-  entry.state = MemoEntry::State::kInProgress;
-  if (++recursion_depth_ > options_.max_recursion_depth)
-    out_of_budget(0, /*early=*/false);
-  if (trace_ != nullptr && recursion_depth_ > depth_high_water_)
-    depth_high_water_ = recursion_depth_;
-  const bool outer_taint = taint_flag_;
-  taint_flag_ = false;
-
-  Frame& frame = frame_at(recursion_depth_);
-  std::vector<PtPair>& work = frame.work;
-  support::FlatSet& visited = frame.visited;
-  work.clear();
-  visited.clear();
-  auto push = [&](NodeId n, CtxId cc) {
-    if (!visited.insert(make_key(n, cc))) return;
-    if (partition_ != nullptr && !partition_owns(n)) {
-      record_escape(key, make_key(n, cc), Direction::kForward);
-      return;
-    }
-    work.push_back(PtPair{n, cc});
-  };
-  push(root, rc);
-
-  while (!work.empty()) {
-    const PtPair cur = work.back();
-    work.pop_back();
-    const NodeId u = cur.node;
-    const CtxId cu = cur.ctx;
-    step();
-
-    // Every variable reached along a flowsTo path is pointed to by root.
-    if (pag_.is_variable(u)) {
-      if (entry.set.add(u, cu)) grew_ = true;
-    }
-
-    // flowsTo terminals over outgoing edges (the mirror of PointsTo).
-    for (const HalfEdge he : pag_.out_edges(u, EdgeKind::kNew)) push(he.other, cu);
-    for (const HalfEdge he : pag_.out_edges(u, EdgeKind::kAssignLocal))
-      push(he.other, cu);
-    for (const HalfEdge he : pag_.out_edges(u, EdgeKind::kAssignGlobal))
-      push(he.other, ContextTable::empty());
-    for (const HalfEdge he : pag_.out_edges(u, EdgeKind::kParam)) {
-      if (!options_.context_sensitive) {
-        push(he.other, cu);
-        continue;
-      }
-      // Forward over param_i enters the callee.
-      const CtxId cc = contexts_.push(cu, pag::CallSiteId(he.aux));
-      if (!cc.valid()) out_of_budget(0, /*early=*/false);
-      push(he.other, cc);
-    }
-    for (const HalfEdge he : pag_.out_edges(u, EdgeKind::kRet)) {
-      if (!options_.context_sensitive) {
-        push(he.other, cu);
-        continue;
-      }
-      // Forward over ret_i exits the callee back to the call site.
-      if (cu == ContextTable::empty())
-        push(he.other, ContextTable::empty());
-      else if (contexts_.top(cu) == pag::CallSiteId(he.aux))
-        push(he.other, contexts_.pop(cu));
-    }
-
-    if (options_.field_sensitive && pag_.is_variable(u) &&
-        !pag_.out_edges(u, EdgeKind::kStore).empty()) {
-      ResultSet& rch = frame.rn_out;
-      rch.reset();
-      reachable_nodes_forward(u, cu, rch);
-      for (const PtPair& t : rch.items) push(t.node, t.ctx);
-    }
-  }
-
-  --recursion_depth_;
-  entry.tainted = taint_flag_;
-  entry.state = MemoEntry::State::kDone;
-  taint_flag_ = outer_taint || entry.tainted;
-  return entry.set;
-}
-
-const Solver::ResultSet& Solver::compute_generic(NodeId root, CtxId rc,
-                                                 std::uint32_t state) {
-  const GrammarTable& g = *grammar_;
-  const Key key = generic_key(state, root, rc);
-  MemoEntry& entry = memo_entry(generic_memo_, key);
-  if (entry.state == MemoEntry::State::kDone) {
-    taint_flag_ = taint_flag_ || entry.tainted;
-    return entry.set;
-  }
-  if (entry.state == MemoEntry::State::kInProgress) {
-    taint_flag_ = true;  // cycle: the caller sees a partial set
-    return entry.set;
-  }
-
-  entry.state = MemoEntry::State::kInProgress;
-  if (++recursion_depth_ > options_.max_recursion_depth)
-    out_of_budget(0, /*early=*/false);
-  if (trace_ != nullptr && recursion_depth_ > depth_high_water_)
-    depth_high_water_ = recursion_depth_;
-  const bool outer_taint = taint_flag_;
-  taint_flag_ = false;
-
-  const bool backward = g.direction == Direction::kBackward;
-  Frame& frame = frame_at(recursion_depth_);
-  std::vector<PtPair>& work = frame.work;
-  std::vector<std::uint8_t>& work_state = frame.work_state;
-  support::FlatSet& visited = frame.visited;
-  work.clear();
-  work_state.clear();
-  visited.clear();
-  auto push = [&](NodeId n, CtxId cc, std::uint8_t s) {
-    if (!visited.insert(generic_key(s, n, cc))) return;
-    work.push_back(PtPair{n, cc});
-    work_state.push_back(s);
-  };
-  push(root, rc, static_cast<std::uint8_t>(state));
-
-  while (!work.empty()) {
-    const PtPair cur = work.back();
-    const std::uint8_t s = work_state.back();
-    work.pop_back();
-    work_state.pop_back();
-    const NodeId u = cur.node;
-    const CtxId cu = cur.ctx;
-    step();
-
-    // A variable visited in an accepting state is an answer (the forward
-    // loop's accept-at-visit; allocation sites instead arrive through `emit`
-    // cells below, mirroring the backward loop's in-`new` emission).
-    if (g.accept[s] && pag_.is_variable(u)) {
-      if (entry.set.add(u, cu)) grew_ = true;
-    }
-
-    // Transitions in EdgeKind order — the same relative order in which the
-    // hard-coded loops push, so pointer-table walks charge identically.
-    for (std::uint32_t k = 0; k < GrammarTable::kEdgeKinds; ++k) {
-      const GrammarTable::Cell cell = g.cells[s][k];
-      if (!cell.present) continue;
-      const auto kind = static_cast<EdgeKind>(k);
-      const auto edges =
-          backward ? pag_.in_edges(u, kind) : pag_.out_edges(u, kind);
-      for (const HalfEdge he : edges) {
-        CtxId cc = cu;
-        if (kind == EdgeKind::kAssignGlobal) {
-          cc = ContextTable::empty();
-        } else if (options_.context_sensitive &&
-                   (kind == EdgeKind::kParam || kind == EdgeKind::kRet)) {
-          // RCS parentheses: whichever grammar consumes a param/ret edge, the
-          // context action is fixed by kind and direction — backward exits
-          // the callee over param and enters over ret; forward mirrors.
-          const bool enter =
-              backward ? kind == EdgeKind::kRet : kind == EdgeKind::kParam;
-          if (enter) {
-            cc = contexts_.push(cu, pag::CallSiteId(he.aux));
-            if (!cc.valid()) out_of_budget(0, /*early=*/false);
-          } else if (cu == ContextTable::empty()) {
-            cc = cu;  // partial balance on the empty stack
-          } else if (contexts_.top(cu) == pag::CallSiteId(he.aux)) {
-            cc = contexts_.pop(cu);
-          } else {
-            continue;  // unrealisable call path
-          }
-        }
-        if (cell.emit) {
-          if (entry.set.add(he.other, cc)) grew_ = true;
-        } else {
-          push(he.other, cc, cell.next);
-        }
-      }
-    }
-
-    // Heap-paren group last, exactly where the hard-coded loops run it. The
-    // bodies issue pointer-semantics alias sub-queries, so their jmp keys are
-    // grammar-independent and warm state is shared across query kinds.
-    if (g.heap[s] && options_.field_sensitive) {
-      const bool wanted =
-          backward ? !pag_.in_edges(u, EdgeKind::kLoad).empty()
-                   : pag_.is_variable(u) &&
-                         !pag_.out_edges(u, EdgeKind::kStore).empty();
-      if (wanted) {
-        ResultSet& rch = frame.rn_out;
-        rch.reset();
-        if (backward)
-          reachable_nodes_backward(u, cu, rch);
-        else
-          reachable_nodes_forward(u, cu, rch);
-        for (const PtPair& t : rch.items)
-          push(t.node, t.ctx, g.heap_next[s]);
-      }
-    }
-  }
-
-  --recursion_depth_;
-  entry.tainted = taint_flag_;
-  entry.state = MemoEntry::State::kDone;
-  taint_flag_ = outer_taint || entry.tainted;
-  return entry.set;
-}
-
-void Solver::run_query(NodeId root, CtxId rc, Direction dir, QueryResult& out) {
+void Solver::run_query(Direction dir, OnNew on_new, NodeId root, CtxId rc,
+                       QueryResult& out) {
   // Pin the reclamation epoch for the whole query: jmp lookups hand back raw
   // pointers into store-owned records, and the pin keeps any record retired
   // by a concurrent erase_if/clear alive until we are done with it. Nested
@@ -855,7 +526,7 @@ void Solver::run_query(NodeId root, CtxId rc, Direction dir, QueryResult& out) {
   // Epoch-clear the maps and rewind the slabs: O(1), keeps all storage.
   pts_memo_.clear();
   flows_memo_.clear();
-  generic_memo_.clear();
+  slice_memo_.clear();
   memo_slab_.reset();
   pending_map_.clear();
   pending_slab_.reset();
@@ -878,11 +549,8 @@ void Solver::run_query(NodeId root, CtxId rc, Direction dir, QueryResult& out) {
                  dir == Direction::kForward ? 1u : 0u);
   }
 
-  auto& memo = grammar_ != nullptr
-                   ? generic_memo_
-                   : (dir == Direction::kBackward ? pts_memo_ : flows_memo_);
-  const Key root_key =
-      grammar_ != nullptr ? generic_key(0, root, rc) : make_key(root, rc);
+  const auto& memo = memo_for(dir, on_new);
+  const Key root_key = make_key(root, rc);
 
   out.status = QueryStatus::kComplete;
   out.tuples.clear();
@@ -894,12 +562,14 @@ void Solver::run_query(NodeId root, CtxId rc, Direction dir, QueryResult& out) {
       iteration_ = iterations;
       grew_ = false;
       taint_flag_ = false;
-      if (grammar_ != nullptr)
-        compute_generic(root, rc, /*state=*/0);
+      if (on_new == OnNew::kSkip && dir == Direction::kBackward)
+        walk<Direction::kBackward, OnNew::kSkip>(root, rc);
+      else if (on_new == OnNew::kSkip)
+        walk<Direction::kForward, OnNew::kSkip>(root, rc);
       else if (dir == Direction::kBackward)
-        compute_points_to(root, rc);
+        walk<Direction::kBackward, OnNew::kRecord>(root, rc);
       else
-        compute_flows_to(root, rc);
+        walk<Direction::kForward, OnNew::kPush>(root, rc);
 
       // Exact if the root computation never touched a cycle; otherwise
       // iterate (sets grow monotonically) until stable or capped.

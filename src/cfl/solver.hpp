@@ -13,7 +13,9 @@
 //               when the context stack is empty (eq. 3)
 //
 // PointsTo(l, c) walks the PAG *backwards* (against value flow); FlowsTo(o, c)
-// walks *forwards*. Heap accesses are matched in ReachableNodes: a load
+// walks *forwards*. One worklist walker serves both, and the taint/depends
+// query kinds besides: it is templated over the walk direction and over what
+// a `new` edge does (DESIGN.md §15). Heap accesses are matched in ReachableNodes: a load
 // x = p.f reaches every store q.f = y whose base q aliases p (Alg. 1 lines
 // 17-25), where the alias test itself issues recursive PointsTo/FlowsTo
 // sub-queries.
@@ -70,7 +72,11 @@
 
 namespace parcfl::cfl {
 
-struct GrammarTable;  // cfl/grammar.hpp
+/// Query kinds the engine dispatches on (DESIGN.md §15). All three take a
+/// variable root: points-to answers objects, taint the variables the root's
+/// value may flow to, depends the variables the root's value may come from.
+enum class QueryKind : std::uint8_t { kPointsTo = 0, kTaint = 1, kDepends = 2 };
+const char* to_string(QueryKind kind);
 
 struct SolverOptions {
   std::uint64_t budget = 75000;   // B — max charged steps per query (paper §IV-A)
@@ -215,20 +221,17 @@ class Solver {
   void points_to(pag::NodeId l, QueryResult& out);
   void flows_to(pag::NodeId o, QueryResult& out);
 
-  /// Generic-grammar reachability (DESIGN.md §15): walk the PAG under a
-  /// compiled GrammarTable — the machinery behind the `taint` and `depends`
-  /// query kinds, and (with the pointer table) a semantics-identical slow
-  /// path used to pin the hard-coded fast path in tests. Shares the budget /
-  /// memo / fixpoint / warm-state plumbing with points_to; heap-paren groups
-  /// still run pointer-semantics ReachableNodes sub-queries, so jmp keys stay
-  /// grammar-independent and the shared store remains sound across kinds.
-  /// Unsupported on partitioned workers (checked). `cold` keeps the whole
-  /// generic path in .text.unlikely, away from the pointer fast path's
-  /// working set (see compute_generic below).
-  __attribute__((cold)) QueryResult reach(pag::NodeId root,
-                                          const GrammarTable& table);
-  __attribute__((cold)) void reach(pag::NodeId root, const GrammarTable& table,
-                                   QueryResult& out);
+  /// Value-flow kinds (DESIGN.md §15): the variables v's value may flow to
+  /// (taint, forward) or may come from (depends, backward). The same walker
+  /// as points_to/flows_to with `new` edges skipped and every visited
+  /// variable answering; heap groups still run pointer-semantics alias
+  /// sub-queries, so jmp keys stay kind-independent and the shared store
+  /// stays sound across kinds. Both take a variable root and are unsupported
+  /// on partitioned workers (checked).
+  QueryResult taint(pag::NodeId v);
+  QueryResult depends(pag::NodeId v);
+  void taint(pag::NodeId v, QueryResult& out);
+  void depends(pag::NodeId v, QueryResult& out);
 
   /// May v1 and v2 point to a common object? (client helper; both sub-queries
   /// must complete for a definitive "no").
@@ -264,9 +267,7 @@ class Solver {
   /// (root, ctx, direction) exactly as a nested sub-query would — the root
   /// context need not be empty and the root may be an object in the forward
   /// direction. Identical to points_to/flows_to when rc is empty.
-  void run_config(pag::NodeId root, CtxId rc, Direction dir, QueryResult& out) {
-    run_query(root, rc, dir, out);
-  }
+  void run_config(pag::NodeId root, CtxId rc, Direction dir, QueryResult& out);
 
   /// How one traversal hop was justified, for witnesses.
   enum class Via : std::uint8_t {
@@ -331,11 +332,6 @@ class Solver {
     return (static_cast<std::uint64_t>(n.value()) << 32) | c.value();
   }
 
-  /// Generic-walk keys carry the grammar state in the top bits (kMaxStates is
-  /// 4, so 2 bits suffice); node and ctx shrink to 31 bits each, far above
-  /// any real graph or context-table size.
-  static Key generic_key(std::uint32_t state, pag::NodeId n, CtxId c);
-
   struct ResultSet {
     std::vector<PtPair> items;
     support::FlatSet present;
@@ -380,24 +376,42 @@ class Solver {
     if (charged_ > budget_limit_) out_of_budget(0, /*early=*/false);
   }
 
+  /// RCS parentheses: the context after crossing a call edge of `site` out
+  /// of context c. Entering a callee pushes the site; leaving one pops a
+  /// matching site, or passes on the empty stack (partial balance). False
+  /// when the call path is unrealisable.
+  bool cross_call(CtxId c, std::uint32_t site, bool enter, CtxId& out) {
+    out = c;
+    if (!options_.context_sensitive) return true;
+    if (enter) {
+      out = contexts_.push(c, pag::CallSiteId(site));
+      if (!out.valid()) out_of_budget(0, /*early=*/false);  // depth overflow
+      return true;
+    }
+    if (c == ContextTable::empty()) return true;
+    if (contexts_.top(c) != pag::CallSiteId(site)) return false;
+    out = contexts_.pop(c);
+    return true;
+  }
+
   /// Alg. 2's OUTOFBUDGET: publish unfinished jmps for every active
   /// ReachableNodes frame, then abort the query.
   [[noreturn]] void out_of_budget(std::uint64_t bdg, bool early);
 
-  /// Memoised PointsTo(x, c) / FlowsTo(o, c). The returned reference is
-  /// stable (node-based map) but its set may keep growing while iterated.
-  const ResultSet& compute_points_to(pag::NodeId x, CtxId c);
-  const ResultSet& compute_flows_to(pag::NodeId o, CtxId c);
+  /// What a `new` edge does in one walk instantiation.
+  enum class OnNew : std::uint8_t {
+    kRecord,  // points-to: the allocation site is an answer, not walked
+    kPush,    // flows-to: walk on into the variable the object flows to
+    kSkip,    // taint/depends: value flow between variables never crosses it
+  };
 
-  /// Table-driven variant of the two loops above, active when grammar_ is
-  /// set: one worklist walk carrying (node, ctx, grammar state), transitions
-  /// and accepts read from the compiled table, context actions derived from
-  /// edge kind + direction. Heap groups recurse into the pointer-semantics
-  /// ReachableNodes bodies. Kept out of the hot text section: the pointer
-  /// fast path shares this TU, and letting this loop interleave with
-  /// compute_points_to's code costs the headline measurable icache misses.
-  __attribute__((cold, noinline)) const ResultSet& compute_generic(
-      pag::NodeId x, CtxId c, std::uint32_t state);
+  /// The one traversal loop: memoised PointsTo(x, c) (kBackward, kRecord),
+  /// FlowsTo(o, c) (kForward, kPush), taint (kForward, kSkip) and depends
+  /// (kBackward, kSkip). Except under kRecord, every visited variable is an
+  /// answer. The returned reference is stable (slab-backed) but its set may
+  /// keep growing while iterated.
+  template <Direction D, OnNew N>
+  const ResultSet& walk(pag::NodeId root, CtxId rc);
 
   /// Heap-access match for the backward (PointsTo) direction: all (y, c')
   /// such that some load x = p.f matches a store q.f = y with q alias p.
@@ -412,10 +426,18 @@ class Solver {
   void reachable_nodes(Direction dir, pag::NodeId x, CtxId c, ResultSet& out,
                        ComputeFn&& compute);
 
-  void run_query(pag::NodeId root, Direction dir, QueryResult& out) {
-    run_query(root, ContextTable::empty(), dir, out);
+  /// Pointer walks keep apart by direction; a taint/depends root has its own
+  /// memo, so it never shares an entry with a pointer sub-query's root.
+  support::FlatMap<std::uint32_t>& memo_for(Direction dir, OnNew on_new) {
+    if (on_new == OnNew::kSkip) return slice_memo_;
+    return dir == Direction::kBackward ? pts_memo_ : flows_memo_;
   }
-  void run_query(pag::NodeId root, CtxId rc, Direction dir, QueryResult& out);
+
+  /// One query: the fixpoint loop around the walk<dir, on_new> at the root,
+  /// deferred publication, counters and trace events. Pointer kinds pass
+  /// (kBackward, kRecord) or (kForward, kPush).
+  void run_query(Direction dir, OnNew on_new, pag::NodeId root, CtxId rc,
+                 QueryResult& out);
 
   // ---- partitioned execution (DESIGN.md §14) ------------------------------
   bool partition_owns(pag::NodeId n) const {
@@ -443,8 +465,6 @@ class Solver {
   ContextTable& contexts_;
   JmpStore* store_;
   SolverOptions options_;
-  /// Active compiled grammar, non-null only for the duration of reach().
-  const GrammarTable* grammar_ = nullptr;
 
   // ---- per-query (epoch-cleared and slab-recycled across queries) ---------
   /// Memo tables map packed keys to indices into `memo_slab_`; the entries
@@ -452,11 +472,10 @@ class Solver {
   /// addresses are stable under rehash and their buffers survive clear().
   support::FlatMap<std::uint32_t> pts_memo_;
   support::FlatMap<std::uint32_t> flows_memo_;
-  /// Memo for generic-grammar walks, keyed by generic_key. Entries share
-  /// memo_slab_ so the fixpoint demote-stale sweep covers them uniformly;
-  /// pointer sub-queries issued from heap groups still land in
-  /// pts_memo_/flows_memo_.
-  support::FlatMap<std::uint32_t> generic_memo_;
+  /// Memo for taint/depends walks. Only the query root lands here: the
+  /// pointer sub-queries their heap groups issue use pts_memo_/flows_memo_,
+  /// so a root that is also a sub-query root keeps both answers apart.
+  support::FlatMap<std::uint32_t> slice_memo_;
   support::Slab<MemoEntry> memo_slab_;
   std::vector<SharingFrame> sharing_stack_;  // the S of Algorithm 2
 
@@ -501,13 +520,11 @@ class Solver {
   void publish_unfinished(std::uint64_t jmp_key, std::uint32_t s);
   void flush_publications();
 
-  /// Pooled traversal scratch, one frame per recursion depth. A compute_*
+  /// Pooled traversal scratch, one frame per recursion depth. A walk
   /// activation at depth d owns frame d's work stack and visited set; the
   /// (single) ReachableNodes call active at depth d owns its rn_* members.
   struct Frame {
     std::vector<PtPair> work;
-    std::vector<std::uint8_t> work_state;  // generic walks only: grammar
-                                           // state, in lockstep with `work`
     support::FlatSet visited;
     ResultSet rn_out;
     std::vector<JmpTarget> rn_found;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cfl/grammar.hpp"
 #include "support/check.hpp"
 #include "support/union_find.hpp"
 
@@ -162,12 +161,12 @@ FlowVerdict flow_verdict(const cfl::QueryResult& r, NodeId target) {
 }  // namespace
 
 FlowVerdict taint_flows(cfl::Solver& solver, NodeId source, NodeId sink) {
-  cfl::QueryResult r = solver.reach(source, cfl::taint_table());
+  cfl::QueryResult r = solver.taint(source);
   return flow_verdict(r, sink);
 }
 
 FlowVerdict depends_on(cfl::Solver& solver, NodeId x, NodeId y) {
-  cfl::QueryResult r = solver.reach(x, cfl::depends_table());
+  cfl::QueryResult r = solver.depends(x);
   return flow_verdict(r, y);
 }
 

@@ -97,13 +97,13 @@ std::vector<NullnessReport> check_dereferences(
 // ---- flow-query clients (taint / dependence; DESIGN.md §15) -----------------
 
 enum class FlowVerdict : std::uint8_t {
-  kFlows,    // a grammar path proves the flow/dependence
+  kFlows,    // a realisable path proves the flow/dependence
   kNoFlow,   // the traversal completed and found no path
   kUnknown,  // the traversal was truncated before the answer was settled
 };
 
 /// Forward value-flow query: may a value read through variable `source` reach
-/// variable `sink`? One Solver::reach traversal under the taint grammar, then
+/// variable `sink`? One Solver::taint traversal, then
 /// a membership test — the embedded form of the service's `taint` verb
 /// (identical ternary, so a client library and a wire client agree).
 /// Conservative like everything here: kNoFlow needs a complete traversal.
@@ -111,7 +111,7 @@ FlowVerdict taint_flows(cfl::Solver& solver, pag::NodeId source,
                         pag::NodeId sink);
 
 /// Backward data-dependence query: may variable `x`'s value depend on
-/// variable `y`? One Solver::reach traversal under the depends grammar.
+/// variable `y`? One Solver::depends traversal, then a membership test.
 FlowVerdict depends_on(cfl::Solver& solver, pag::NodeId x, pag::NodeId y);
 
 // ---- mod-ref client ----------------------------------------------------------

@@ -84,7 +84,7 @@ BruteForceResult brute_force_flows_to(const pag::Pag& pag, pag::NodeId o,
 /// some realisable path (<= max_path_length) whose label string derives from
 /// `grammar.start`, plus `root` itself when it is a variable — intended for
 /// the taint/depends grammars, whose accepting start state covers the empty
-/// path. Differentially pins Solver::reach for every new query kind.
+/// path. Differentially pins Solver::taint and Solver::depends.
 BruteForceResult brute_force_reach(const pag::Pag& pag, pag::NodeId root,
                                    const Grammar& grammar,
                                    const BruteForceOptions& options = {});

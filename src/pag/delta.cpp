@@ -7,6 +7,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "pag/validate.hpp"
 #include "support/check.hpp"
 
 namespace parcfl::pag {
@@ -278,6 +279,17 @@ std::optional<Delta> read_delta(std::istream& is, const Pag& base,
       } else if (tokens.size() > 4) {
         return reject("unexpected edge payload");
       }
+      // Edges obey the base graph's rules; a delta declares no new field or
+      // call-site ids.
+      auto node_kind = [&](std::uint32_t n) {
+        return n < base.node_count()
+                   ? base.kind(NodeId(n))
+                   : delta.added_nodes()[n - base.node_count()].kind;
+      };
+      if (const char* msg =
+              edge_violation(kind, node_kind(dst), node_kind(src), aux,
+                             base.field_count(), base.call_site_count()))
+        return reject(msg);
       if (tokens[0] == "add")
         delta.add_edge(kind, NodeId(dst), NodeId(src), aux);
       else

@@ -94,8 +94,10 @@ std::optional<Pag> apply_delta(const Pag& base, const Delta& delta,
                                std::string* error = nullptr);
 
 /// Parse the text format above. Node and edge references are bounds-checked
-/// against base + the nodes the delta itself adds; parsing is total (any
-/// input yields a Delta or an error message, never UB).
+/// against base + the nodes the delta itself adds, and every edge line must
+/// pass pag::edge_violation against the base's field and call-site counts;
+/// parsing is total (any input yields a Delta or a line-numbered error
+/// message, never UB).
 std::optional<Delta> read_delta(std::istream& is, const Pag& base,
                                 std::string* error = nullptr);
 

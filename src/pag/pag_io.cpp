@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "pag/validate.hpp"
+
 namespace parcfl::pag {
 
 namespace {
@@ -138,6 +140,7 @@ std::optional<Pag> read_pag_string(const std::string& text, std::string* error) 
   builder.set_counts(fields, callsites, types, methods);
   builder.set_dedupe(false);  // preserve the file's edge multiset exactly
   std::uint32_t declared_nodes = 0;
+  std::vector<NodeKind> kinds;  // of the nodes declared so far
 
   while (next_line(cur, line)) {
     tokens = split_tokens(line);
@@ -166,6 +169,7 @@ std::optional<Pag> read_pag_string(const std::string& text, std::string* error) 
         else return fail(cur.line, "bad node attribute");
       }
       const NodeId n = builder.add_node(kind, type, method, app);
+      kinds.push_back(kind);
       if (!name.empty()) builder.set_name(n, std::move(name));
       ++declared_nodes;
     } else if (tokens[0] == "edge") {
@@ -193,6 +197,9 @@ std::optional<Pag> read_pag_string(const std::string& text, std::string* error) 
         if (!payload || !parse_u32(*payload, aux))
           return fail(cur.line, "bad edge payload");
       }
+      if (const char* msg =
+              edge_violation(kind, kinds[dst], kinds[src], aux, fields, callsites))
+        return fail(cur.line, msg);
       builder.add_edge(kind, NodeId(dst), NodeId(src), aux);
     } else {
       return fail(cur.line, "unknown directive");

@@ -31,8 +31,10 @@ namespace parcfl::pag {
 void write_pag(std::ostream& os, const Pag& pag);
 std::string write_pag_string(const Pag& pag);
 
-/// Parse the v1 text format. On failure returns std::nullopt and fills
-/// *error (if non-null) with a message including the line number.
+/// Parse the v1 text format. Every edge must pass pag::edge_violation
+/// against the node kinds and the counts line's field and call-site counts.
+/// On failure returns std::nullopt and fills *error (if non-null) with a
+/// message including the line number.
 std::optional<Pag> read_pag(std::istream& is, std::string* error = nullptr);
 std::optional<Pag> read_pag_string(const std::string& text, std::string* error = nullptr);
 

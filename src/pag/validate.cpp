@@ -16,46 +16,44 @@ void report(std::vector<std::string>& errors, std::size_t edge_index, const Edge
 
 }  // namespace
 
+const char* edge_violation(EdgeKind kind, NodeKind dst, NodeKind src,
+                           std::uint32_t aux, std::uint32_t fields,
+                           std::uint32_t call_sites) {
+  const bool locals = dst == NodeKind::kLocal && src == NodeKind::kLocal;
+  switch (kind) {
+    case EdgeKind::kNew:
+      if (dst == NodeKind::kObject) return "new edge must target a variable";
+      if (src != NodeKind::kObject) return "new edge must source an object";
+      return nullptr;
+    case EdgeKind::kAssignLocal:
+      return locals ? nullptr : "assignl must connect two locals";
+    case EdgeKind::kAssignGlobal:
+      if (dst == NodeKind::kObject || src == NodeKind::kObject)
+        return "assigng cannot involve objects";
+      if (dst != NodeKind::kGlobal && src != NodeKind::kGlobal)
+        return "assigng must involve at least one global";
+      return nullptr;
+    case EdgeKind::kLoad:
+    case EdgeKind::kStore:
+      if (!locals) return "ld/st edges connect only locals";
+      return aux < fields ? nullptr : "field id out of range";
+    case EdgeKind::kParam:
+    case EdgeKind::kRet:
+      if (!locals) return "param/ret edges connect only locals";
+      return aux < call_sites ? nullptr : "call-site id out of range";
+  }
+  return "unknown edge kind";
+}
+
 std::vector<std::string> validate(const Pag& pag) {
   std::vector<std::string> errors;
 
   for (std::size_t i = 0; i < pag.edges().size(); ++i) {
     const Edge& e = pag.edges()[i];
-    const NodeKind dk = pag.kind(e.dst);
-    const NodeKind sk = pag.kind(e.src);
-
-    switch (e.kind) {
-      case EdgeKind::kNew:
-        if (dk != NodeKind::kLocal && dk != NodeKind::kGlobal)
-          report(errors, i, e, "new edge must target a variable");
-        if (sk != NodeKind::kObject)
-          report(errors, i, e, "new edge must source an object");
-        break;
-      case EdgeKind::kAssignLocal:
-        if (dk != NodeKind::kLocal || sk != NodeKind::kLocal)
-          report(errors, i, e, "assignl must connect two locals");
-        break;
-      case EdgeKind::kAssignGlobal:
-        if (dk == NodeKind::kObject || sk == NodeKind::kObject)
-          report(errors, i, e, "assigng cannot involve objects");
-        else if (dk != NodeKind::kGlobal && sk != NodeKind::kGlobal)
-          report(errors, i, e, "assigng must involve at least one global");
-        break;
-      case EdgeKind::kLoad:
-      case EdgeKind::kStore:
-        if (dk != NodeKind::kLocal || sk != NodeKind::kLocal)
-          report(errors, i, e, "ld/st edges connect only locals");
-        if (e.aux >= pag.field_count())
-          report(errors, i, e, "field id out of range");
-        break;
-      case EdgeKind::kParam:
-      case EdgeKind::kRet:
-        if (dk != NodeKind::kLocal || sk != NodeKind::kLocal)
-          report(errors, i, e, "param/ret edges connect only locals");
-        if (e.aux >= pag.call_site_count())
-          report(errors, i, e, "call-site id out of range");
-        break;
-    }
+    if (const char* msg =
+            edge_violation(e.kind, pag.kind(e.dst), pag.kind(e.src), e.aux,
+                           pag.field_count(), pag.call_site_count()))
+      report(errors, i, e, msg);
   }
 
   // Metadata sanity.

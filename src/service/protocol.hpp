@@ -37,10 +37,10 @@
 // per connection, union-idempotent, until `creset`. `cont` runs the solver
 // from its configuration with the accumulated facts seeded.
 //
-// `taint` and `depends` run the grammar-generalised solver (DESIGN.md §15):
+// `taint` and `depends` run the solver's value-flow walks (DESIGN.md §15):
 // `taint a b` asks whether a value may flow from variable <src> to variable
-// <sink> (forward value-flow grammar); `depends x y` asks whether <x>'s value
-// may depend on <y> (backward slice grammar). Both arguments must be variable
+// <sink> (Solver::taint, a forward walk); `depends x y` asks whether <x>'s
+// value may depend on <y> (Solver::depends, a backward walk). Both arguments must be variable
 // nodes, and partitioned workers reject the verbs (the continuation plane is
 // pointer-only).
 //
@@ -107,8 +107,8 @@ namespace parcfl::service {
 enum class Verb : std::uint8_t {
   kQuery,
   kAlias,
-  kTaint,    // may <a> flow to <b>? (forward value-flow grammar)
-  kDepends,  // may <a> depend on <b>? (backward slice grammar)
+  kTaint,    // may <a> flow to <b>? (forward value flow)
+  kDepends,  // may <a> depend on <b>? (backward slice)
   kStats,
   kMetrics,
   kSlowLog,

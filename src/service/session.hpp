@@ -124,10 +124,10 @@ class Session {
   struct Item {
     pag::NodeId var;
     std::uint64_t budget = 0;  // 0 = engine default
-    /// Grammar the traversal runs under (DESIGN.md §15). Non-pointer kinds
+    /// Which walk answers the item (DESIGN.md §15). Non-pointer kinds
     /// bypass the reachability index and hot mining — both planes cache
     /// points-to answers only — and `var` must be a variable node for every
-    /// kind (taint/depends roots are variables by grammar).
+    /// kind (Solver::taint/depends check it).
     cfl::QueryKind kind = cfl::QueryKind::kPointsTo;
   };
 

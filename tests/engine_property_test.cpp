@@ -6,10 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <utility>
 
 #include "cfl/engine.hpp"
-#include "cfl/grammar.hpp"
 #include "frontend/lower.hpp"
 #include "pag/collapse.hpp"
 #include "pag/reduce.hpp"
@@ -209,62 +210,73 @@ TEST_P(EnginePropertyTest, ReductionNeverHurtsBudgetedQueries) {
   }
 }
 
-// Metamorphic check for the compiled grammar tables (cfl/grammar.hpp,
-// DESIGN.md §15): driving the generic table walker with the pointer grammar
-// (EngineOptions::grammar) must reproduce the hard-coded fast path exactly —
-// every answer, in all four engine configurations, both cold (fresh jmp
-// state) and warm (second run over the state the cold run minted). The
-// hard-coded sequential run is the ground truth.
-TEST_P(EnginePropertyTest, GenericPointerGrammarMatchesFastPathAllModesWarmAndCold) {
+// The flow kinds through every engine configuration: all-taint,
+// all-depends and mixed batches must reproduce the sequential answers in all
+// four modes, both cold (fresh jmp state) and warm (second run over the state
+// the cold run minted). Taint/depends heap groups consume and publish
+// pointer jmps, so this pins them sound against shared, warm state.
+TEST_P(EnginePropertyTest, FlowKindsMatchSequentialAllModesWarmAndCold) {
   const auto w = make_workload(GetParam() + 300);
-  const auto seq = Engine(w.pag, opts(Mode::kSequential, 1)).run(w.queries);
-  const auto want = answer_map(seq);
-  for (const auto& qo : seq.outcomes)
-    ASSERT_EQ(qo.status, QueryStatus::kComplete);
+  const std::size_t n = w.queries.size();
+  const std::vector<QueryKind> taint(n, QueryKind::kTaint);
+  const std::vector<QueryKind> depends(n, QueryKind::kDepends);
+  std::vector<QueryKind> interleaved;
+  for (std::size_t i = 0; i < n; ++i)
+    interleaved.push_back(std::array{QueryKind::kPointsTo, QueryKind::kTaint,
+                                     QueryKind::kDepends}[i % 3]);
+  const std::vector<QueryKind>& mixed = interleaved;
 
-  for (const Mode mode : {Mode::kSequential, Mode::kNaive, Mode::kDataSharing,
-                          Mode::kDataSharingScheduling}) {
-    EngineOptions o = opts(mode, 4);
-    o.grammar = &pointer_backward_table();
-    Engine engine(w.pag, o);
-    ContextTable contexts;
-    JmpStore store;
-    const auto cold = engine.run(w.queries, contexts, store);
-    EXPECT_EQ(answer_map(cold), want)
-        << "cold " << to_string(mode) << " seed=" << GetParam();
-    const auto warm = engine.run(w.queries, contexts, store);
-    EXPECT_EQ(answer_map(warm), want)
-        << "warm " << to_string(mode) << " seed=" << GetParam();
+  for (const auto& [name, kinds] :
+       {std::pair{"taint", &taint}, std::pair{"depends", &depends},
+        std::pair{"mixed", &mixed}}) {
+    const auto seq =
+        Engine(w.pag, opts(Mode::kSequential, 1)).run(w.queries, *kinds);
+    const auto want = answer_map(seq);
+    for (const auto& qo : seq.outcomes)
+      ASSERT_EQ(qo.status, QueryStatus::kComplete) << name;
+
+    for (const Mode mode : {Mode::kSequential, Mode::kNaive, Mode::kDataSharing,
+                            Mode::kDataSharingScheduling}) {
+      Engine engine(w.pag, opts(mode, 4));
+      ContextTable contexts;
+      JmpStore store;
+      const auto cold = engine.run(w.queries, contexts, store, *kinds);
+      EXPECT_EQ(answer_map(cold), want)
+          << name << " cold " << to_string(mode) << " seed=" << GetParam();
+      const auto warm = engine.run(w.queries, contexts, store, *kinds);
+      EXPECT_EQ(answer_map(warm), want)
+          << name << " warm " << to_string(mode) << " seed=" << GetParam();
+    }
   }
 }
 
-// Budget monotonicity holds on the generic path exactly as on the fast path:
-// a tighter budget yields a subset of the ample answer per query, and a
-// query that completes under the tight budget found the full answer.
-// Sequential mode keeps both runs deterministic.
-TEST_P(EnginePropertyTest, GenericPathBudgetMonotonicity) {
+// Budget monotonicity for the flow kinds through the engine: a tighter
+// budget yields a subset of the ample answer per query, and a query that
+// completes under the tight budget found the full answer. Sequential mode
+// keeps both runs deterministic.
+TEST_P(EnginePropertyTest, FlowKindBudgetMonotonicity) {
   const auto w = make_workload(GetParam() + 350);
-
   EngineOptions ample = opts(Mode::kSequential, 1);
-  ample.grammar = &pointer_backward_table();
   EngineOptions tight = ample;
   tight.solver.budget = 300;
 
-  const auto full = Engine(w.pag, ample).run(w.queries);
-  const auto cut = Engine(w.pag, tight).run(w.queries);
-  const auto full_answers = answer_map(full);
-
-  ASSERT_EQ(cut.outcomes.size(), full.outcomes.size());
-  for (std::size_t i = 0; i < cut.outcomes.size(); ++i) {
-    const auto& qo = cut.outcomes[i];
-    ASSERT_EQ(qo.var, full.outcomes[i].var);  // identity schedule: same order
-    ASSERT_EQ(full.outcomes[i].status, QueryStatus::kComplete);
-    const auto& small = cut.objects[i];
-    const auto& big = full_answers.at(qo.var.value());
-    EXPECT_TRUE(std::includes(big.begin(), big.end(), small.begin(), small.end()))
-        << "var " << qo.var.value() << " seed=" << GetParam();
-    if (qo.status == QueryStatus::kComplete) {
-      EXPECT_EQ(small, big) << "var " << qo.var.value() << " seed=" << GetParam();
+  for (const QueryKind kind : {QueryKind::kTaint, QueryKind::kDepends}) {
+    const std::vector<QueryKind> kinds(w.queries.size(), kind);
+    const auto full = Engine(w.pag, ample).run(w.queries, kinds);
+    const auto cut = Engine(w.pag, tight).run(w.queries, kinds);
+    ASSERT_EQ(cut.outcomes.size(), full.outcomes.size());
+    for (std::size_t i = 0; i < cut.outcomes.size(); ++i) {
+      const auto& qo = cut.outcomes[i];
+      ASSERT_EQ(qo.var, full.outcomes[i].var);  // identity schedule
+      ASSERT_EQ(full.outcomes[i].status, QueryStatus::kComplete);
+      const auto& small = cut.objects[i];
+      const auto& big = full.objects[i];
+      EXPECT_TRUE(std::includes(big.begin(), big.end(), small.begin(), small.end()))
+          << to_string(kind) << " var " << qo.var.value() << " seed=" << GetParam();
+      if (qo.status == QueryStatus::kComplete) {
+        EXPECT_EQ(small, big) << to_string(kind) << " var " << qo.var.value()
+                              << " seed=" << GetParam();
+      }
     }
   }
 }

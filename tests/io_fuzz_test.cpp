@@ -106,6 +106,59 @@ TEST_P(IoFuzzTest, MutatedInputNeverCrashes) {
   }
 }
 
+// Seed for the loader's edge rule: a file that once loaded a variable into a
+// points-to set (`new` between two locals) and a field id past its declared
+// count. Mutations of it either fail with a line-numbered message or load a
+// graph whose every edge passes the rule.
+TEST_P(IoFuzzTest, MutatedKindMismatchSeedLoadsOnlyWellFormedEdges) {
+  const std::string seed =
+      "parcfl-pag 1\n"
+      "counts nodes=3 fields=1 callsites=1 types=1 methods=1\n"
+      "node 0 l\n"
+      "node 1 l\n"
+      "node 2 o\n"
+      "edge new 0 1\n"
+      "edge ld 1 0 f=7\n"
+      "edge new 1 2\n"
+      "edge st 0 1 f=0\n";
+  std::string error;
+  EXPECT_FALSE(read_pag_string(seed, &error).has_value());
+  EXPECT_EQ(error.rfind("line 6: ", 0), 0u) << error;
+
+  support::Rng rng(GetParam() * 7919 + 5);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string mutated = seed;
+    const std::size_t edits = 1 + rng.below(3);
+    for (std::size_t e = 0; e < edits; ++e) {
+      const std::size_t pos = rng.below(mutated.size());
+      switch (rng.below(3)) {
+        case 0:
+          mutated[pos] = static_cast<char>(' ' + rng.below(95));
+          break;
+        case 1:
+          mutated.erase(pos, 1 + rng.below(5));
+          break;
+        case 2:
+          mutated.insert(pos, mutated.substr(pos, 1 + rng.below(5)));
+          break;
+      }
+      if (mutated.empty()) break;
+    }
+    error.clear();
+    const auto parsed = read_pag_string(mutated, &error);
+    if (!parsed.has_value()) {
+      EXPECT_EQ(error.rfind("line ", 0), 0u) << error;
+      continue;
+    }
+    for (const Edge& edge : parsed->edges())
+      EXPECT_EQ(edge_violation(edge.kind, parsed->kind(edge.dst),
+                               parsed->kind(edge.src), edge.aux,
+                               parsed->field_count(), parsed->call_site_count()),
+                nullptr)
+          << mutated;
+  }
+}
+
 // The reducer sits on the load path right behind the parser (Session,
 // pag_tool), so it must be total over anything the parser lets through —
 // including the structurally weird graphs mutation produces. Invariants on

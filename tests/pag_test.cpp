@@ -127,6 +127,45 @@ TEST(PagIo, RejectsBadInput) {
                    .has_value());  // missing f=
 }
 
+// Every edge shape pag::validate rejects is rejected at load time too, with
+// the offending line: a graph that loads is a graph the solver may trust.
+TEST(PagIo, RejectsEdgesThatBreakTheEdgeRule) {
+  const std::string header =
+      "parcfl-pag 1\n"
+      "counts nodes=4 fields=1 callsites=1 types=1 methods=1\n"
+      "node 0 l\n"
+      "node 1 l\n"
+      "node 2 g\n"
+      "node 3 o\n";  // edges start on line 7
+  const char* const bad[] = {
+      "edge new 0 1",          // new between two locals
+      "edge new 3 3",          // new into an object
+      "edge assignl 0 2",      // assignl with a global
+      "edge assignl 0 3",      // assignl from an object
+      "edge assigng 0 1",      // assigng without a global
+      "edge assigng 2 3",      // assigng from an object
+      "edge ld 0 2 f=0",       // ld with a global base
+      "edge st 3 0 f=0",       // st into an object
+      "edge ld 1 0 f=7",       // field id past fields=1
+      "edge param 0 2 cs=0",   // param from a global
+      "edge ret 0 1 cs=1",     // call site past callsites=1
+  };
+  for (const char* edge : bad) {
+    std::string error;
+    EXPECT_FALSE(read_pag_string(header + "edge assignl 1 0\n" + edge + "\n",
+                                 &error)
+                     .has_value())
+        << edge;
+    EXPECT_EQ(error.rfind("line 8: ", 0), 0u) << edge << " -> " << error;
+  }
+  std::string error;
+  EXPECT_TRUE(read_pag_string(header + "edge new 0 3\nedge ld 1 0 f=0\n"
+                                       "edge assigng 2 0\nedge param 1 0 cs=0\n",
+                              &error)
+                  .has_value())
+      << error;
+}
+
 TEST(PagIo, ParsesMinimalGraph) {
   const std::string text =
       "parcfl-pag 1\n"

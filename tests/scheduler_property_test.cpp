@@ -348,18 +348,22 @@ TEST_P(WarmDeltaPropertyTest, ModesAgreeBeforeAndAfterUpdateFromFile) {
   ASSERT_FALSE(vars.empty());
 
   // A delta that respects the layering invariant: new local + object wired
-  // into existing vars with intra-layer edges only.
+  // into existing vars with intra-layer edges only. assignl edges join two
+  // locals (the delta reader rejects any other endpoint kind).
+  std::vector<NodeId> locals;
+  for (const NodeId v : vars)
+    if (pag.kind(v) == pag::NodeKind::kLocal) locals.push_back(v);
   support::Rng rng(GetParam() * 69427 + 1);
   pag::Delta delta(pag);
   const NodeId fresh = delta.add_node(pag::NodeKind::kLocal, pag::TypeId(0),
                                       pag::MethodId(0));
   delta.add_edge(pag::EdgeKind::kAssignLocal, fresh,
-                 vars[rng.below(vars.size())]);
+                 locals[rng.below(locals.size())]);
   const NodeId obj = delta.add_node(pag::NodeKind::kObject, pag::TypeId(0),
                                     pag::MethodId(0));
   delta.add_edge(pag::EdgeKind::kNew, vars[rng.below(vars.size())], obj);
-  delta.add_edge(pag::EdgeKind::kAssignLocal, vars[rng.below(vars.size())],
-                 vars[rng.below(vars.size())]);
+  delta.add_edge(pag::EdgeKind::kAssignLocal, locals[rng.below(locals.size())],
+                 locals[rng.below(locals.size())]);
 
   const std::string path = ::testing::TempDir() + "warm_delta_" +
                            std::to_string(GetParam()) + ".delta";

@@ -9,10 +9,9 @@
 // short witnessed path is a real flow — and equality holds whenever the
 // enumeration did not truncate and the solver completed within budget.
 //
-// Also here: the forward pointer grammar table vs. the hard-coded flows_to
-// fast path (random graphs), tight-budget subset/monotonicity for the new
-// kinds, and the Session-level end-to-end check including a post-update
-// (delta) run. Session tests disable graph reduction: reduction drops
+// Also here: tight-budget subset/monotonicity for the flow kinds, Fig. 2
+// smoke checks of the walker's instantiations, a memo-separation guard, and
+// the Session-level end-to-end check including a post-update (delta) run. Session tests disable graph reduction: reduction drops
 // copy-like edges whose source provably points nowhere, which preserves
 // pointer answers but not value-flow answers (a `y = x` chain carries taint
 // even when nothing allocates into it) — see the Options doc.
@@ -22,7 +21,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "cfl/grammar.hpp"
 #include "cfl/solver.hpp"
 #include "oracle/earley.hpp"
 #include "pag/delta.hpp"
@@ -33,6 +31,7 @@ namespace parcfl {
 namespace {
 
 using cfl::ContextTable;
+using cfl::QueryKind;
 using cfl::QueryStatus;
 using cfl::Solver;
 using cfl::SolverOptions;
@@ -77,30 +76,48 @@ oracle::BruteForceOptions brute_options() {
   return bf;
 }
 
-/// Differential core: for every variable root, solver.reach under `table`
-/// against brute_force_reach under `grammar`.
-void check_kind_against_oracle(const pag::Pag& pag,
-                               const cfl::GrammarTable& table,
-                               const oracle::Grammar& grammar,
-                               std::uint64_t seed, const char* kind) {
+/// One query of `kind` rooted at v.
+cfl::QueryResult run(Solver& solver, QueryKind kind, NodeId v) {
+  switch (kind) {
+    case QueryKind::kPointsTo:
+      return solver.points_to(v);
+    case QueryKind::kTaint:
+      return solver.taint(v);
+    case QueryKind::kDepends:
+      return solver.depends(v);
+  }
+  return {};
+}
+
+oracle::Grammar oracle_grammar(QueryKind kind, const pag::Pag& pag) {
+  return kind == QueryKind::kTaint
+             ? oracle::build_taint_grammar(pag.field_count())
+             : oracle::build_depends_grammar(pag.field_count());
+}
+
+/// Differential core: for every variable root, the solver's `kind` walk
+/// against brute_force_reach under the kind's oracle grammar.
+void check_kind_against_oracle(const pag::Pag& pag, QueryKind kind,
+                               std::uint64_t seed) {
   ContextTable contexts;
   Solver solver(pag, contexts, nullptr, unlimited());
   const auto bf = brute_options();
+  const auto grammar = oracle_grammar(kind, pag);
 
   for (const NodeId v : test::all_variables(pag)) {
-    const auto r = solver.reach(v, table);
+    const auto r = run(solver, kind, v);
     EXPECT_EQ(r.status, QueryStatus::kComplete)
-        << kind << " seed " << seed << " var " << v.value();
+        << cfl::to_string(kind) << " seed " << seed << " var " << v.value();
     const auto got = values_of(r.nodes());
     const auto brute = oracle::brute_force_reach(pag, v, grammar, bf);
     // Soundness: every path-witnessed flow is in the solver's answer.
     EXPECT_TRUE(std::includes(got.begin(), got.end(), brute.vars.begin(),
                               brute.vars.end()))
-        << kind << " seed " << seed << " var " << v.value();
+        << cfl::to_string(kind) << " seed " << seed << " var " << v.value();
     // Precision: a completed enumeration witnesses every solver fact.
     if (!brute.truncated && r.complete()) {
       EXPECT_EQ(got, brute.vars)
-          << kind << " seed " << seed << " var " << v.value();
+          << cfl::to_string(kind) << " seed " << seed << " var " << v.value();
     }
   }
 }
@@ -110,17 +127,13 @@ class TaintDependsOracleTest : public ::testing::TestWithParam<std::uint64_t> {}
 TEST_P(TaintDependsOracleTest, TaintMatchesBruteForce) {
   const auto cfg = tiny_config(GetParam());
   const auto pag = test::random_layered_pag(cfg);
-  check_kind_against_oracle(pag, cfl::taint_table(),
-                            oracle::build_taint_grammar(pag.field_count()),
-                            cfg.seed, "taint");
+  check_kind_against_oracle(pag, QueryKind::kTaint, cfg.seed);
 }
 
 TEST_P(TaintDependsOracleTest, DependsMatchesBruteForce) {
   const auto cfg = tiny_config(GetParam() + 100);
   const auto pag = test::random_layered_pag(cfg);
-  check_kind_against_oracle(pag, cfl::depends_table(),
-                            oracle::build_depends_grammar(pag.field_count()),
-                            cfg.seed, "depends");
+  check_kind_against_oracle(pag, QueryKind::kDepends, cfg.seed);
 }
 
 // The taint root is always in its own reach set (a variable taints itself;
@@ -131,30 +144,35 @@ TEST_P(TaintDependsOracleTest, RootIsInItsOwnAnswer) {
   ContextTable contexts;
   Solver solver(pag, contexts, nullptr, unlimited());
   for (const NodeId v : test::all_variables(pag)) {
-    EXPECT_TRUE(solver.reach(v, cfl::taint_table()).contains(v));
-    EXPECT_TRUE(solver.reach(v, cfl::depends_table()).contains(v));
+    EXPECT_TRUE(solver.taint(v).contains(v));
+    EXPECT_TRUE(solver.depends(v).contains(v));
   }
 }
 
-// The compiled *forward pointer* grammar must reproduce the hard-coded
-// flows_to fast path exactly — regular-size graphs, every object. (The
-// backward identity runs across all engine modes in engine_property_test.)
-TEST_P(TaintDependsOracleTest, ForwardPointerTableMatchesFlowsTo) {
+// The forward (flows-to) and backward (points-to) pointer walks are duals on
+// random graphs: o is in points_to(v) exactly when v is in flows_to(o).
+TEST_P(TaintDependsOracleTest, PointsToAndFlowsToAreDual) {
   RandomPagConfig cfg;
   cfg.seed = GetParam() + 300;
   const auto pag = test::random_layered_pag(cfg);
+  ContextTable contexts;
+  Solver solver(pag, contexts, nullptr, unlimited());
 
-  ContextTable c1, c2;
-  Solver hard(pag, c1, nullptr, unlimited());
-  Solver generic(pag, c2, nullptr, unlimited());
-
-  for (const NodeId o : test::all_objects(pag)) {
-    const auto want = hard.flows_to(o);
-    const auto got = generic.reach(o, cfl::pointer_forward_table());
-    EXPECT_EQ(got.status, want.status) << "seed " << cfg.seed << " obj "
-                                       << o.value();
-    EXPECT_EQ(values_of(got.nodes()), values_of(want.nodes()))
-        << "seed " << cfg.seed << " obj " << o.value();
+  const auto objects = test::all_objects(pag);
+  std::vector<std::vector<NodeId>> flows;
+  for (const NodeId o : objects) {
+    const auto r = solver.flows_to(o);
+    ASSERT_EQ(r.status, QueryStatus::kComplete) << "obj " << o.value();
+    flows.push_back(r.nodes());
+  }
+  for (const NodeId v : test::all_variables(pag)) {
+    const auto pts = solver.points_to(v);
+    ASSERT_EQ(pts.status, QueryStatus::kComplete) << "var " << v.value();
+    std::vector<NodeId> want;
+    for (std::size_t i = 0; i < objects.size(); ++i)
+      if (std::binary_search(flows[i].begin(), flows[i].end(), v))
+        want.push_back(objects[i]);
+    EXPECT_EQ(pts.nodes(), want) << "seed " << cfg.seed << " var " << v.value();
   }
 }
 
@@ -172,11 +190,10 @@ TEST_P(TaintDependsOracleTest, TightBudgetIsSoundSubset) {
   Solver tight(pag, c1, nullptr, tight_opts);
   Solver full(pag, c2, nullptr, unlimited());
 
-  for (const cfl::GrammarTable* table :
-       {&cfl::taint_table(), &cfl::depends_table()}) {
+  for (const QueryKind kind : {QueryKind::kTaint, QueryKind::kDepends}) {
     for (const NodeId v : test::all_variables(pag)) {
-      const auto small = tight.reach(v, *table);
-      const auto big = full.reach(v, *table);
+      const auto small = run(tight, kind, v);
+      const auto big = run(full, kind, v);
       ASSERT_EQ(big.status, QueryStatus::kComplete);
       const auto sv = values_of(small.nodes());
       const auto bv = values_of(big.nodes());
@@ -239,9 +256,7 @@ void check_session_batch(const service::Session::BatchResult& result,
   bf.max_paths = 400'000;
   ASSERT_EQ(result.items.size(), items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto grammar = items[i].kind == cfl::QueryKind::kTaint
-                             ? oracle::build_taint_grammar(truth.field_count())
-                             : oracle::build_depends_grammar(truth.field_count());
+    const auto grammar = oracle_grammar(items[i].kind, truth);
     const auto brute = oracle::brute_force_reach(truth, items[i].var, grammar, bf);
     EXPECT_EQ(result.items[i].status, QueryStatus::kComplete)
         << phase << " seed " << seed << " item " << i;
@@ -264,8 +279,8 @@ TEST_P(TaintDependsOracleTest, SessionServesFlowsAndSurvivesUpdates) {
 
   std::vector<service::Session::Item> items;
   for (const NodeId v : test::all_variables(pag)) {
-    items.push_back({v, 0, cfl::QueryKind::kTaint});
-    items.push_back({v, 0, cfl::QueryKind::kDepends});
+    items.push_back({v, 0, QueryKind::kTaint});
+    items.push_back({v, 0, QueryKind::kDepends});
   }
 
   // Cold serve against the oracle, then once more warm: the jmp plane the
@@ -284,7 +299,7 @@ TEST_P(TaintDependsOracleTest, SessionServesFlowsAndSurvivesUpdates) {
 
   // Mutate, then re-serve: warm-after-update answers must equal the oracle
   // on the mutated graph (invalidation covers the pointer sub-query plane;
-  // generic traversals are never cached across batches).
+  // taint/depends walks are never cached across batches).
   const pag::Delta delta = flow_delta(pag, cfg.seed + 77);
   std::string error;
   const auto mutated = pag::apply_delta(pag, delta, nullptr, &error);
@@ -307,19 +322,14 @@ TEST_P(TaintDependsOracleTest, MixedBatchKeepsKindsApart) {
 
   std::vector<service::Session::Item> items;
   for (const NodeId v : test::all_variables(pag)) {
-    items.push_back({v, 0, cfl::QueryKind::kPointsTo});
-    items.push_back({v, 0, cfl::QueryKind::kTaint});
-    items.push_back({v, 0, cfl::QueryKind::kDepends});
+    items.push_back({v, 0, QueryKind::kPointsTo});
+    items.push_back({v, 0, QueryKind::kTaint});
+    items.push_back({v, 0, QueryKind::kDepends});
   }
   const auto result = session.run_batch(items);
   ASSERT_EQ(result.items.size(), items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto want =
-        items[i].kind == cfl::QueryKind::kPointsTo
-            ? solver.points_to(items[i].var)
-            : solver.reach(items[i].var, items[i].kind == cfl::QueryKind::kTaint
-                                             ? cfl::taint_table()
-                                             : cfl::depends_table());
+    const auto want = run(solver, items[i].kind, items[i].var);
     EXPECT_EQ(values_of(result.items[i].objects), values_of(want.nodes()))
         << "seed " << cfg.seed << " item " << i;
   }
@@ -327,6 +337,123 @@ TEST_P(TaintDependsOracleTest, MixedBatchKeepsKindsApart) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TaintDependsOracleTest,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+// ---- Fig. 2 smoke checks ----------------------------------------------------
+
+// The backward (kRecord) and forward (kPush) pointer instantiations of the
+// walker are duals: o is in points_to(v) exactly when v is in flows_to(o).
+TEST(WalkerFig2, PointsToAndFlowsToAreDual) {
+  const auto f = test::fig2();
+  const pag::Pag& pag = f.lowered.pag;
+  ContextTable contexts;
+  Solver solver(pag, contexts, nullptr, unlimited());
+
+  for (const NodeId v : {f.s1, f.s2, f.n1, f.n2, f.v1, f.v2}) {
+    const auto pts = solver.points_to(v);
+    ASSERT_EQ(pts.status, QueryStatus::kComplete);
+    for (const NodeId o : test::all_objects(pag)) {
+      const auto flows = solver.flows_to(o);
+      ASSERT_EQ(flows.status, QueryStatus::kComplete);
+      EXPECT_EQ(pts.contains(o), flows.contains(v))
+          << "var " << v.value() << " obj " << o.value();
+    }
+  }
+  // The paper's answer: context sensitivity keeps s1 to o16.
+  EXPECT_EQ(solver.points_to(f.s1).nodes(), std::vector<NodeId>{f.o16});
+}
+
+TEST(WalkerFig2, TaintReachesThroughContainer) {
+  const auto f = test::fig2();
+  ContextTable contexts;
+  Solver solver(f.lowered.pag, contexts, nullptr, unlimited());
+
+  // The value stored via add(v1, n1) is what get(v1) returns: n1 taints s1.
+  const cfl::QueryResult from_n1 = solver.taint(f.n1);
+  ASSERT_EQ(from_n1.status, QueryStatus::kComplete);
+  EXPECT_TRUE(from_n1.contains(f.s1));
+  // Context sensitivity keeps the two clients apart: n1 never reaches s2.
+  EXPECT_FALSE(from_n1.contains(f.s2));
+  // The root itself answers (the empty path).
+  EXPECT_TRUE(from_n1.contains(f.n1));
+
+  // depends is the mirror: s1's slice contains n1, not n2.
+  const cfl::QueryResult s1_slice = solver.depends(f.s1);
+  ASSERT_EQ(s1_slice.status, QueryStatus::kComplete);
+  EXPECT_TRUE(s1_slice.contains(f.n1));
+  EXPECT_FALSE(s1_slice.contains(f.n2));
+}
+
+// ---- memo separation --------------------------------------------------------
+
+// A taint or depends root that is also the root of a pointer sub-query inside
+// the same query. `x = x.f` makes depends(x)'s heap group ask points_to(x);
+// `x.f = x` makes taint(x)'s heap group ask points_to(x) too. A walker that
+// kept one memo for every kind would hand that sub-query the flow walk's
+// partial set, {x}, as if it were x's objects: the alias w of x would then
+// never be found, and with it neither y (depends) nor z (taint).
+//
+//   x = new o1   w = new o1   y = new o2
+//   x = x.f      x.f = x      w.f = y      z = w.f
+TEST(WalkerMemo, FlowRootThatIsAlsoAPointerSubQueryRoot) {
+  pag::Pag::Builder b;
+  const NodeId x = b.add_local(pag::TypeId(0), pag::MethodId(0));
+  const NodeId w = b.add_local(pag::TypeId(0), pag::MethodId(0));
+  const NodeId y = b.add_local(pag::TypeId(0), pag::MethodId(0));
+  const NodeId z = b.add_local(pag::TypeId(0), pag::MethodId(0));
+  const NodeId o1 = b.add_object(pag::TypeId(0), pag::MethodId(0));
+  const NodeId o2 = b.add_object(pag::TypeId(0), pag::MethodId(0));
+  const pag::FieldId f(0);
+  b.new_edge(x, o1);
+  b.new_edge(w, o1);
+  b.new_edge(y, o2);
+  b.load(x, x, f);
+  b.store(x, x, f);
+  b.store(w, y, f);
+  b.load(z, w, f);
+  const pag::Pag pag = std::move(b).finalize();
+
+  ContextTable contexts;
+  Solver solver(pag, contexts, nullptr, unlimited());
+  // The self-loops multiply paths quickly; every fact here has a witness of
+  // at most six edges, and a shorter bound keeps the enumeration complete.
+  auto bf = brute_options();
+  bf.max_path_length = 8;
+
+  // points_to answers objects, and exactly the Earley oracle's.
+  const auto objects = test::all_objects(pag);
+  for (const NodeId v : test::all_variables(pag)) {
+    std::vector<std::uint32_t> want;
+    for (const NodeId o : objects) {
+      const auto flows = oracle::brute_force_flows_to(pag, o, bf);
+      ASSERT_FALSE(flows.truncated);
+      if (std::binary_search(flows.vars.begin(), flows.vars.end(), v.value()))
+        want.push_back(o.value());
+    }
+    const auto pts = solver.points_to(v);
+    ASSERT_EQ(pts.status, QueryStatus::kComplete);
+    EXPECT_EQ(values_of(pts.nodes()), want) << "pts var " << v.value();
+  }
+  EXPECT_EQ(solver.points_to(x).nodes(), (std::vector<NodeId>{o1, o2}));
+  EXPECT_EQ(solver.points_to(w).nodes(), (std::vector<NodeId>{o1}));
+
+  // taint/depends answer variables, and exactly the oracle's.
+  for (const QueryKind kind : {QueryKind::kTaint, QueryKind::kDepends}) {
+    const auto grammar = oracle_grammar(kind, pag);
+    for (const NodeId v : test::all_variables(pag)) {
+      const auto r = run(solver, kind, v);
+      ASSERT_EQ(r.status, QueryStatus::kComplete);
+      for (const NodeId n : r.nodes())
+        EXPECT_TRUE(pag.is_variable(n)) << cfl::to_string(kind) << " var "
+                                        << v.value() << " answered " << n.value();
+      const auto brute = oracle::brute_force_reach(pag, v, grammar, bf);
+      ASSERT_FALSE(brute.truncated);
+      EXPECT_EQ(values_of(r.nodes()), brute.vars)
+          << cfl::to_string(kind) << " var " << v.value();
+    }
+  }
+  EXPECT_TRUE(solver.depends(x).contains(y));
+  EXPECT_TRUE(solver.taint(x).contains(z));
+}
 
 }  // namespace
 }  // namespace parcfl

@@ -313,6 +313,41 @@ TEST(DeltaText, RejectsMalformedInput) {
   EXPECT_FALSE(parse("parcfl-delta 1\nadd assignl 3 0\n"));
 }
 
+// The loader's edge rule (pag::edge_violation) applies to deltas against the
+// base's node kinds and id spaces: v0, v1 are locals, 2 is an object, and the
+// base declares one field and one call site.
+TEST(DeltaText, RejectsEdgesThatBreakTheEdgeRule) {
+  Line g = line_graph();
+  auto parse = [&](const std::string& text, std::string* error) {
+    std::istringstream in(text);
+    return pag::read_delta(in, g.pag, error).has_value();
+  };
+  const char* const bad[] = {
+      "add new 0 1",         // new between two locals
+      "add new 2 2",         // new into an object
+      "add assignl 0 2",     // assignl from an object
+      "add assigng 0 1",     // assigng without a global
+      "add ld 0 2 f=0",      // ld with an object base
+      "add st 0 1 f=1",      // field id past the base's one field
+      "add param 0 1 cs=1",  // call site past the base's one site
+      "del new 1 0",         // removals obey the rule too
+  };
+  for (const char* edge : bad) {
+    std::string error;
+    EXPECT_FALSE(parse(std::string("parcfl-delta 1\n") + edge + "\n", &error))
+        << edge;
+    EXPECT_EQ(error.rfind("line 2: ", 0), 0u) << edge << " -> " << error;
+  }
+  // Kinds of the nodes the delta adds count as well.
+  std::string error;
+  EXPECT_FALSE(parse("parcfl-delta 1\nnode o\nadd assignl 0 3\n", &error));
+  EXPECT_EQ(error.rfind("line 3: ", 0), 0u) << error;
+  EXPECT_TRUE(parse("parcfl-delta 1\nnode o\nadd new 1 3\nadd ld 0 1 f=0\n"
+                    "add param 1 0 cs=0\n",
+                    &error))
+      << error;
+}
+
 // ---- invalidation soundness (metamorphic) -----------------------------------
 
 class UpdateMetamorphicTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -632,6 +667,53 @@ TEST(ServiceUpdate, RidesTheQueueOverTheWireProtocol) {
   EXPECT_EQ(stats.update_errors, 2u);
   EXPECT_EQ(stats.pag_revision, 1u);
   EXPECT_NE(stats.to_json().find("\"updates\""), std::string::npos);
+}
+
+// A malformed delta sent over the wire is answered `err` with the reader's
+// line-numbered message, and the served graph stays at its revision.
+TEST(ServiceUpdate, WireRejectsKindMismatchedDelta) {
+  const Workload w = container_workload();
+  service::ServiceOptions options;
+  options.session = session_options(2);
+  service::QueryService svc(w.pag, options);
+
+  NodeId local_a, local_b;
+  bool have_a = false;
+  for (std::uint32_t n = 0; n < w.pag.node_count(); ++n) {
+    if (w.pag.kind(NodeId(n)) != NodeKind::kLocal) continue;
+    if (!have_a) {
+      local_a = NodeId(n);
+      have_a = true;
+    } else {
+      local_b = NodeId(n);
+      break;
+    }
+  }
+  const std::string delta_path = ::testing::TempDir() + "kind_mismatch.delta";
+  {
+    std::ofstream out(delta_path);
+    out << "parcfl-delta 1\nadd new " << local_a.value() << ' '
+        << local_b.value() << "\n";
+  }
+
+  std::istringstream in("update " + delta_path + "\nquery " +
+                        std::to_string(w.queries[0].value()) + "\n");
+  std::ostringstream out;
+  EXPECT_EQ(service::serve_stream(svc, in, out), 2u);
+  std::istringstream r(out.str());
+  std::string reply;
+  ASSERT_TRUE(std::getline(r, reply));
+  EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply;
+  EXPECT_NE(reply.find("line 2: new edge must source an object"),
+            std::string::npos)
+      << reply;
+  ASSERT_TRUE(std::getline(r, reply));
+  EXPECT_EQ(reply.rfind("ok", 0), 0u) << reply;
+
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.updates_applied, 0u);
+  EXPECT_EQ(stats.update_errors, 1u);
+  EXPECT_EQ(stats.pag_revision, 0u);
 }
 
 // ---- DQ schedule plan across revisions --------------------------------------
