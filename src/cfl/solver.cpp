@@ -177,7 +177,7 @@ std::vector<Solver::WitnessStep> Solver::explain_points_to(NodeId var,
   recording_witness_ = true;
   QueryResult result;
   run_query(Direction::kBackward, OnNew::kRecord, var, ContextTable::empty(),
-                                                  result);
+            result);
   recording_witness_ = false;
   (void)result;
 

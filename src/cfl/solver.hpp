@@ -15,10 +15,10 @@
 // PointsTo(l, c) walks the PAG *backwards* (against value flow); FlowsTo(o, c)
 // walks *forwards*. One worklist walker serves both, and the taint/depends
 // query kinds besides: it is templated over the walk direction and over what
-// a `new` edge does (DESIGN.md §15). Heap accesses are matched in ReachableNodes: a load
-// x = p.f reaches every store q.f = y whose base q aliases p (Alg. 1 lines
-// 17-25), where the alias test itself issues recursive PointsTo/FlowsTo
-// sub-queries.
+// a `new` edge does (cfl/walk.hpp, DESIGN.md §15). Heap accesses are matched
+// in ReachableNodes: a load x = p.f reaches every store q.f = y whose base q
+// aliases p (Alg. 1 lines 17-25), where the alias test itself issues
+// recursive PointsTo/FlowsTo sub-queries.
 //
 // Budget semantics (paper §II-B3): each node traversal charges one step
 // against the per-query budget B; exhaustion aborts the query. With data
@@ -409,7 +409,7 @@ class Solver {
   /// FlowsTo(o, c) (kForward, kPush), taint (kForward, kSkip) and depends
   /// (kBackward, kSkip). Except under kRecord, every visited variable is an
   /// answer. The returned reference is stable (slab-backed) but its set may
-  /// keep growing while iterated.
+  /// keep growing while iterated. Defined in cfl/walk.hpp.
   template <Direction D, OnNew N>
   const ResultSet& walk(pag::NodeId root, CtxId rc);
 

@@ -103,8 +103,8 @@ enum class FlowVerdict : std::uint8_t {
 };
 
 /// Forward value-flow query: may a value read through variable `source` reach
-/// variable `sink`? One Solver::taint traversal, then
-/// a membership test — the embedded form of the service's `taint` verb
+/// variable `sink`? One Solver::taint traversal, then a membership test —
+/// the embedded form of the service's `taint` verb
 /// (identical ternary, so a client library and a wire client agree).
 /// Conservative like everything here: kNoFlow needs a complete traversal.
 FlowVerdict taint_flows(cfl::Solver& solver, pag::NodeId source,

@@ -562,9 +562,9 @@ void QueryService::execute_batch(std::vector<Pending> batch) {
       continue;
     }
     // The continuation plane is pointer-only: a partitioned worker's batch
-    // queries answer partition-local *pointer* reachability, and the grammar
-    // walker refuses to run partitioned (Solver::reach checks). Reject here,
-    // before the item reaches the engine.
+    // queries answer partition-local *pointer* reachability, and
+    // Solver::taint/depends refuse to run partitioned. Reject here, before
+    // the item reaches the engine.
     if ((p.request.verb == Verb::kTaint || p.request.verb == Verb::kDepends) &&
         session->partitioned()) {
       p.promise.set_value(
