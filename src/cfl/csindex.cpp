@@ -1,98 +1,8 @@
 #include "cfl/csindex.hpp"
 
 #include <algorithm>
-#include <utility>
-
-#include "support/scc.hpp"
 
 namespace parcfl::cfl {
-
-namespace {
-
-using pag::EdgeKind;
-
-/// Step-graph vertex ids: backward plane 2v, forward plane 2v+1, then per
-/// field f two hub vertices (backward hub 2n+2f, forward hub 2n+2f+1) that
-/// factor the all-stores × all-loads coupling of field approximation into
-/// O(stores + loads) edges.
-constexpr std::uint32_t plane_b(std::uint32_t v) { return 2 * v; }
-constexpr std::uint32_t plane_f(std::uint32_t v) { return 2 * v + 1; }
-
-/// The invalidation step graph M: an edge u -> w means "marking u marks w"
-/// in invalidate.cpp's ConeMarker. A jmp/points-to answer rooted at node `en`
-/// is dirtied by a delta iff some seeded vertex reaches plane_b(en) in M —
-/// the labels over M's condensation answer exactly that query.
-std::vector<std::pair<std::uint32_t, std::uint32_t>> step_edges(
-    const pag::Pag& pag, bool field_approximation, std::uint32_t fields) {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  edges.reserve(pag.edges().size() * 2 + pag.node_count() / 4);
-  const std::uint32_t hub0 = 2 * pag.node_count();
-  for (const pag::Edge& e : pag.edges()) {
-    const std::uint32_t s = e.src.value();
-    const std::uint32_t d = e.dst.value();
-    if (e.kind == EdgeKind::kStore) {
-      // src = stored value y, dst = base q: the planes couple both ways.
-      edges.emplace_back(plane_b(s), plane_f(d));
-      edges.emplace_back(plane_b(d), plane_f(s));
-      if (field_approximation && e.aux < fields) {
-        edges.emplace_back(plane_b(s), hub0 + 2 * e.aux);
-        edges.emplace_back(hub0 + 2 * e.aux + 1, plane_f(s));
-      }
-    } else {
-      // Same-direction kinds (new/assign/param/ret/load): a backward mark at
-      // the source spreads to the destination, a forward mark the reverse.
-      edges.emplace_back(plane_b(s), plane_b(d));
-      edges.emplace_back(plane_f(d), plane_f(s));
-      if (field_approximation && e.kind == EdgeKind::kLoad && e.aux < fields) {
-        // dst = load destination x.
-        edges.emplace_back(hub0 + 2 * e.aux, plane_b(d));
-        edges.emplace_back(plane_f(d), hub0 + 2 * e.aux + 1);
-      }
-    }
-  }
-  for (std::uint32_t v = 0; v < pag.node_count(); ++v)
-    if (pag.is_object(pag::NodeId(v)))
-      edges.emplace_back(plane_f(v), plane_b(v));
-  return edges;
-}
-
-/// GRAIL labeling 2: a DFS post-order over the condensation with roots taken
-/// in descending component id and successors in reverse — deliberately
-/// decorrelated from labeling 1 (whose rank is the component id itself) so
-/// the two intervals prune different false positives.
-std::vector<std::uint32_t> dfs_postorder(const support::CsrGraph& dag) {
-  const std::uint32_t n = static_cast<std::uint32_t>(dag.vertex_count());
-  std::vector<std::uint32_t> post(n, 0);
-  std::vector<std::uint8_t> seen(n, 0);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> stack;  // (comp, next)
-  std::uint32_t counter = 0;
-  for (std::uint32_t r = n; r-- > 0;) {
-    if (seen[r]) continue;
-    seen[r] = 1;
-    stack.emplace_back(r, 0);
-    while (!stack.empty()) {
-      const std::uint32_t c = stack.back().first;
-      const auto succ = dag.successors(c);
-      bool descended = false;
-      while (stack.back().second < succ.size()) {
-        const std::uint32_t s = succ[succ.size() - 1 - stack.back().second];
-        ++stack.back().second;
-        if (!seen[s]) {
-          seen[s] = 1;
-          stack.emplace_back(s, 0);
-          descended = true;
-          break;
-        }
-      }
-      if (descended) continue;
-      post[c] = counter++;
-      stack.pop_back();
-    }
-  }
-  return post;
-}
-
-}  // namespace
 
 const CsIndex::Entry* CsIndex::find(std::uint64_t key) const {
   const auto it = std::lower_bound(
@@ -107,75 +17,16 @@ CsIndexStats CsIndex::stats() const {
   s.entries = entries_.size();
   s.targets = targets_.size();
   s.build_charged_steps = build_charged_steps_;
-  s.components = labels_ ? labels_->component_count : 0;
   s.revision = revision_;
   s.memory_bytes = entries_.capacity() * sizeof(Entry) +
                    targets_.capacity() * sizeof(pag::NodeId);
-  if (labels_) {
-    s.memory_bytes += labels_->component_of.capacity() * sizeof(std::uint32_t) +
-                      (labels_->low1.capacity() + labels_->low2.capacity() +
-                       labels_->post2.capacity()) *
-                          sizeof(std::uint32_t);
-  }
   return s;
-}
-
-std::vector<std::uint64_t> CsIndex::dirty_keys(
-    std::span<const std::uint32_t> touched,
-    std::span<const std::uint32_t> touched_fields) const {
-  std::vector<std::uint64_t> out;
-  if (entries_.empty()) return out;
-  const Labels& lab = *labels_;
-  // Mirror invalidate_sharing_state's seeding: both planes of every touched
-  // node. Touched nodes the labels never saw are ignored — any cone path
-  // from one into build-time state runs through a seeded build-time endpoint
-  // (the delta's own edge endpoints are always in `touched`).
-  std::vector<std::uint32_t> seeds;
-  seeds.reserve(touched.size() * 2 + touched_fields.size() * 2);
-  for (const std::uint32_t t : touched) {
-    if (t >= lab.node_count) continue;
-    seeds.push_back(lab.component_of[plane_b(t)]);
-    seeds.push_back(lab.component_of[plane_f(t)]);
-  }
-  // Field-approximation coupling runs through the hubs, and a delta adding a
-  // field's *first* store/load has no build-time plane->hub edge for the node
-  // seeds above to ride — seed the hubs themselves. A field the labels never
-  // saw (post-build field id) has no hub: every entry is conservatively
-  // dirty, and the compactor's next full build refreshes the labels.
-  const std::uint32_t hub0 = 2 * lab.node_count;
-  for (const std::uint32_t f : touched_fields) {
-    if (f >= lab.hub_fields) {
-      out.reserve(entries_.size());
-      for (const Entry& e : entries_) out.push_back(e.key);
-      return out;
-    }
-    seeds.push_back(lab.component_of[hub0 + 2 * f]);
-    seeds.push_back(lab.component_of[hub0 + 2 * f + 1]);
-  }
-  std::sort(seeds.begin(), seeds.end());
-  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
-  for (const Entry& e : entries_) {
-    const std::uint32_t node = static_cast<std::uint32_t>(e.key >> 32);
-    bool dirty = node >= lab.node_count;  // foreign node: never sound to keep
-    if (!dirty) {
-      const std::uint32_t c = lab.component_of[plane_b(node)];
-      for (const std::uint32_t s : seeds) {
-        if (lab.may_reach(s, c)) {
-          dirty = true;
-          break;
-        }
-      }
-    }
-    if (dirty) out.push_back(e.key);  // entries_ key-sorted => out sorted
-  }
-  return out;
 }
 
 std::unique_ptr<const CsIndex> CsIndex::without(
     std::span<const std::uint64_t> drop_sorted,
     std::uint32_t new_revision) const {
   auto next = std::unique_ptr<CsIndex>(new CsIndex());
-  next->labels_ = labels_;
   next->revision_ = new_revision;
   next->build_charged_steps_ = build_charged_steps_;
   next->entries_.reserve(entries_.size());
@@ -235,40 +86,6 @@ std::unique_ptr<const CsIndex> build_csindex(
     index->targets_.insert(index->targets_.end(), nodes.begin(), nodes.end());
   }
   index->build_charged_steps_ = solver.counters().charged_steps;
-
-  const bool fa = opts.field_approximation;
-  const std::uint32_t fields = fa ? pag.field_count() : 0;
-  const auto edges = step_edges(pag, fa, fields);
-  const std::size_t vertices =
-      2 * static_cast<std::size_t>(pag.node_count()) + 2 * fields;
-  const auto graph = support::CsrGraph::from_edges(vertices, edges);
-  auto scc = support::strongly_connected_components(graph);
-  const auto dag = support::condense(graph, scc);
-
-  auto labels = std::make_shared<CsIndex::Labels>();
-  labels->node_count = pag.node_count();
-  labels->hub_fields = fields;
-  labels->component_count = scc.component_count;
-  labels->component_of = std::move(scc.component_of);
-  const std::uint32_t comps = labels->component_count;
-  // Labeling 1: rank = component id (reverse-topological by construction),
-  // low = min id reachable. Successor ids are smaller, so ascending order
-  // sees them finalised.
-  labels->low1.resize(comps);
-  for (std::uint32_t c = 0; c < comps; ++c) {
-    std::uint32_t lo = c;
-    for (const std::uint32_t s : dag.successors(c)) lo = std::min(lo, labels->low1[s]);
-    labels->low1[c] = lo;
-  }
-  // Labeling 2: rank = DFS post-order, low = min post reachable.
-  labels->post2 = dfs_postorder(dag);
-  labels->low2.resize(comps);
-  for (std::uint32_t c = 0; c < comps; ++c) {
-    std::uint32_t lo = labels->post2[c];
-    for (const std::uint32_t s : dag.successors(c)) lo = std::min(lo, labels->low2[s]);
-    labels->low2[c] = lo;
-  }
-  index->labels_ = std::move(labels);
   return index;
 }
 

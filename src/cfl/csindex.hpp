@@ -3,16 +3,9 @@
 // context) regions of the PAG (DESIGN.md §13). The service's background
 // compactor mines hot keys from the batch stream, runs a bounded offline
 // closure per key (a cold sequential solve — no jmp store, no data sharing),
-// and freezes the answers into this structure:
-//
-//   * a key-sorted entry array (binary-searched at dispatch) pointing into
-//     one flat, per-entry-sorted target pool — an index hit is answered by a
-//     memcpy, at 0 charged solver steps;
-//   * GRAIL-style interval labels (two labelings over the SCC condensation
-//     of the invalidation step graph) that let `dirty_keys` over-approximate
-//     `invalidate_sharing_state`'s cone closure per entry in O(seeds) integer
-//     compares instead of a graph walk, so updates drop exactly the covered
-//     entries whose cone a delta touches.
+// and freezes the answers into a key-sorted entry array (binary-searched at
+// dispatch) pointing into one flat, per-entry-sorted target pool — an index
+// hit is answered by a memcpy, at 0 charged solver steps.
 //
 // Soundness contract (why serving an entry is outcome-identical to solving):
 // only `QueryStatus::kComplete` answers are indexed, together with the
@@ -21,27 +14,9 @@
 // deterministic re-solve under any mode would complete with the same answer
 // (the solver's cross-configuration answer identity, solver.hpp).
 //
-// Invalidation contract: `dirty_keys(touched, touched_fields)` must return a
-// superset of the entries `invalidate_sharing_state` would evict for a delta
-// whose touched set is `touched` (both planes of every added/removed edge
-// endpoint and removed node are seeded there; we mirror that seeding) and
-// whose store/load edges carry the fields `touched_fields`. The step graph
-// is built once over the build-time PAG and *shared across `without()`
-// copies forever*; that stays sound by induction: a delta's endpoints are
-// always in its own touched set, so any cone path using a post-build plane
-// edge starts its final all-old-edge suffix at a seeded node — which the
-// build-time labels cover. Field-approximation coupling needs one more seed
-// class: a post-build store/load on field f couples through f's hub, and the
-// hub is an endpoint of no delta, so the suffix after the new plane->hub
-// step starts at the hub itself. Seeding both hub components of every field
-// carrying a delta store/load edge closes that hole (a *first* store on f
-// has no build-time plane->hub edge for the node seeds to ride). Entries
-// surviving a prune therefore never gain reachability the labels miss.
-// Nodes at or beyond the build-time node count are unknown to the labels:
-// entries on them are always dirty, seeds on them are ignored (a new node's
-// cone reaches old entries only through old edges out of a seeded old
-// endpoint). Fields at or beyond the build-time field count have no hub:
-// every entry is conservatively dirty.
+// Invalidation: an update drops exactly the entries whose root is in the jmp
+// invalidation cone (cfl/invalidate.hpp) — Session::update reads the cone's
+// backward plane and publishes `without()` the dropped keys.
 
 #include <atomic>
 #include <cstdint>
@@ -60,8 +35,7 @@ struct CsIndexStats {
   std::uint64_t targets = 0;
   /// Total charged solver steps spent building (amortisation numerator).
   std::uint64_t build_charged_steps = 0;
-  std::uint32_t components = 0;  // SCC condensation size of the step graph
-  std::uint32_t revision = 0;    // PAG revision the entries answer for
+  std::uint32_t revision = 0;  // PAG revision the entries answer for
   std::uint64_t memory_bytes = 0;
 };
 
@@ -72,26 +46,6 @@ class CsIndex {
     std::uint32_t target_begin;  // into the shared target pool
     std::uint32_t target_len;
     std::uint32_t cost;  // charged steps of the cold solve that minted it
-  };
-
-  /// Interval labels over the SCC condensation of the invalidation step
-  /// graph (vertex = 2*node + plane, field hubs appended after 2n). Shared
-  /// by every `without()` descendant of one build — see the header comment
-  /// for why that stays sound across updates.
-  struct Labels {
-    std::uint32_t node_count = 0;      // build-time PAG node count
-    std::uint32_t hub_fields = 0;      // 0 unless field approximation was on
-    std::vector<std::uint32_t> component_of;      // step vertex -> component
-    std::vector<std::uint32_t> low1;              // labeling 1: min comp id
-    std::vector<std::uint32_t> low2, post2;       // labeling 2: DFS intervals
-    std::uint32_t component_count = 0;
-
-    /// May component `a` reach component `b` in the condensation? Exact "no"
-    /// when either labeling excludes containment; conservative "yes" else.
-    bool may_reach(std::uint32_t a, std::uint32_t b) const {
-      return low1[a] <= low1[b] && b <= a &&  // labeling 1 (rank = comp id)
-             low2[a] <= low2[b] && post2[b] <= post2[a];
-    }
   };
 
   static std::uint64_t key(pag::NodeId node, CtxId ctx = ContextTable::empty()) {
@@ -110,24 +64,10 @@ class CsIndex {
   }
   std::span<const Entry> entries() const { return entries_; }
   std::uint32_t revision() const { return revision_; }
-  /// Build-time PAG node count — entries on nodes >= this are always dirty.
-  std::uint32_t node_count() const { return labels_->node_count; }
   CsIndexStats stats() const;
 
-  /// Entry keys whose invalidation cone a delta touching `touched` (sorted
-  /// node ids, both planes seeded) could cross — a superset of what
-  /// invalidate_sharing_state would evict for the same delta. Under field
-  /// approximation the caller must also pass `touched_fields`, the field ids
-  /// of the delta's added/removed store/load edges: coupling runs through
-  /// the field hubs, which no node seed covers when the delta adds a field's
-  /// first store or load. A field the labels never saw dirties every entry.
-  /// Returned sorted.
-  std::vector<std::uint64_t> dirty_keys(
-      std::span<const std::uint32_t> touched,
-      std::span<const std::uint32_t> touched_fields = {}) const;
-
   /// A copy without the given (sorted) keys, restamped to `new_revision`.
-  /// Shares the labels; the target pool is compacted.
+  /// The target pool is compacted.
   std::unique_ptr<const CsIndex> without(
       std::span<const std::uint64_t> drop_sorted,
       std::uint32_t new_revision) const;
@@ -140,7 +80,6 @@ class CsIndex {
 
   std::vector<Entry> entries_;          // sorted by key
   std::vector<pag::NodeId> targets_;    // each entry's run sorted ascending
-  std::shared_ptr<const Labels> labels_;
   std::uint32_t revision_ = 0;
   std::uint64_t build_charged_steps_ = 0;
 };

@@ -67,6 +67,7 @@ class ConeMarker {
     return static_cast<std::uint32_t>(
         std::count(forward_.begin(), forward_.end(), 1));
   }
+  std::vector<std::uint8_t> take_backward() { return std::move(backward_); }
 
  private:
   void mark_backward(std::uint32_t v) {
@@ -191,12 +192,11 @@ std::vector<std::uint8_t> retired_sites(const pag::Pag& old_pag,
 
 }  // namespace
 
-InvalidateStats invalidate_sharing_state(const pag::Pag& old_pag,
-                                         const pag::Pag& new_pag,
-                                         const pag::Delta& delta,
-                                         const ContextTable& contexts,
-                                         JmpStore& store,
-                                         const InvalidateOptions& options) {
+InvalidateStats invalidate_sharing_state(
+    const pag::Pag& old_pag, const pag::Pag& new_pag, const pag::Delta& delta,
+    const ContextTable& contexts, JmpStore& store,
+    const InvalidateOptions& options,
+    std::vector<std::uint8_t>* backward_cone) {
   InvalidateStats stats;
   stats.entries_before = store.entry_count();
 
@@ -272,6 +272,7 @@ InvalidateStats invalidate_sharing_state(const pag::Pag& old_pag,
   stats.kept = stats.entries_before - stats.evicted;
   stats.marked_backward = marker.backward_count();
   stats.marked_forward = marker.forward_count();
+  if (backward_cone != nullptr) *backward_cone = marker.take_backward();
   return stats;
 }
 

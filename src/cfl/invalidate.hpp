@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cfl/context.hpp"
 #include "cfl/jmp_store.hpp"
@@ -58,11 +59,14 @@ struct InvalidateStats {
 /// entries in unaffected regions survive: the steps-needed bound they record
 /// is a property of the unchanged cone. Call with both graphs alive and no
 /// solver mid-query; the ContextTable is read but never modified.
-InvalidateStats invalidate_sharing_state(const pag::Pag& old_pag,
-                                         const pag::Pag& new_pag,
-                                         const pag::Delta& delta,
-                                         const ContextTable& contexts,
-                                         JmpStore& store,
-                                         const InvalidateOptions& options = {});
+/// When `backward_cone` is non-null it receives the cone's backward plane:
+/// one byte per node id below max(old, new) node count, non-zero iff a
+/// backward walk from that node could reach a touched node — exactly the
+/// roots whose finished context-empty PointsTo answers this call evicts.
+InvalidateStats invalidate_sharing_state(
+    const pag::Pag& old_pag, const pag::Pag& new_pag, const pag::Delta& delta,
+    const ContextTable& contexts, JmpStore& store,
+    const InvalidateOptions& options = {},
+    std::vector<std::uint8_t>* backward_cone = nullptr);
 
 }  // namespace parcfl::cfl

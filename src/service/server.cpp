@@ -1,6 +1,5 @@
 #include "service/server.hpp"
 
-#include <algorithm>
 #include <istream>
 #include <memory>
 #include <ostream>
@@ -102,8 +101,15 @@ void TcpServer::serve() {
       ::close(fd);
       continue;
     }
-    live_fds_.push_back(fd);
-    connections_.emplace_back([this, fd] { handle_connection(fd); });
+    // Join the handlers that finished since the last accept: a finished
+    // thread keeps its stack until joined. Each marked itself done as its
+    // last locked step, so these joins wait for no lock we hold.
+    std::erase_if(connections_, [](Connection& c) {
+      if (c.done) c.thread.join();
+      return c.done;
+    });
+    connections_.push_back(
+        Connection{fd, false, std::thread([this, fd] { handle_connection(fd); })});
   }
 }
 
@@ -114,16 +120,17 @@ void TcpServer::shutdown() {
     ::shutdown(fd, SHUT_RDWR);
     ::close(fd);
   }
-  std::vector<std::thread> connections;
+  std::vector<Connection> connections;
   {
     std::lock_guard lock(threads_mu_);
     // Half-close live connections: their handlers' recv returns 0 and the
     // threads run to completion — in-flight replies still get written (the
     // client sees its answer before the close), new reads see EOF.
-    for (const int conn_fd : live_fds_) ::shutdown(conn_fd, SHUT_RD);
+    for (const Connection& c : connections_)
+      if (!c.done) ::shutdown(c.fd, SHUT_RD);
     connections.swap(connections_);
   }
-  for (std::thread& t : connections) t.join();
+  for (Connection& c : connections) c.thread.join();
 }
 
 void TcpServer::handle_connection(int fd) {
@@ -159,7 +166,9 @@ void TcpServer::handle_connection(int fd) {
     buffer.erase(0, start);
   }
   std::lock_guard lock(threads_mu_);
-  live_fds_.erase(std::find(live_fds_.begin(), live_fds_.end(), fd));
+  // The only undone entry on `fd`: an fd number is reused only after close.
+  for (Connection& c : connections_)
+    if (!c.done && c.fd == fd) c.done = true;
   ::close(fd);
 }
 

@@ -51,7 +51,10 @@ class TcpServer {
   std::uint16_t port() const { return port_; }
 
   /// Accept loop; returns once shutdown() has been called (or on a fatal
-  /// accept error). Each connection is served on its own thread.
+  /// accept error). Each connection is served on its own thread; threads of
+  /// connections that already closed are joined at the next accept, so a
+  /// long-running server holds threads (and stacks) for live connections
+  /// only, plus at most the ones that closed since the last accept.
   void serve();
 
   /// Close the listener, half-close every live connection (so a handler
@@ -67,11 +70,15 @@ class TcpServer {
   std::atomic<int> listen_fd_{-1};  // shutdown() races with serve()'s accept
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
-  std::mutex threads_mu_;
-  std::vector<std::thread> connections_;
-  /// Open connection fds; a handler erases its fd (and closes it) under
+  /// A handler marks its connection done and closes its fd under
   /// threads_mu_, so shutdown()'s half-close can never hit a reused fd.
-  std::vector<int> live_fds_;
+  struct Connection {
+    int fd = -1;
+    bool done = false;
+    std::thread thread;
+  };
+  std::mutex threads_mu_;
+  std::vector<Connection> connections_;
 };
 
 }  // namespace parcfl::service

@@ -111,7 +111,7 @@ QueryService::QueryService(pag::Pag pag, const ServiceOptions& options)
       },
       manager_(manager_options_with_sink()),
       default_session_(manager_.adopt("", std::move(pag))),
-      recorder_(registry_, options.tenant_label_capacity) {
+      recorder_(registry_) {
   collector_ = std::thread([this] { collector_main(); });
 }
 

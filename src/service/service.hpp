@@ -88,9 +88,6 @@ struct ServiceOptions {
   /// Clamp on any tenant-prefixed request's step budget (0 = server
   /// default). Bare default-tenant requests are never clamped.
   std::uint64_t tenant_step_budget = 0;
-  /// Distinct tenant label values in the per-tenant metric families before
-  /// new tenants collapse onto tenant="overflow".
-  std::uint32_t tenant_label_capacity = 16;
 };
 
 class QueryService {

@@ -32,6 +32,9 @@ std::uint64_t thread_cpu_ns() {
           .count());
 }
 
+/// Cap on distinct roots the reachability index ever covers per session.
+constexpr std::size_t kIndexMaxEntries = 4096;
+
 bool fail(std::string* error, std::string msg) {
   if (error != nullptr) *error = std::move(msg);
   return false;
@@ -128,7 +131,6 @@ Session::Session(pag::Pag pag, Options options)
       index_enabled_(options.index && !options.engine.solver.charge_jmp_costs &&
                      options.partition == nullptr),
       index_hot_threshold_(std::max<std::uint32_t>(1, options.index_hot_threshold)),
-      index_max_entries_(options.index_max_entries),
       default_budget_(options.engine.solver.budget) {
   invalidate_options_.field_approximation =
       options.engine.solver.field_approximation;
@@ -152,7 +154,7 @@ Session::Session(pag::Pag pag, Options options)
       // reopened tenant regains its index without re-mining the stream.
       if (index_enabled_ && !hot.empty()) {
         for (const std::uint64_t k : hot) {
-          if (cx_queued_.size() >= index_max_entries_) break;
+          if (cx_queued_.size() >= kIndexMaxEntries) break;
           if (cx_queued_.insert(k).second) cx_queue_.push_back(k);
         }
         cx_dirty_ = !cx_queue_.empty();
@@ -401,7 +403,7 @@ Session::BatchResult Session::run_batch(std::span<const Item> items) {
         const std::uint64_t k = cfl::CsIndex::key(v);
         if (cx_queued_.count(k) != 0) continue;
         if (++cx_counts_[v.value()] < index_hot_threshold_) continue;
-        if (cx_queued_.size() >= index_max_entries_) continue;
+        if (cx_queued_.size() >= kIndexMaxEntries) continue;
         cx_queued_.insert(k);
         cx_queue_.push_back(k);
         cx_counts_.erase(v.value());
@@ -543,7 +545,7 @@ void Session::compactor_main() {
     }
     std::sort(want.begin(), want.end());
     want.erase(std::unique(want.begin(), want.end()), want.end());
-    if (want.size() > index_max_entries_) want.resize(index_max_entries_);
+    if (want.size() > kIndexMaxEntries) want.resize(kIndexMaxEntries);
 
     std::unique_ptr<const cfl::CsIndex> built;
     if (!want.empty()) {
@@ -618,7 +620,7 @@ void Session::note_hot(pag::NodeId var) {
   {
     std::lock_guard lock(cx_mu_);
     const std::uint64_t k = cfl::CsIndex::key(var);
-    if (cx_queued_.size() < index_max_entries_ && cx_queued_.insert(k).second) {
+    if (cx_queued_.size() < kIndexMaxEntries && cx_queued_.insert(k).second) {
       cx_queue_.push_back(k);
       cx_dirty_ = true;
       notify = true;
@@ -648,35 +650,9 @@ bool Session::update(const pag::Delta& delta, std::string* error,
   if (reduce_graph_)
     next_serving = pag::reduce_unmatched_parens(*next_base, &out.reduce);
 
-  // The nodes whose planes the invalidation cone seeds from — collected so
-  // the index prune below can mirror the jmp eviction exactly. Under field
-  // approximation the coupling also runs per *field*: a store/load edge in
-  // the delta dirties through its field's hub even when neither endpoint has
-  // a build-time edge on that field, so the hubs must be seeded too.
-  std::vector<std::uint32_t> touched;
-  std::vector<std::uint32_t> touched_fields;
-  const auto collect_touched = [&](const pag::Delta& d) {
-    if (!index_enabled_) return;
-    const auto push = [&](pag::NodeId v) {
-      if (v.valid()) touched.push_back(v.value());
-    };
-    const auto push_field = [&](const pag::Edge& e) {
-      if (invalidate_options_.field_approximation &&
-          (e.kind == pag::EdgeKind::kStore || e.kind == pag::EdgeKind::kLoad))
-        touched_fields.push_back(e.aux);
-    };
-    for (const pag::Edge& e : d.added_edges()) {
-      push(e.dst);
-      push(e.src);
-      push_field(e);
-    }
-    for (const pag::Edge& e : d.removed_edges()) {
-      push(e.dst);
-      push(e.src);
-      push_field(e);
-    }
-    for (const pag::NodeId v : d.removed_nodes()) push(v);
-  };
+  // The cone's backward plane, read by the index prune below.
+  std::vector<std::uint8_t> cone;
+  std::vector<std::uint8_t>* const cone_out = index_enabled_ ? &cone : nullptr;
 
   {
     // Exclude the lock-free control plane (save/load, validation reads) only
@@ -684,17 +660,17 @@ bool Session::update(const pag::Delta& delta, std::string* error,
     std::unique_lock pag_lock(pag_mu_);
     if (next_serving) {
       const pag::Delta sdiff = serving_diff(pag_, *next_serving, delta);
-      collect_touched(sdiff);
-      out.invalidate = cfl::invalidate_sharing_state(
-          pag_, *next_serving, sdiff, contexts_, store_, invalidate_options_);
+      out.invalidate =
+          cfl::invalidate_sharing_state(pag_, *next_serving, sdiff, contexts_,
+                                        store_, invalidate_options_, cone_out);
       // Move-assign in place: the Pag's address is what the warm BatchRunner
       // and its solvers hold, and that does not change.
       pag_ = std::move(*next_serving);
       *base_pag_ = std::move(*next_base);
     } else {
-      collect_touched(delta);
-      out.invalidate = cfl::invalidate_sharing_state(
-          pag_, *next_base, delta, contexts_, store_, invalidate_options_);
+      out.invalidate =
+          cfl::invalidate_sharing_state(pag_, *next_base, delta, contexts_,
+                                        store_, invalidate_options_, cone_out);
       pag_ = std::move(*next_base);
     }
     reduce_stats_ = out.reduce;
@@ -702,25 +678,23 @@ bool Session::update(const pag::Delta& delta, std::string* error,
   }
 
   if (index_enabled_) {
-    // Prune the published index to exactly the entries whose cone the delta
-    // could touch (CsIndex::dirty_keys over-approximates the eviction above),
-    // restamp the survivors to the new revision, and re-queue the dropped
-    // keys for compaction. The generation bump makes any mid-build compactor
-    // pass discard its (old-graph) result at publish time.
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    std::sort(touched_fields.begin(), touched_fields.end());
-    touched_fields.erase(
-        std::unique(touched_fields.begin(), touched_fields.end()),
-        touched_fields.end());
+    // Drop exactly the entries the jmp eviction above evicts for a finished
+    // backward entry on the same root: the root is marked in the cone's
+    // backward plane, or lies beyond the graphs' node range. Restamp the
+    // survivors to the new revision and re-queue the dropped keys for
+    // compaction. The generation bump makes any mid-build compactor pass
+    // discard its (old-graph) result at publish time.
     bool notify = false;
     {
       std::lock_guard cx_lock(cx_mu_);
       ++cx_generation_;
       const cfl::CsIndex* old = index_.load(std::memory_order_relaxed);
       if (old != nullptr) {
-        std::vector<std::uint64_t> dirty =
-            old->dirty_keys(touched, touched_fields);
+        std::vector<std::uint64_t> dirty;  // key-sorted, as entries() is
+        for (const cfl::CsIndex::Entry& e : old->entries()) {
+          const std::uint32_t root = cfl::CsIndex::key_node(e.key).value();
+          if (root >= cone.size() || cone[root] != 0) dirty.push_back(e.key);
+        }
         cx_invalidated_ += dirty.size();
         std::unique_ptr<const cfl::CsIndex> next =
             old->without(dirty, out.revision);
@@ -809,7 +783,7 @@ bool Session::spill(const std::string& state_path,
     }
     std::sort(hot.begin(), hot.end());
     hot.erase(std::unique(hot.begin(), hot.end()), hot.end());
-    if (hot.size() > index_max_entries_) hot.resize(index_max_entries_);
+    if (hot.size() > kIndexMaxEntries) hot.resize(kIndexMaxEntries);
   }
   std::shared_lock lock(pag_mu_);
   if (wrote_pag != nullptr) *wrote_pag = false;

@@ -105,8 +105,6 @@ class Session {
     /// A root is mined at most once per session lifetime; only updates
     /// requeue the entries they dirty.
     std::uint32_t index_hot_threshold = 4;
-    /// Cap on distinct roots the index ever covers per session.
-    std::uint32_t index_max_entries = 4096;
     /// Partitioned worker mode (DESIGN.md §14): when set, this session
     /// serves partition `partition_id` of a sharded PAG. The graph passed to
     /// the constructor must be that partition's sub-PAG (pag::make_sub_pag —
@@ -402,7 +400,6 @@ class Session {
   // ---- reachability index / compactor state -------------------------------
   bool index_enabled_ = false;
   std::uint32_t index_hot_threshold_ = 4;
-  std::uint32_t index_max_entries_ = 4096;
   std::uint64_t default_budget_ = 0;  // engine solver budget (hit gating)
   cfl::SolverOptions cx_solver_options_;  // for the compactor's cold solves
   /// The published index. Readers pin the global EpochDomain and

@@ -21,10 +21,14 @@ double percentile(const std::vector<float>& sorted, double p) {
   return sorted[idx];
 }
 
+/// Distinct tenant label values in the per-tenant metric families; past it,
+/// new tenants collapse onto the shared tenant="overflow" series (see
+/// MetricsRegistry label families).
+constexpr std::uint32_t kTenantLabelCapacity = 16;
+
 }  // namespace
 
-StatsRecorder::StatsRecorder(obs::MetricsRegistry& registry,
-                             std::uint32_t tenant_label_capacity)
+StatsRecorder::StatsRecorder(obs::MetricsRegistry& registry)
     : registry_(registry),
       queries_served_(registry.counter("parcfl_queries_served_total",
                                        "Points-to requests answered.")),
@@ -65,17 +69,17 @@ StatsRecorder::StatsRecorder(obs::MetricsRegistry& registry,
           "Highest request latency observed, milliseconds.")),
       tenant_requests_family_(registry.counter_family(
           "parcfl_tenant_requests_total", "Requests answered, per tenant.",
-          "tenant", tenant_label_capacity)),
+          "tenant", kTenantLabelCapacity)),
       tenant_latency_family_(registry.histogram_family(
           "parcfl_tenant_request_latency_ms",
           "Request latency in milliseconds, per tenant.", "tenant",
-          tenant_label_capacity,
+          kTenantLabelCapacity,
           {0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000})),
       tenant_shed_family_(registry.counter_family(
           "parcfl_tenant_shed_total",
           "Requests shed at admission (global or per-tenant quota), per "
           "tenant.",
-          "tenant", tenant_label_capacity)) {}
+          "tenant", kTenantLabelCapacity)) {}
 
 void StatsRecorder::record_tenant_request(std::string_view tenant,
                                           double latency_ms) {

@@ -122,11 +122,7 @@ class StatsRecorder {
 
   /// Registers the request-plane metrics; the registry must outlive the
   /// recorder (QueryService owns both, registry first).
-  /// `tenant_label_capacity` bounds the tenant label dimension of the
-  /// per-tenant families — past it, traffic lands on the shared
-  /// tenant="overflow" series (see MetricsRegistry label families).
-  explicit StatsRecorder(obs::MetricsRegistry& registry,
-                         std::uint32_t tenant_label_capacity = 16);
+  explicit StatsRecorder(obs::MetricsRegistry& registry);
 
   /// Request verbs the recorder distinguishes — one served counter each.
   enum class Served : std::uint8_t { kQuery, kAlias, kTaint, kDepends };

@@ -2,12 +2,13 @@
 //
 //  * build — entries agree with a cold sequential solve, find() is exact on
 //    hits and misses, cancellation aborts between solves;
-//  * invalidation — dirty_keys covers touched entries (including, under
-//    field approximation, entries coupled through a field hub by a field's
-//    first store — the PR 8 review regression), without() drops them and
-//    compacts the target pool, and after a Session::update the pruned
-//    index still answers identically to an index-free session that applied
-//    the same delta;
+//  * invalidation — an update drops exactly the entries whose root is in the
+//    jmp invalidation cone (the set a scratch JmpStore evicts, across seeds,
+//    reduction and field approximation — including, under field
+//    approximation, entries coupled by a field's first store), without()
+//    compacts the target pool, and after a Session::update the pruned index
+//    still answers identically to an index-free session that applied the
+//    same delta;
 //  * outcome identity — the metamorphic bar: with the index on, every mode,
 //    warm or cold, any per-item budget, answers exactly what an index-off
 //    session answers (an index hit additionally charges 0 steps);
@@ -25,15 +26,21 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "cfl/csindex.hpp"
+#include "cfl/invalidate.hpp"
+#include "cfl/jmp_store.hpp"
 #include "cfl/solver.hpp"
 #include "pag/delta.hpp"
 #include "pag/pag_io.hpp"
+#include "pag/reduce.hpp"
 #include "service/manager.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
@@ -183,7 +190,6 @@ TEST(CsIndexBuild, EntriesMatchColdSolveAndFindIsExact) {
   const cfl::CsIndexStats stats = index->stats();
   EXPECT_EQ(stats.entries, index->entries().size());
   EXPECT_GT(stats.build_charged_steps, 0u);
-  EXPECT_GT(stats.components, 0u);
 }
 
 TEST(CsIndexBuild, CancelAbortsAndReturnsNull) {
@@ -194,28 +200,19 @@ TEST(CsIndexBuild, CancelAbortsAndReturnsNull) {
             nullptr);
 }
 
-TEST(CsIndexBuild, DirtyKeysCoverTouchedEntriesAndWithoutDropsThem) {
+TEST(CsIndexBuild, WithoutDropsKeysAndCompactsTargetPool) {
   const pag::Pag pag = small_pag(3);
   const auto index =
       cfl::build_csindex(pag, keys_of(test::all_variables(pag)), cold_opts());
   ASSERT_NE(index, nullptr);
   ASSERT_GT(index->entries().size(), 1u);
-  EXPECT_TRUE(index->dirty_keys({}).empty());
 
-  // Touching an indexed node must mark at least that node's own entry dirty
-  // (its B-plane component trivially reaches itself).
-  const std::uint64_t touched_key = index->entries().front().key;
-  const std::uint32_t touched[] = {
-      cfl::CsIndex::key_node(touched_key).value()};
-  const auto dirty = index->dirty_keys(touched);
-  ASSERT_TRUE(std::is_sorted(dirty.begin(), dirty.end()));
-  EXPECT_TRUE(std::binary_search(dirty.begin(), dirty.end(), touched_key));
-
-  const auto pruned = index->without(dirty, /*new_revision=*/1);
+  const std::vector<std::uint64_t> drop = {index->entries().front().key};
+  const auto pruned = index->without(drop, /*new_revision=*/1);
   ASSERT_NE(pruned, nullptr);
   EXPECT_EQ(pruned->revision(), 1u);
-  EXPECT_EQ(pruned->entries().size(), index->entries().size() - dirty.size());
-  for (const std::uint64_t k : dirty) EXPECT_EQ(pruned->find(k), nullptr);
+  EXPECT_EQ(pruned->entries().size(), index->entries().size() - 1);
+  EXPECT_EQ(pruned->find(drop[0]), nullptr);
   // Surviving entries keep their exact targets through pool compaction.
   for (const auto& e : pruned->entries()) {
     const auto* orig = index->find(e.key);
@@ -251,36 +248,6 @@ FieldCouplingPag field_coupling_pag() {
   b.load(x, q, pag::FieldId(0));
   b.assign_local(z, x);
   return {std::move(b).finalize(), q, x, z, s, y, ob, oy};
-}
-
-TEST(CsIndexBuild, FirstStoreOnFieldDirtiesCoupledEntriesUnderFieldApprox) {
-  const FieldCouplingPag g = field_coupling_pag();
-  cfl::SolverOptions opts = cold_opts();
-  opts.field_approximation = true;
-  const auto index = cfl::build_csindex(
-      g.pag, keys_of({g.q, g.x, g.z, g.s, g.y}), opts);
-  ASSERT_NE(index, nullptr);
-  ASSERT_NE(index->find(cfl::CsIndex::key(g.x)), nullptr);
-  ASSERT_NE(index->find(cfl::CsIndex::key(g.z)), nullptr);
-
-  // The store's endpoints have no build-time edge on field 0, so their plane
-  // seeds alone reach no hub — exactly the hole the field seeds close.
-  const std::uint32_t touched[] = {g.s.value(), g.y.value()};
-  const auto node_only = index->dirty_keys(touched);
-  EXPECT_FALSE(std::binary_search(node_only.begin(), node_only.end(),
-                                  cfl::CsIndex::key(g.x)));
-
-  const std::uint32_t fields[] = {0};
-  const auto dirty = index->dirty_keys(touched, fields);
-  EXPECT_TRUE(std::binary_search(dirty.begin(), dirty.end(),
-                                 cfl::CsIndex::key(g.x)));
-  EXPECT_TRUE(std::binary_search(dirty.begin(), dirty.end(),
-                                 cfl::CsIndex::key(g.z)));
-
-  // A field the labels never saw has no hub: everything is dirty.
-  const std::uint32_t unknown[] = {7};
-  EXPECT_EQ(index->dirty_keys(touched, unknown).size(),
-            index->entries().size());
 }
 
 // ---------------------------------------------------------------------------
@@ -436,10 +403,10 @@ TEST(CsIndexSession, UpdateInvalidatesCoveredEntriesAndKeepsIdentity) {
 TEST(CsIndexSession, FirstStoreOnFieldKeepsIdentityUnderFieldApproximation) {
   // Regression (PR 8 review): with field approximation on, a delta adding a
   // field's *first* store couples to every load destination of that field
-  // through the field hub. Neither store endpoint has a build-time edge on
-  // the field, so a node-seeded dirty_keys comes back empty, no rebuild is
-  // queued, and the surviving load-destination entries serve stale kComplete
-  // answers forever.
+  // with no alias walk. Neither store endpoint has a build-time edge on the
+  // field, so a prune seeded from the endpoints alone drops nothing, no
+  // rebuild is queued, and the surviving load-destination entries serve
+  // stale kComplete answers forever.
   const FieldCouplingPag g = field_coupling_pag();
   auto opts_of = [](bool index) {
     auto o = session_options(cfl::Mode::kSequential, index);
@@ -453,7 +420,7 @@ TEST(CsIndexSession, FirstStoreOnFieldKeepsIdentityUnderFieldApproximation) {
   // Mine only the load side: the store endpoints s and y must NOT be index
   // entries, else their own (trivially dirty) keys would requeue and the
   // resulting full rebuild would repair x by accident — the stale-serving
-  // hole needs dirty_keys to come back empty.
+  // hole needs the prune to come back empty.
   for (const NodeId v : {g.q, g.x, g.z}) on.note_hot(v);
   ASSERT_TRUE(on.wait_for_index());
   ASSERT_NE(on.index_info().entries, 0u);
@@ -477,6 +444,164 @@ TEST(CsIndexSession, FirstStoreOnFieldKeepsIdentityUnderFieldApproximation) {
   // test, so x (and z through the assign) must now see oy.
   EXPECT_EQ(got[1].objects, std::vector<NodeId>{g.oy});
   EXPECT_EQ(got[2].objects, std::vector<NodeId>{g.oy});
+}
+
+/// Does `update(delta)` drop `root`'s entry? The session indexes only that
+/// root, so its lifetime `invalidated` count (0 or 1) is the answer.
+bool update_drops(const pag::Pag& pag, const service::Session::Options& opts,
+                  NodeId root, const pag::Delta& delta) {
+  service::Session s(pag, opts);
+  s.note_hot(root);
+  EXPECT_TRUE(s.wait_for_index());
+  EXPECT_EQ(s.index_info().entries, 1u) << "root " << root.value();
+  std::string error;
+  EXPECT_TRUE(s.update(delta, &error)) << error;
+  return s.index_info().invalidated != 0;
+}
+
+TEST(CsIndexSession, UpdateDropsTouchedRootAndKeepsUnreachedRoot) {
+  // Adding z = s touches z itself; y's backward walk (y = new oy) reaches
+  // neither endpoint, before or after the change.
+  const FieldCouplingPag g = field_coupling_pag();
+  const auto opts = session_options(cfl::Mode::kSequential, true);
+  pag::Delta d(g.pag);
+  d.add_edge(EdgeKind::kAssignLocal, /*dst=*/g.z, /*src=*/g.s);
+  EXPECT_TRUE(update_drops(g.pag, opts, g.z, d));
+  EXPECT_FALSE(update_drops(g.pag, opts, g.y, d));
+}
+
+TEST(CsIndexSession, FirstStoreOnFieldDropsCoupledEntriesUnderFieldApprox) {
+  // The first store s.f0 = y has no endpoint on x's or z's backward walk,
+  // but field approximation matches it against the load x = q.f0 with no
+  // alias walk: x and z must go, q (the load's base) stays. Without the
+  // approximation nothing couples and nothing is dropped.
+  const FieldCouplingPag g = field_coupling_pag();
+  pag::Delta d(g.pag);
+  d.add_edge(EdgeKind::kStore, /*dst=base*/ g.s, /*src=value*/ g.y,
+             /*aux=field*/ 0);
+  auto opts = session_options(cfl::Mode::kSequential, true);
+  opts.engine.solver.field_approximation = true;
+  EXPECT_TRUE(update_drops(g.pag, opts, g.x, d));
+  EXPECT_TRUE(update_drops(g.pag, opts, g.z, d));
+  EXPECT_FALSE(update_drops(g.pag, opts, g.q, d));
+  opts.engine.solver.field_approximation = false;
+  EXPECT_FALSE(update_drops(g.pag, opts, g.x, d));
+  EXPECT_FALSE(update_drops(g.pag, opts, g.z, d));
+}
+
+bool edge_less(const pag::Edge& a, const pag::Edge& b) {
+  return std::tie(a.kind, a.dst, a.src, a.aux) <
+         std::tie(b.kind, b.dst, b.src, b.aux);
+}
+
+/// Edges of `a` missing from `b`.
+std::vector<pag::Edge> edges_minus(const pag::Pag& a, const pag::Pag& b) {
+  std::vector<pag::Edge> ea(a.edges().begin(), a.edges().end());
+  std::vector<pag::Edge> eb(b.edges().begin(), b.edges().end());
+  std::sort(ea.begin(), ea.end(), edge_less);
+  std::sort(eb.begin(), eb.end(), edge_less);
+  std::vector<pag::Edge> out;
+  std::set_difference(ea.begin(), ea.end(), eb.begin(), eb.end(),
+                      std::back_inserter(out), edge_less);
+  return out;
+}
+
+/// The roots a scratch JmpStore evicts for `delta` when it holds one finished
+/// context-empty backward entry per root (sorted keys in, sorted keys out).
+/// With reduction on, the cone seeds from the serving-graph edge diff plus
+/// the client's node tombstones, as the session's own eviction does.
+std::vector<std::uint64_t> jmp_store_drops(const pag::Pag& base,
+                                           const pag::Delta& delta,
+                                           bool reduce, bool field_approx,
+                                           const std::vector<std::uint64_t>& roots) {
+  const auto serving = [&](const pag::Pag& g) {
+    return reduce ? pag::reduce_unmatched_parens(g) : g;
+  };
+  const pag::Pag old_pag = serving(base);
+  const std::optional<pag::Pag> next = pag::apply_delta(base, delta);
+  EXPECT_TRUE(next.has_value());
+  if (!next) return {};
+  const pag::Pag new_pag = serving(*next);
+  pag::Delta seeds(old_pag.node_count());
+  if (reduce) {
+    for (const pag::Edge& e : edges_minus(old_pag, new_pag))
+      seeds.remove_edge(e.kind, e.dst, e.src, e.aux);
+    for (const pag::Edge& e : edges_minus(new_pag, old_pag))
+      seeds.add_edge(e.kind, e.dst, e.src, e.aux);
+    for (const NodeId n : delta.removed_nodes()) seeds.remove_node(n);
+  }
+
+  const auto jmp_key = [](std::uint64_t k) {
+    return cfl::JmpStore::key(cfl::Direction::kBackward,
+                              cfl::CsIndex::key_node(k),
+                              cfl::ContextTable::empty());
+  };
+  cfl::ContextTable contexts;
+  cfl::JmpStore store;
+  for (const std::uint64_t k : roots) store.insert_finished(jmp_key(k), 1, {});
+  cfl::InvalidateOptions io;
+  io.field_approximation = field_approx;
+  cfl::invalidate_sharing_state(old_pag, new_pag, reduce ? seeds : delta,
+                                contexts, store, io);
+  std::vector<std::uint64_t> dropped;
+  for (const std::uint64_t k : roots) {
+    cfl::JmpStore::Lookup lookup;
+    if (!store.lookup(jmp_key(k), lookup)) dropped.push_back(k);
+  }
+  return dropped;
+}
+
+/// small_delta plus one store or load on a random field within one layer,
+/// so field-approximation coupling has something to couple.
+pag::Delta contract_delta(const pag::Pag& pag, std::uint64_t seed) {
+  pag::Delta d = small_delta(pag, seed * 131 + 7);
+  support::Rng rng(seed);
+  const auto layers = vars_by_layer(pag);
+  const auto& vars = layers[rng.below(kLayers)];
+  const NodeId a = vars[rng.below(vars.size())];
+  const NodeId b = vars[rng.below(vars.size())];
+  d.add_edge(rng.chance(0.5) ? EdgeKind::kStore : EdgeKind::kLoad, a, b,
+             static_cast<std::uint32_t>(rng.below(pag.field_count())));
+  return d;
+}
+
+// The update contract: an update drops exactly the entries whose root the
+// jmp invalidation cone marks — the set a JmpStore holding one finished
+// backward entry per index root evicts for the same delta. No fewer
+// (soundness) and no more (a coarser second cone throws away answers the
+// jmp store keeps), across seeds, with and without reduction and field
+// approximation.
+TEST(CsIndexSession, UpdateDropsExactlyTheJmpStoreEvictions) {
+  for (const bool reduce : {false, true}) {
+    for (const bool field_approx : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const pag::Pag pag = small_pag(seed);
+        const pag::Delta d = contract_delta(pag, seed);
+        auto opts = session_options(cfl::Mode::kSequential, true);
+        opts.engine.threads = 1;
+        opts.reduce_graph = reduce;
+        opts.engine.solver.field_approximation = field_approx;
+        // The roots the compactor would index: complete cold solves on the
+        // serving graph.
+        cfl::SolverOptions cold = cold_opts();
+        cold.field_approximation = field_approx;
+        const auto built = cfl::build_csindex(
+            reduce ? pag::reduce_unmatched_parens(pag) : pag,
+            keys_of(test::all_variables(pag)), cold);
+        ASSERT_NE(built, nullptr);
+        std::vector<std::uint64_t> roots;
+        for (const auto& e : built->entries()) roots.push_back(e.key);
+        const auto expect = jmp_store_drops(pag, d, reduce, field_approx, roots);
+        for (const std::uint64_t k : roots) {
+          const NodeId root = cfl::CsIndex::key_node(k);
+          EXPECT_EQ(update_drops(pag, opts, root, d),
+                    std::binary_search(expect.begin(), expect.end(), k))
+              << "seed " << seed << " reduce " << reduce << " field_approx "
+              << field_approx << " root " << root.value();
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -212,7 +212,9 @@ TEST(Metrics, PrometheusExpositionIsWellFormed) {
 
 // The tsan target: writers hammer every metric kind while a scraper loops
 // aggregation and rendering. Correctness bar: the scrape after the join sees
-// every write, and every mid-flight scrape is monotone in the counter.
+// every write, and every mid-flight scrape is monotone in the counter. The
+// writers start only after the scraper's first scrape, so scrapes overlap
+// writes even when the scheduler runs the writers to completion first.
 TEST(Metrics, ScrapeWhileWritingIsSafeAndMonotone) {
   MetricsRegistry reg;
   const auto c = reg.counter("stress_total", "stress");
@@ -222,15 +224,7 @@ TEST(Metrics, ScrapeWhileWritingIsSafeAndMonotone) {
   constexpr int kWriters = 4;
   constexpr std::uint64_t kPerThread = 5'000;
   std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kWriters; ++t)
-    writers.emplace_back([&, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        reg.add(c);
-        reg.max_gauge(g, static_cast<double>(t));
-        reg.observe(h, static_cast<double>(i % 200));
-      }
-    });
+  std::atomic<bool> scraped{false};
 
   std::uint64_t last = 0;
   std::uint64_t scrapes = 0;
@@ -241,8 +235,20 @@ TEST(Metrics, ScrapeWhileWritingIsSafeAndMonotone) {
       last = now;
       EXPECT_FALSE(reg.render_prometheus().empty());
       ++scrapes;
+      scraped.store(true, std::memory_order_release);
     }
   });
+
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t)
+    writers.emplace_back([&, t] {
+      while (!scraped.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        reg.add(c);
+        reg.max_gauge(g, static_cast<double>(t));
+        reg.observe(h, static_cast<double>(i % 200));
+      }
+    });
 
   for (auto& w : writers) w.join();
   stop.store(true, std::memory_order_release);

@@ -14,8 +14,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -542,6 +545,83 @@ TEST(Wire, TcpServerAnswersOverLoopback) {
   EXPECT_EQ(lines[0], "ok pong");
   EXPECT_EQ(lines[1].rfind("ok ", 0), 0u) << lines[1];
   EXPECT_EQ(lines[2], "ok bye");
+}
+
+/// Lines of /proc/self/maps: every thread stack not yet joined (or cached
+/// for reuse) is a mapping of its own.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  return static_cast<std::size_t>(
+      std::count(std::istreambuf_iterator<char>(maps),
+                 std::istreambuf_iterator<char>(), '\n'));
+}
+
+/// Live threads of this process (/proc/self/status `Threads:`).
+std::size_t thread_count() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  return 0;
+}
+
+// Connection churn must not grow the process: the server joins a finished
+// connection's thread while it keeps serving, so the stack is released (or
+// reused) instead of held until shutdown.
+TEST(Wire, TcpServerJoinsFinishedConnectionsWhileServing) {
+  std::string error;
+  TcpServer server(
+      [] {
+        return [](const std::string&, std::string& reply) {
+          reply = "ok pong\n";
+          return true;
+        };
+      },
+      /*port=*/0, &error);
+  ASSERT_TRUE(server.ok()) << error;
+  std::thread acceptor([&] { server.serve(); });
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  const auto ping_cycle = [&] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    ASSERT_EQ(::send(fd, "ping\n", 5, 0), 5);
+    std::string received;
+    char chunk[64];
+    while (received.find('\n') == std::string::npos) {
+      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (n <= 0) break;
+      received.append(chunk, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    EXPECT_EQ(received, "ok pong\n");
+  };
+  // Handlers exit on the client's close; wait until only the baseline
+  // threads remain.
+  const auto wait_for_threads = [](std::size_t target) {
+    for (int i = 0; i < 5000 && thread_count() > target; ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+
+  // Warm up first: the first connection threads may create malloc arenas.
+  const std::size_t baseline_threads = thread_count();
+  for (int i = 0; i < 4; ++i) ping_cycle();
+  wait_for_threads(baseline_threads);
+  const std::size_t maps_before = mapping_count();
+
+  for (int i = 0; i < 64; ++i) ping_cycle();
+  wait_for_threads(baseline_threads);
+  EXPECT_EQ(thread_count(), baseline_threads);
+  // Unjoined, each of the 64 handlers would pin a stack and its guard page.
+  EXPECT_LT(mapping_count(), maps_before + 16);
+
+  server.shutdown();
+  acceptor.join();
 }
 
 // ---- observability ---------------------------------------------------------
