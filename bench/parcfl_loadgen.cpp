@@ -65,13 +65,9 @@
 #include "andersen/prefilter.hpp"
 #include "bench_util.hpp"
 #include "pag/pag_io.hpp"
+#include "service/line_io.hpp"
 #include "service/service.hpp"
 #include "support/stats.hpp"
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 using namespace parcfl;
 
@@ -297,83 +293,6 @@ void emit_phase(std::FILE* f, const char* name, const Config& cfg,
   std::fprintf(f, "}");
 }
 
-/// Minimal blocking line client for --connect mode.
-class TcpClient {
- public:
-  explicit TcpClient(long port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-  ~TcpClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool ok() const { return fd_ >= 0; }
-
-  /// Send one request line, return the reply line (empty on error).
-  std::string roundtrip(const std::string& line) {
-    std::size_t sent = 0;
-    while (sent < line.size()) {
-      const ssize_t w = ::send(fd_, line.data() + sent, line.size() - sent, 0);
-      if (w <= 0) return {};
-      sent += static_cast<std::size_t>(w);
-    }
-    bool got = false;
-    return read_line(got);
-  }
-
-  /// Fetch the server's Prometheus exposition through the counted multi-line
-  /// frame (`ok metrics <n>` header, then n payload lines). False on
-  /// transport or framing errors.
-  bool scrape(std::string& out) {
-    const std::string header = roundtrip("metrics\n");
-    const char kPrefix[] = "ok metrics ";
-    if (header.rfind(kPrefix, 0) != 0) return false;
-    const unsigned long lines =
-        std::strtoul(header.c_str() + sizeof(kPrefix) - 1, nullptr, 10);
-    out.clear();
-    for (unsigned long i = 0; i < lines; ++i) {
-      bool got = false;
-      const std::string line = read_line(got);
-      if (!got) return false;
-      out += line;
-      out += '\n';
-    }
-    return true;
-  }
-
- private:
-  std::string read_line(bool& got) {
-    for (;;) {
-      const auto nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        std::string reply = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        got = true;
-        return reply;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) {
-        got = false;
-        return {};
-      }
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  int fd_ = -1;
-  std::string buffer_;
-};
-
 std::string format_request_line(const service::Request& r) {
   if (r.verb == service::Verb::kAlias || r.verb == service::Verb::kTaint ||
       r.verb == service::Verb::kDepends) {
@@ -401,8 +320,8 @@ std::string normalize_reply(const std::string& reply) {
 /// sequence replayed sequentially on one fresh connection.
 bool dump_answers(const std::vector<service::Request>& requests,
                   const Config& cfg) {
-  TcpClient conn(cfg.connect_port);
-  if (!conn.ok()) {
+  service::LineConn conn;
+  if (!conn.connect(std::to_string(cfg.connect_port), /*deadline_ms=*/0)) {
     std::fprintf(stderr, "parcfl_loadgen: answers-out: cannot connect\n");
     return false;
   }
@@ -413,11 +332,11 @@ bool dump_answers(const std::vector<service::Request>& requests,
     return false;
   }
   for (const service::Request& r : requests) {
-    std::string line = format_request_line(r);
-    line.pop_back();  // newline
-    const std::string reply = conn.roundtrip(line + "\n");
-    std::fprintf(f, "%s -> %s\n", line.c_str(),
-                 normalize_reply(reply).c_str());
+    const std::string line = format_request_line(r);
+    std::string reply;
+    conn.roundtrip(line, reply, service::kMaxReplyLine);
+    std::fprintf(f, "%.*s -> %s\n", static_cast<int>(line.size() - 1),
+                 line.c_str(), normalize_reply(reply).c_str());
   }
   std::fclose(f);
   std::printf("wrote %s (%zu answers)\n", cfg.answers_out.c_str(),
@@ -712,21 +631,23 @@ int main(int argc, char** argv) {
 
   if (cfg.connect_port >= 0) {
     // Replay against a live parcfl_serve: each client owns one connection.
-    std::vector<std::unique_ptr<TcpClient>> conns;
+    std::vector<std::unique_ptr<service::LineConn>> conns;
     for (unsigned c = 0; c < cfg.clients; ++c) {
-      conns.push_back(std::make_unique<TcpClient>(cfg.connect_port));
-      if (!conns.back()->ok()) {
+      conns.push_back(std::make_unique<service::LineConn>());
+      if (!conns.back()->connect(std::to_string(cfg.connect_port), 0)) {
         std::fprintf(stderr, "parcfl_loadgen: cannot connect to 127.0.0.1:%ld\n",
                      cfg.connect_port);
         return 1;
       }
     }
     std::atomic<unsigned> conn_ids{0};
-    thread_local TcpClient* conn = nullptr;
+    thread_local service::LineConn* conn = nullptr;
     auto issue = [&](std::uint64_t i, bool& shed, bool& incomplete) {
       if (conn == nullptr)
         conn = conns[conn_ids.fetch_add(1) % conns.size()].get();
-      const std::string reply = conn->roundtrip(format_request_line(requests[i]));
+      std::string reply;  // stays empty on a transport error
+      conn->roundtrip(format_request_line(requests[i]), reply,
+                      service::kMaxReplyLine);
       shed = reply.rfind("shed", 0) == 0 || reply.empty();
       // Definite replies per verb; "unknown" (flow verbs) and "partial"
       // (query) count as incomplete.
@@ -741,11 +662,17 @@ int main(int argc, char** argv) {
     cold = run_phase(requests, cfg, issue);
     warm = run_phase(requests, cfg, issue);
     if (!cfg.scrape.empty()) {
-      std::string exposition;
-      if (conns[0]->scrape(exposition))
-        write_scrape(cfg.scrape, exposition);
-      else
+      // The exposition rides the counted `ok metrics <n>` frame.
+      std::string header, exposition;
+      std::vector<std::string> lines;
+      if (!conns[0]->send_all("metrics\n") ||
+          !conns[0]->read_frame(header, lines, service::kMaxReplyLine) ||
+          header.rfind("ok metrics ", 0) != 0) {
         std::fprintf(stderr, "parcfl_loadgen: metrics scrape failed\n");
+      } else {
+        for (const std::string& line : lines) exposition += line + '\n';
+        write_scrape(cfg.scrape, exposition);
+      }
     }
     if (!cfg.answers_out.empty() && !dump_answers(requests, cfg)) return 1;
   } else {

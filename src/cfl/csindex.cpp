@@ -34,11 +34,35 @@ std::unique_ptr<const CsIndex> CsIndex::without(
   for (const Entry& e : entries_) {
     while (di < drop_sorted.size() && drop_sorted[di] < e.key) ++di;
     if (di < drop_sorted.size() && drop_sorted[di] == e.key) continue;
-    Entry kept = e;
-    kept.target_begin = static_cast<std::uint32_t>(next->targets_.size());
-    next->entries_.push_back(kept);
-    const auto run = targets(e);
-    next->targets_.insert(next->targets_.end(), run.begin(), run.end());
+    next->append(*this, e);
+  }
+  return next;
+}
+
+void CsIndex::append(const CsIndex& from, const Entry& e) {
+  Entry kept = e;
+  kept.target_begin = static_cast<std::uint32_t>(targets_.size());
+  entries_.push_back(kept);
+  const auto run = from.targets(e);
+  targets_.insert(targets_.end(), run.begin(), run.end());
+}
+
+std::unique_ptr<const CsIndex> CsIndex::merged(const CsIndex& fresh,
+                                               std::size_t max_entries) const {
+  auto next = std::unique_ptr<CsIndex>(new CsIndex());
+  next->revision_ = fresh.revision_;
+  next->build_charged_steps_ =
+      build_charged_steps_ + fresh.build_charged_steps_;
+  std::size_t i = 0, j = 0;
+  while (next->entries_.size() < max_entries &&
+         (i < entries_.size() || j < fresh.entries_.size())) {
+    if (j == fresh.entries_.size() ||
+        (i < entries_.size() && entries_[i].key < fresh.entries_[j].key)) {
+      next->append(*this, entries_[i++]);
+    } else {
+      if (i < entries_.size() && entries_[i].key == fresh.entries_[j].key) ++i;
+      next->append(fresh, fresh.entries_[j++]);
+    }
   }
   return next;
 }

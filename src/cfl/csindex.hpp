@@ -16,7 +16,9 @@
 //
 // Invalidation: an update drops exactly the entries whose root is in the jmp
 // invalidation cone (cfl/invalidate.hpp) — Session::update reads the cone's
-// backward plane and publishes `without()` the dropped keys.
+// backward plane and publishes `without()` the dropped keys; the compactor
+// cold-solves only those keys (plus fresh hot roots) and publishes the
+// survivors `merged()` with the new entries.
 
 #include <atomic>
 #include <cstdint>
@@ -72,8 +74,17 @@ class CsIndex {
       std::span<const std::uint64_t> drop_sorted,
       std::uint32_t new_revision) const;
 
+  /// This index with `fresh`'s entries merged in, `fresh` winning on a
+  /// shared key: at most `max_entries` entries (smallest keys kept), stamped
+  /// with `fresh`'s revision, charging both builds' steps. The compactor
+  /// merges each pass's cold solves into the published index this way.
+  std::unique_ptr<const CsIndex> merged(const CsIndex& fresh,
+                                        std::size_t max_entries) const;
+
  private:
   CsIndex() = default;
+  /// Append `e`, copying its target run out of `from`.
+  void append(const CsIndex& from, const Entry& e);
   friend std::unique_ptr<const CsIndex> build_csindex(
       const pag::Pag& pag, std::span<const std::uint64_t> hot_keys,
       const SolverOptions& options, const std::atomic<bool>* cancel);

@@ -39,6 +39,7 @@
 #include "pag/partition.hpp"      // IWYU pragma: export
 #include "pag/reduce.hpp"         // IWYU pragma: export
 #include "pag/validate.hpp"       // IWYU pragma: export
+#include "service/line_io.hpp"    // IWYU pragma: export
 #include "service/protocol.hpp"   // IWYU pragma: export
 #include "service/router.hpp"     // IWYU pragma: export
 #include "service/server.hpp"     // IWYU pragma: export

@@ -6,9 +6,7 @@
 
 namespace parcfl::service {
 
-namespace {
-
-/// Split on runs of spaces/tabs; CR from CRLF clients is stripped upstream.
+// CR from CRLF clients is stripped upstream (LineConn, parse_request).
 std::vector<std::string_view> tokenize(std::string_view line) {
   std::vector<std::string_view> tokens;
   std::size_t i = 0;
@@ -26,6 +24,8 @@ bool parse_u64(std::string_view token, std::uint64_t& out) {
       std::from_chars(token.data(), token.data() + token.size(), out);
   return ec == std::errc() && ptr == token.data() + token.size();
 }
+
+namespace {
 
 bool parse_node(std::string_view token, std::uint32_t node_count,
                 pag::NodeId& out, std::string& error) {
@@ -300,6 +300,13 @@ const char* to_string(cfl::Solver::AliasAnswer answer) {
   return "?";
 }
 
+Reply error_reply(std::string text) {
+  Reply r;
+  r.status = Reply::Status::kError;
+  r.text = std::move(text);
+  return r;
+}
+
 std::string format_reply(const Reply& reply) {
   switch (reply.status) {
     case Reply::Status::kError: return "err " + reply.text;
@@ -385,6 +392,88 @@ std::string format_reply(const Reply& reply) {
       break;
   }
   return os.str();
+}
+
+std::uint64_t frame_payload_lines(std::string_view header) {
+  const auto tokens = tokenize(header);
+  if (tokens.size() < 3 || tokens[0] != "ok") return 0;
+  const bool counted = (tokens.size() == 3 && (tokens[1] == "metrics" ||
+                                               tokens[1] == "slowlog")) ||
+                       (tokens.size() == 5 && tokens[1] == "cont");
+  std::uint64_t n = 0;
+  if (!counted || !parse_u64(tokens.back(), n) || n > kMaxFrameLines) return 0;
+  return n;
+}
+
+bool parse_cont_header(std::string_view header, cfl::QueryStatus& status,
+                       std::uint64_t& charged) {
+  const auto tokens = tokenize(header);
+  std::uint64_t lines = 0;
+  if (tokens.size() != 5 || tokens[0] != "ok" || tokens[1] != "cont" ||
+      !parse_u64(tokens[3], charged) || !parse_u64(tokens[4], lines) ||
+      lines > kMaxFrameLines)
+    return false;
+  for (const cfl::QueryStatus s :
+       {cfl::QueryStatus::kComplete, cfl::QueryStatus::kOutOfBudget,
+        cfl::QueryStatus::kEarlyTermination})
+    if (tokens[2] == to_string(s)) {
+      status = s;
+      return true;
+    }
+  return false;
+}
+
+std::string format_cont_payload(std::span<const ContRecord> records) {
+  std::ostringstream os;
+  const auto config = [&os](const WireTuple& t) {
+    os << ' ' << t.node.value() << ' ' << format_chain(t.chain);
+  };
+  for (const ContRecord& r : records) {
+    if (&r != records.data()) os << '\n';
+    if (r.kind == ContRecord::Kind::kTuple) {
+      os << 't';
+    } else {
+      os << (r.kind == ContRecord::Kind::kRequest ? "e r " : "e u ")
+         << (r.dir == 0 ? 'b' : 'f');
+    }
+    config(r.src);
+    if (r.kind != ContRecord::Kind::kTuple) config(r.dst);
+  }
+  return os.str();
+}
+
+bool parse_cont_record(std::string_view line, std::uint32_t node_count,
+                       ContRecord& out) {
+  out = ContRecord{};
+  const auto tokens = tokenize(line);
+  std::string error;
+  const auto config = [&](std::size_t at, WireTuple& t) {
+    return parse_node(tokens[at], node_count, t.node, error) &&
+           parse_chain(tokens[at + 1], t.chain, error);
+  };
+  if (tokens.size() == 3 && tokens[0] == "t") return config(1, out.src);
+  if (tokens.size() != 7 || tokens[0] != "e" ||
+      (tokens[1] != "u" && tokens[1] != "r") ||
+      (tokens[2] != "b" && tokens[2] != "f"))
+    return false;
+  out.kind = tokens[1] == "r" ? ContRecord::Kind::kRequest
+                              : ContRecord::Kind::kUnion;
+  out.dir = tokens[2] == "b" ? 0 : 1;
+  return config(3, out.src) && config(5, out.dst);
+}
+
+cfl::Solver::AliasAnswer alias_answer(std::span<const pag::NodeId> a,
+                                      cfl::QueryStatus a_status,
+                                      std::span<const pag::NodeId> b,
+                                      cfl::QueryStatus b_status) {
+  for (std::size_t i = 0, j = 0; i < a.size() && j < b.size();) {
+    if (a[i] == b[j]) return cfl::Solver::AliasAnswer::kMay;
+    a[i] < b[j] ? ++i : ++j;
+  }
+  return a_status == cfl::QueryStatus::kComplete &&
+                 b_status == cfl::QueryStatus::kComplete
+             ? cfl::Solver::AliasAnswer::kNo
+             : cfl::Solver::AliasAnswer::kUnknown;
 }
 
 }  // namespace parcfl::service

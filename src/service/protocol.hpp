@@ -82,7 +82,8 @@
 // the one-request → one-frame invariant survives. A `cont` payload line is
 // either a result tuple `t <node> <chain>` or an escape record
 // `e u|r b|f <srcnode> <srcchain> <dstnode> <dstchain>` (union edge or
-// foreign-root request; see cfl::EscapeRecord).
+// foreign-root request; see cfl::EscapeRecord). This file owns every frame
+// format; service/line_io.hpp only moves the lines.
 //
 // `update` rides the request queue like a query: it is dispatched by the
 // collector thread as a batch of its own, strictly between query batches, so
@@ -167,6 +168,15 @@ inline constexpr std::size_t kMaxChainSites = 256;
 /// connection), keeping every request under kMaxRequestLine.
 inline constexpr std::size_t kMaxContTuples = 512;
 
+/// Most payload lines a counted reply frame may announce.
+inline constexpr std::uint64_t kMaxFrameLines = std::uint64_t{1} << 22;
+
+/// Split a line on runs of spaces and tabs.
+std::vector<std::string_view> tokenize(std::string_view line);
+
+/// Parse a decimal u64 token: digits only, no sign, no overflow.
+bool parse_u64(std::string_view token, std::uint64_t& out);
+
 /// True iff `name` is a legal tenant name: non-empty, ≤ kMaxTenantName bytes
 /// of [A-Za-z0-9_.-], and not "." or ".." (names become spill-file stems).
 bool valid_tenant_name(std::string_view name);
@@ -204,6 +214,9 @@ struct Reply {
   std::string text;  // stats JSON, metrics/slowlog payload, path, or error
 };
 
+/// An `err <text>` reply.
+Reply error_reply(std::string text);
+
 /// Render a reply as one protocol frame (no trailing newline). Most verbs
 /// render as a single line; kMetrics/kSlowLog/kCont render the counted
 /// header line followed by the payload lines from `text`. kCFact reports
@@ -213,5 +226,43 @@ std::string format_reply(const Reply& reply);
 
 const char* to_string(cfl::QueryStatus status);  // complete|partial|early
 const char* to_string(cfl::Solver::AliasAnswer answer);
+
+/// The payload line count a reply header announces: n for
+/// `ok metrics|slowlog <n>` and `ok cont <status> <charged> <n>`, else 0
+/// (also for a malformed count or one above kMaxFrameLines).
+std::uint64_t frame_payload_lines(std::string_view header);
+
+/// Parse an `ok cont <status> <charged> <n>` header (n ≤ kMaxFrameLines;
+/// the frame's reader consumed the n payload lines).
+bool parse_cont_header(std::string_view header, cfl::QueryStatus& status,
+                       std::uint64_t& charged);
+
+/// One payload line of an `ok cont` frame: a result tuple, or an escape the
+/// router must chase — a foreign-rooted sub-query (kRequest: its results
+/// are consumed structurally by the escaping task, never unioned) or a
+/// suppressed push (kUnion: dst's result set belongs inside src's).
+struct ContRecord {
+  enum class Kind : std::uint8_t { kTuple, kUnion, kRequest };
+  Kind kind = Kind::kTuple;
+  std::uint8_t dir = 0;  // escapes: 0 = backward, 1 = forward
+  WireTuple src;         // the tuple, or the escape's source configuration
+  WireTuple dst;         // escapes: the destination configuration
+};
+
+/// Render the `cont` payload: one line per record, newline-separated, no
+/// trailing newline (the Reply::text of a kCont reply).
+std::string format_cont_payload(std::span<const ContRecord> records);
+
+/// Parse one `cont` payload line; node ids are bounds-checked against
+/// `node_count`. Total, like parse_request.
+bool parse_cont_record(std::string_view line, std::uint32_t node_count,
+                       ContRecord& out);
+
+/// The `alias` verdict from two points-to answers (object lists sorted): a
+/// shared object proves may; a definitive no needs both sets complete.
+cfl::Solver::AliasAnswer alias_answer(std::span<const pag::NodeId> a,
+                                      cfl::QueryStatus a_status,
+                                      std::span<const pag::NodeId> b,
+                                      cfl::QueryStatus b_status);
 
 }  // namespace parcfl::service

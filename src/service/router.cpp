@@ -12,15 +12,7 @@
 #include <unordered_set>
 #include <utility>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-#include <cerrno>
-
-#include "cfl/solver.hpp"
+#include "service/line_io.hpp"
 
 namespace parcfl::service {
 
@@ -42,30 +34,6 @@ std::uint64_t hash_string(std::string_view s) {
   return splitmix64(h);
 }
 
-bool parse_u64_token(std::string_view token, std::uint64_t& out) {
-  if (token.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return false;
-    if (value > (~0ull - 9) / 10) return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
-
-std::vector<std::string_view> split_tokens(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && line[i] == ' ') ++i;
-    const std::size_t begin = i;
-    while (i < line.size() && line[i] != ' ') ++i;
-    if (i > begin) tokens.push_back(line.substr(begin, i - begin));
-  }
-  return tokens;
-}
-
 /// Router-side name of a configuration. Deliberately identical to the wire
 /// infix `b|f <node> <chain>`, so a key concatenates straight into cont and
 /// cfact request lines.
@@ -84,82 +52,9 @@ constexpr std::uint32_t kNoWorker = 0xffffffffu;
 /// on the worker side of this connection (per configuration), so re-seeding
 /// before each task sends only the delta.
 struct Conn {
-  int fd = -1;
-  std::string buffer;
+  LineConn line;
   std::unordered_map<std::string, std::unordered_set<std::string>> sent;
-
-  Conn() = default;
-  Conn(const Conn&) = delete;
-  Conn& operator=(const Conn&) = delete;
-  ~Conn() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  bool send_all(const std::string& data) {
-    std::size_t off = 0;
-    while (off < data.size()) {
-      const ssize_t w = ::send(fd, data.data() + off, data.size() - off, 0);
-      if (w <= 0) return false;
-      off += static_cast<std::size_t>(w);
-    }
-    return true;
-  }
-
-  /// One line, CR stripped. False on EOF, error, or receive timeout (the
-  /// socket carries SO_RCVTIMEO) — all of which fail the worker exchange.
-  bool recv_line(std::string& out) {
-    for (;;) {
-      const std::size_t nl = buffer.find('\n');
-      if (nl != std::string::npos) {
-        out.assign(buffer, 0, nl);
-        buffer.erase(0, nl + 1);
-        if (!out.empty() && out.back() == '\r') out.pop_back();
-        return true;
-      }
-      if (buffer.size() > 1 << 20) return false;  // runaway frame
-      char chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n <= 0) return false;
-      buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
 };
-
-std::unique_ptr<Conn> connect_worker(const std::string& address,
-                                     std::uint32_t deadline_ms) {
-  std::string host = "127.0.0.1";
-  std::string port_text = address;
-  const std::size_t colon = address.rfind(':');
-  if (colon != std::string::npos) {
-    host = address.substr(0, colon);
-    port_text = address.substr(colon + 1);
-    if (host.empty() || host == "localhost") host = "127.0.0.1";
-  }
-  std::uint64_t port = 0;
-  if (!parse_u64_token(port_text, port) || port == 0 || port > 65535)
-    return nullptr;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return nullptr;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-          0) {
-    ::close(fd);
-    return nullptr;
-  }
-  timeval tv{};
-  tv.tv_sec = deadline_ms / 1000;
-  tv.tv_usec = static_cast<long>(deadline_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  auto conn = std::make_unique<Conn>();
-  conn->fd = fd;
-  return conn;
-}
 
 }  // namespace
 
@@ -207,17 +102,16 @@ struct RouterCore::Impl {
     for (const std::string& address : options.workers) {
       auto worker = std::make_unique<Worker>();
       worker->address = address;
-      auto conn = connect_worker(address, options.deadline_ms);
+      auto conn = std::make_unique<Conn>();
       std::string line;
-      if (conn == nullptr || !conn->send_all("part\n") ||
-          !conn->recv_line(line))
+      if (!conn->line.connect(address, options.deadline_ms) ||
+          !conn->line.roundtrip("part\n", line, kMaxReplyLine))
         return fail("worker " + address + " unreachable");
-      const auto tokens = split_tokens(line);
+      const auto tokens = tokenize(line);
       std::uint64_t local = 0, wparts = 0, nodes = 0;
       if (tokens.size() < 6 || tokens[0] != "ok" || tokens[1] != "part" ||
-          !parse_u64_token(tokens[2], local) ||
-          !parse_u64_token(tokens[3], wparts) ||
-          !parse_u64_token(tokens[4], nodes))
+          !parse_u64(tokens[2], local) || !parse_u64(tokens[3], wparts) ||
+          !parse_u64(tokens[4], nodes))
         return fail("worker " + address + " is not a partition worker: " + line);
       if (wparts != parts || local >= parts ||
           nodes != options.map->owner.size())
@@ -275,11 +169,13 @@ struct RouterCore::Impl {
           pooled = true;
         }
       }
-      if (conn == nullptr)
-        conn = connect_worker(worker.address, options.deadline_ms);
-      if (conn == nullptr) return nullptr;
+      if (conn == nullptr) {
+        conn = std::make_unique<Conn>();
+        if (!conn->line.connect(worker.address, options.deadline_ms))
+          return nullptr;
+      }
       std::string line;
-      if (conn->send_all("creset\n") && conn->recv_line(line) &&
+      if (conn->line.roundtrip("creset\n", line, kMaxReplyLine) &&
           line == "ok creset") {
         conn->sent.clear();
         worker.healthy.store(true, std::memory_order_relaxed);
@@ -306,12 +202,8 @@ struct RouterCore::Impl {
   bool run_once(std::uint8_t dir, std::uint32_t root, std::uint64_t budget,
                 Answer& out) {
     const std::vector<std::uint32_t>& owner = options.map->owner;
-    struct Cfg {
-      std::uint8_t dir;
-      std::uint32_t node;
-      std::vector<std::uint32_t> chain;
-    };
-    std::unordered_map<std::string, Cfg> cfgs;
+    /// Every configuration seen, by key, with the node its task routes by.
+    std::unordered_map<std::string, std::uint32_t> cfgs;
     /// Facts per configuration; tuples are stored in wire-token form
     /// (`node:chain`) so they concatenate straight into cfact lines.
     std::unordered_map<std::string, std::set<std::string>> facts;
@@ -328,7 +220,7 @@ struct RouterCore::Impl {
     std::unordered_map<std::uint32_t, std::unique_ptr<Conn>> conns;
 
     const std::string root_key = cfg_key(dir, root, {});
-    cfgs.emplace(root_key, Cfg{dir, root, {}});
+    cfgs.emplace(root_key, root);
     tasks.insert(root_key);
     pending.insert(root_key);
 
@@ -350,21 +242,10 @@ struct RouterCore::Impl {
       return closed;
     };
 
-    const auto register_cfg = [&](std::uint8_t d, std::string_view node_token,
-                                  std::string_view chain_token,
-                                  std::string* key_out) {
-      std::uint64_t node = 0;
-      if (!parse_u64_token(node_token, node) || node >= owner.size())
-        return false;
-      Cfg cfg;
-      cfg.dir = d;
-      cfg.node = static_cast<std::uint32_t>(node);
-      std::string chain_error;
-      if (!parse_chain(chain_token, cfg.chain, chain_error)) return false;
-      std::string key = cfg_key(d, cfg.node, cfg.chain);
-      cfgs.emplace(key, std::move(cfg));
-      *key_out = std::move(key);
-      return true;
+    const auto register_cfg = [&](std::uint8_t d, const WireTuple& t) {
+      std::string key = cfg_key(d, t.node.value(), t.chain);
+      cfgs.emplace(key, t.node.value());
+      return key;
     };
 
     const auto fail = [&](std::string msg) {
@@ -384,22 +265,25 @@ struct RouterCore::Impl {
         // later in this round may re-schedule it.
         pending.erase(task_key);
         bool grew_here = false;
-        const Cfg& cfg = cfgs.at(task_key);
-        const std::uint32_t wi = route(owner[cfg.node], cfg.node);
+        const std::uint32_t node = cfgs.at(task_key);
+        const std::uint32_t wi = route(owner[node], node);
         if (wi == kNoWorker) return fail("partition unavailable");
         Worker& worker = *workers[wi];
         std::unique_ptr<Conn>& conn = conns[wi];
-        if (conn == nullptr) conn = checkout_fresh(worker);
-        if (conn == nullptr) {
+        // A failed exchange drops the connection and fails the query.
+        const auto lost = [&] {
+          conn.reset();
           worker.failures.fetch_add(1, std::memory_order_relaxed);
           worker.healthy.store(false, std::memory_order_relaxed);
           return fail("partition unavailable");
-        }
+        };
+        if (conn == nullptr) conn = checkout_fresh(worker);
+        if (conn == nullptr) return lost();
 
         // Seed this worker with the delta of every configuration's closed
         // facts it has not seen on this connection yet.
-        for (const auto& [key, cfg_unused] : cfgs) {
-          (void)cfg_unused;
+        for (const auto& [key, node_unused] : cfgs) {
+          (void)node_unused;
           const std::set<std::string> closed = closed_facts(key);
           if (closed.empty()) continue;
           auto& sent = conn->sent[key];
@@ -422,13 +306,9 @@ struct RouterCore::Impl {
             std::string line = "cfact " + key + ' ' + std::to_string(n) +
                                body + '\n';
             std::string reply;
-            if (!conn->send_all(line) || !conn->recv_line(reply) ||
-                reply.rfind("ok cfact ", 0) != 0) {
-              conn.reset();
-              worker.failures.fetch_add(1, std::memory_order_relaxed);
-              worker.healthy.store(false, std::memory_order_relaxed);
-              return fail("partition unavailable");
-            }
+            if (!conn->line.roundtrip(line, reply, kMaxReplyLine) ||
+                reply.rfind("ok cfact ", 0) != 0)
+              return lost();
             for (std::size_t j = 0; j < n; ++j) sent.insert(*fresh[i + j]);
             i += n;
           }
@@ -442,73 +322,44 @@ struct RouterCore::Impl {
           cont_line += " budget " + std::to_string(effective);
         cont_line += '\n';
         std::string header;
-        if (!conn->send_all(cont_line) || !conn->recv_line(header)) {
-          conn.reset();
-          worker.failures.fetch_add(1, std::memory_order_relaxed);
-          worker.healthy.store(false, std::memory_order_relaxed);
-          return fail("partition unavailable");
-        }
+        std::vector<std::string> payload;
+        if (!conn->line.send_all(cont_line) ||
+            !conn->line.read_frame(header, payload, kMaxReplyLine))
+          return lost();
         if (header.rfind("err ", 0) == 0) return fail(header.substr(4));
-        const auto tokens = split_tokens(header);
-        std::uint64_t charged = 0, payload_lines = 0;
-        if (tokens.size() != 5 || tokens[0] != "ok" || tokens[1] != "cont" ||
-            !parse_u64_token(tokens[3], charged) ||
-            !parse_u64_token(tokens[4], payload_lines) ||
-            payload_lines > (1u << 22))
-          return fail("bad worker reply: " + header);
         cfl::QueryStatus status = cfl::QueryStatus::kComplete;
-        if (tokens[2] == "partial") {
-          status = cfl::QueryStatus::kOutOfBudget;
-        } else if (tokens[2] == "early") {
-          status = cfl::QueryStatus::kEarlyTermination;
-        } else if (tokens[2] != "complete") {
+        std::uint64_t charged = 0;
+        if (!parse_cont_header(header, status, charged))
           return fail("bad worker reply: " + header);
-        }
         total_charged += charged;
         cont_frames.fetch_add(1, std::memory_order_relaxed);
         worker.continuations.fetch_add(1, std::memory_order_relaxed);
         if (!(round == 0 && task_key == root_key))
           cross_frames.fetch_add(1, std::memory_order_relaxed);
 
-        for (std::uint64_t li = 0; li < payload_lines; ++li) {
-          std::string payload;
-          if (!conn->recv_line(payload)) {
-            conn.reset();
-            worker.failures.fetch_add(1, std::memory_order_relaxed);
-            return fail("partition unavailable");
-          }
-          const auto p = split_tokens(payload);
-          if (p.size() == 3 && p[0] == "t") {
-            std::uint64_t node = 0;
-            if (!parse_u64_token(p[1], node) || node >= owner.size())
-              return fail("bad worker tuple: " + payload);
-            std::string chain_error;
-            std::vector<std::uint32_t> chain;
-            if (!parse_chain(p[2], chain, chain_error))
-              return fail("bad worker tuple: " + payload);
-            std::string token(p[1]);
+        for (const std::string& line : payload) {
+          ContRecord record;
+          if (!parse_cont_record(line, static_cast<std::uint32_t>(owner.size()),
+                                 record))
+            return fail("bad worker reply line: " + line);
+          if (record.kind == ContRecord::Kind::kTuple) {
+            std::string token = std::to_string(record.src.node.value());
             token += ':';
-            token += p[2];
+            token += format_chain(record.src.chain);
             if (facts[task_key].insert(std::move(token)).second) {
               grew_here = true;
               fact_tuples.fetch_add(1, std::memory_order_relaxed);
             }
-          } else if (p.size() == 7 && p[0] == "e" &&
-                     (p[1] == "u" || p[1] == "r") &&
-                     (p[2] == "b" || p[2] == "f")) {
-            const std::uint8_t edir = p[2] == "b" ? 0 : 1;
-            std::string src_key, dst_key;
-            if (!register_cfg(edir, p[3], p[4], &src_key) ||
-                !register_cfg(edir, p[5], p[6], &dst_key))
-              return fail("bad worker escape: " + payload);
-            if (p[1] == "u" && unions[src_key].insert(dst_key).second)
-              grew_here = true;
-            if (tasks.insert(dst_key).second) {
-              grew_here = true;
-              pending.insert(dst_key);
-            }
-          } else {
-            return fail("bad worker reply line: " + payload);
+            continue;
+          }
+          const std::string src_key = register_cfg(record.dir, record.src);
+          const std::string dst_key = register_cfg(record.dir, record.dst);
+          if (record.kind == ContRecord::Kind::kUnion &&
+              unions[src_key].insert(dst_key).second)
+            grew_here = true;
+          if (tasks.insert(dst_key).second) {
+            grew_here = true;
+            pending.insert(dst_key);
           }
         }
         last_status[task_key] = status;
@@ -539,7 +390,7 @@ struct RouterCore::Impl {
       const std::size_t colon = tuple.find(':');
       std::uint64_t node = 0;
       if (colon == std::string::npos ||
-          !parse_u64_token(std::string_view(tuple).substr(0, colon), node))
+          !parse_u64(std::string_view(tuple).substr(0, colon), node))
         continue;
       out.objects.push_back(pag::NodeId(static_cast<std::uint32_t>(node)));
     }
@@ -581,29 +432,15 @@ std::uint32_t RouterCore::node_count() const {
 }
 
 Reply RouterCore::handle(const Request& request) {
-  const auto error_reply = [](std::string text) {
-    Reply r;
-    r.status = Reply::Status::kError;
-    r.text = std::move(text);
-    return r;
-  };
+  Reply r;
+  r.verb = request.verb;
   switch (request.verb) {
-    case Verb::kPing: {
-      Reply r;
-      r.verb = Verb::kPing;
+    case Verb::kPing:
+    case Verb::kQuit:
       return r;
-    }
-    case Verb::kQuit: {
-      Reply r;
-      r.verb = Verb::kQuit;
-      return r;
-    }
-    case Verb::kStats: {
-      Reply r;
-      r.verb = Verb::kStats;
+    case Verb::kStats:
       r.text = stats_json();
       return r;
-    }
     case Verb::kQuery:
     case Verb::kAlias:
       break;
@@ -622,13 +459,9 @@ Reply RouterCore::handle(const Request& request) {
       impl_->options.max_inflight) {
     impl_->inflight.fetch_sub(1, std::memory_order_acq_rel);
     impl_->shed.fetch_add(1, std::memory_order_relaxed);
-    Reply r;
     r.status = Reply::Status::kShedOverload;
-    r.verb = request.verb;
     return r;
   }
-  Reply r;
-  r.verb = request.verb;
   if (request.verb == Verb::kQuery) {
     impl_->queries.fetch_add(1, std::memory_order_relaxed);
     Impl::Answer answer =
@@ -647,18 +480,7 @@ Reply RouterCore::handle(const Request& request) {
   impl_->inflight.fetch_sub(1, std::memory_order_acq_rel);
   if (!a.ok) return error_reply(std::move(a.error));
   if (!b.ok) return error_reply(std::move(b.error));
-  // Mirrors the single-node service's alias_answer: a shared object proves
-  // may; a definitive no needs both points-to sets complete.
-  std::vector<pag::NodeId> common;
-  std::set_intersection(a.objects.begin(), a.objects.end(), b.objects.begin(),
-                        b.objects.end(), std::back_inserter(common));
-  if (!common.empty())
-    r.alias = cfl::Solver::AliasAnswer::kMay;
-  else if (a.status == cfl::QueryStatus::kComplete &&
-           b.status == cfl::QueryStatus::kComplete)
-    r.alias = cfl::Solver::AliasAnswer::kNo;
-  else
-    r.alias = cfl::Solver::AliasAnswer::kUnknown;
+  r.alias = alias_answer(a.objects, a.status, b.objects, b.status);
   r.charged_steps = a.charged + b.charged;
   r.query_status =
       a.status == cfl::QueryStatus::kComplete ? b.status : a.status;
@@ -668,16 +490,11 @@ Reply RouterCore::handle(const Request& request) {
 bool RouterCore::handle_line(const std::string& line, std::string& reply_line) {
   Request request;
   std::string error;
-  if (!parse_request(line, node_count(), request, error)) {
-    Reply r;
-    r.status = Reply::Status::kError;
-    r.text = std::move(error);
-    reply_line = format_reply(r) + "\n";
-    return true;
-  }
-  const bool keep_open = request.verb != Verb::kQuit;
-  reply_line = format_reply(handle(request)) + "\n";
-  return keep_open;
+  const bool parsed = parse_request(line, node_count(), request, error);
+  reply_line =
+      format_reply(parsed ? handle(request) : error_reply(std::move(error))) +
+      "\n";
+  return !parsed || request.verb != Verb::kQuit;
 }
 
 TcpServer::HandlerFactory RouterCore::handler_factory() {

@@ -63,7 +63,6 @@ class TcpServer {
   void shutdown();
 
  private:
-  void init(std::uint16_t port, std::string* error);
   void handle_connection(int fd);
 
   HandlerFactory factory_;

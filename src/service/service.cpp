@@ -19,20 +19,6 @@ Reply ready_reply(Reply::Status status, Verb verb, std::string text = {}) {
   return r;
 }
 
-/// May-alias from two points-to results (both object lists sorted): a shared
-/// object proves may; a definitive no needs both sets complete.
-cfl::Solver::AliasAnswer alias_answer(const Session::ItemResult& a,
-                                      const Session::ItemResult& b) {
-  std::vector<pag::NodeId> common;
-  std::set_intersection(a.objects.begin(), a.objects.end(), b.objects.begin(),
-                        b.objects.end(), std::back_inserter(common));
-  if (!common.empty()) return cfl::Solver::AliasAnswer::kMay;
-  if (a.status == cfl::QueryStatus::kComplete &&
-      b.status == cfl::QueryStatus::kComplete)
-    return cfl::Solver::AliasAnswer::kNo;
-  return cfl::Solver::AliasAnswer::kUnknown;
-}
-
 /// One-line JSON for the `index` wire verb (a session-scoped slice of the
 /// `stats` csindex block — per-tenant, where `stats` is default-tenant only).
 std::string index_json(const Session::IndexInfo& info) {
@@ -265,8 +251,7 @@ std::future<Reply> QueryService::submit(Request request) {
       const bool ok = manager_.open(request.tenant, request.path, &error);
       promise.set_value(ok ? ready_reply(Reply::Status::kOk, Verb::kOpen,
                                          request.tenant)
-                           : ready_reply(Reply::Status::kError, Verb::kOpen,
-                                         std::move(error)));
+                           : error_reply(std::move(error)));
       return future;
     }
     case Verb::kClose: {
@@ -278,8 +263,7 @@ std::future<Reply> QueryService::submit(Request request) {
       const bool ok = manager_.close(request.tenant, &error);
       promise.set_value(ok ? ready_reply(Reply::Status::kOk, Verb::kClose,
                                          request.tenant)
-                           : ready_reply(Reply::Status::kError, Verb::kClose,
-                                         std::move(error)));
+                           : error_reply(std::move(error)));
       return future;
     }
     case Verb::kSave:
@@ -298,8 +282,7 @@ std::future<Reply> QueryService::submit(Request request) {
       }
       promise.set_value(ok ? ready_reply(Reply::Status::kOk, request.verb,
                                          request.path)
-                           : ready_reply(Reply::Status::kError, request.verb,
-                                         std::move(error)));
+                           : error_reply(std::move(error)));
       return future;
     }
     case Verb::kIndex: {
@@ -315,8 +298,7 @@ std::future<Reply> QueryService::submit(Request request) {
         std::string error;
         SessionManager::Lease lease = manager_.acquire(request.tenant, &error);
         if (!lease) {
-          promise.set_value(ready_reply(Reply::Status::kError, Verb::kIndex,
-                                        std::move(error)));
+          promise.set_value(error_reply(std::move(error)));
           return future;
         }
         text = index_json(lease->index_info());
@@ -335,16 +317,14 @@ std::future<Reply> QueryService::submit(Request request) {
     case Verb::kCReset:
       // Worker verbs are served by the wire layer (service/worker.cpp);
       // nothing routes them here, but parsing stays total anyway.
-      promise.set_value(ready_reply(Reply::Status::kError, request.verb,
-                                    "worker verb outside the worker loop"));
+      promise.set_value(error_reply("worker verb outside the worker loop"));
       return future;
     case Verb::kUpdate:
       // Falls through to the queue: the delta must be applied by the
       // collector thread between batches, never from a client thread.
       if (!request.tenant.empty() && !manager_.known(request.tenant)) {
-        promise.set_value(ready_reply(Reply::Status::kError, Verb::kUpdate,
-                                      "unknown tenant '" + request.tenant +
-                                          "'"));
+        promise.set_value(
+            error_reply("unknown tenant '" + request.tenant + "'"));
         return future;
       }
       break;
@@ -362,17 +342,15 @@ std::future<Reply> QueryService::submit(Request request) {
         if (!default_session_->is_variable_node(request.a) ||
             (request.verb != Verb::kQuery &&
              !default_session_->is_variable_node(request.b))) {
-          promise.set_value(ready_reply(Reply::Status::kError, request.verb,
-                                        "not a variable node"));
+          promise.set_value(error_reply("not a variable node"));
           return future;
         }
       } else if (!manager_.known(request.tenant)) {
         // Node validation for tenant requests waits for dispatch (the graph
         // may not even be resident yet); the tenant's existence is checkable
         // now, so unknown names fail fast instead of riding the queue.
-        promise.set_value(ready_reply(Reply::Status::kError, request.verb,
-                                      "unknown tenant '" + request.tenant +
-                                          "'"));
+        promise.set_value(
+            error_reply("unknown tenant '" + request.tenant + "'"));
         return future;
       }
       break;
@@ -501,9 +479,7 @@ void QueryService::execute_update(Pending pending) {
     lease = manager_.acquire(pending.request.tenant, &acquire_error);
     if (!lease) {
       recorder_.record_update(/*ok=*/false, 0);
-      pending.promise.set_value(ready_reply(Reply::Status::kError,
-                                            Verb::kUpdate,
-                                            std::move(acquire_error)));
+      pending.promise.set_value(error_reply(std::move(acquire_error)));
       return;
     }
     session = lease.get();
@@ -512,8 +488,7 @@ void QueryService::execute_update(Pending pending) {
   Session::UpdateStats stats;
   if (!session->update_from_file(pending.request.path, &error, &stats)) {
     recorder_.record_update(/*ok=*/false, 0);
-    pending.promise.set_value(
-        ready_reply(Reply::Status::kError, Verb::kUpdate, std::move(error)));
+    pending.promise.set_value(error_reply(std::move(error)));
     return;
   }
   recorder_.record_update(/*ok=*/true, stats.invalidate.evicted);
@@ -541,8 +516,7 @@ void QueryService::execute_batch(std::vector<Pending> batch) {
     if (!lease) {
       // Closed between admission and dispatch, or the (re)load failed.
       for (Pending& p : batch)
-        p.promise.set_value(
-            ready_reply(Reply::Status::kError, p.request.verb, acquire_error));
+        p.promise.set_value(error_reply(acquire_error));
       return;
     }
     session = lease.get();
@@ -568,8 +542,7 @@ void QueryService::execute_batch(std::vector<Pending> batch) {
     if ((p.request.verb == Verb::kTaint || p.request.verb == Verb::kDepends) &&
         session->partitioned()) {
       p.promise.set_value(
-          ready_reply(Reply::Status::kError, p.request.verb,
-                      "taint/depends unsupported on a partitioned worker"));
+          error_reply("taint/depends unsupported on a partitioned worker"));
       continue;
     }
     if (!tenant.empty()) {
@@ -582,8 +555,7 @@ void QueryService::execute_batch(std::vector<Pending> batch) {
         bad = bad || p.request.b.value() >= n ||
               !session->is_variable_node(p.request.b);
       if (bad) {
-        p.promise.set_value(ready_reply(Reply::Status::kError, p.request.verb,
-                                        "not a variable node"));
+        p.promise.set_value(error_reply("not a variable node"));
         continue;
       }
       if (options_.tenant_step_budget != 0) {
@@ -670,7 +642,7 @@ void QueryService::execute_batch(std::vector<Pending> batch) {
     } else {
       const Session::ItemResult& a = result.items[next_item++];
       const Session::ItemResult& b = result.items[next_item++];
-      r.alias = alias_answer(a, b);
+      r.alias = alias_answer(a.objects, a.status, b.objects, b.status);
       r.charged_steps = a.charged_steps + b.charged_steps;
       // The weaker of the two statuses, for observability.
       r.query_status = a.status == cfl::QueryStatus::kComplete ? b.status : a.status;

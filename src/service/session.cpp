@@ -471,35 +471,32 @@ bool Session::run_continuation(const ContRequest& request,
   // Results and escapes cross the wire as chains, not CtxIds (the peer's
   // context table interns independently). for_each_site walks top-first;
   // the wire format is bottom-first.
-  const auto chain_of = [&](cfl::CtxId c, std::vector<std::uint32_t>& sites) {
-    sites.clear();
+  const auto config = [&](pag::NodeId node, cfl::CtxId ctx) {
+    WireTuple t{node, {}};
     contexts_.for_each_site(
-        c, [&](pag::CallSiteId s) { sites.push_back(s.value()); });
-    std::reverse(sites.begin(), sites.end());
+        ctx, [&](pag::CallSiteId s) { t.chain.push_back(s.value()); });
+    std::reverse(t.chain.begin(), t.chain.end());
+    return t;
+  };
+  const auto packed = [&](std::uint64_t key) {  // (node << 32) | ctx
+    return config(pag::NodeId(static_cast<std::uint32_t>(key >> 32)),
+                  cfl::CtxId(static_cast<std::uint32_t>(key)));
   };
   out.status = qr.status;
-  out.tuples.reserve(qr.tuples.size());
-  for (const cfl::PtPair& t : qr.tuples) {
-    ContTuple tuple;
-    tuple.node = t.node;
-    chain_of(t.ctx, tuple.chain);
-    out.tuples.push_back(std::move(tuple));
-  }
   std::vector<cfl::EscapeRecord> raw;
   cont_solver_->take_escapes(raw);
-  out.escapes.reserve(raw.size());
-  for (const cfl::EscapeRecord& e : raw) {
-    ContEscape escape;
-    escape.request = e.kind == cfl::EscapeRecord::Kind::kRequest;
-    escape.dir = e.dir;
-    escape.src.node = pag::NodeId(static_cast<std::uint32_t>(e.src >> 32));
-    chain_of(cfl::CtxId(static_cast<std::uint32_t>(e.src)), escape.src.chain);
-    escape.dst.node = pag::NodeId(static_cast<std::uint32_t>(e.dst >> 32));
-    chain_of(cfl::CtxId(static_cast<std::uint32_t>(e.dst)), escape.dst.chain);
-    out.escapes.push_back(std::move(escape));
-  }
+  out.records.reserve(qr.tuples.size() + raw.size());
+  for (const cfl::PtPair& t : qr.tuples)
+    out.records.push_back(
+        {ContRecord::Kind::kTuple, 0, config(t.node, t.ctx), {}});
+  for (const cfl::EscapeRecord& e : raw)
+    out.records.push_back(
+        {e.kind == cfl::EscapeRecord::Kind::kRequest ? ContRecord::Kind::kRequest
+                                                     : ContRecord::Kind::kUnion,
+         static_cast<std::uint8_t>(e.dir == cfl::Direction::kBackward ? 0 : 1),
+         packed(e.src), packed(e.dst)});
   part_continuations_.fetch_add(1, std::memory_order_relaxed);
-  part_escapes_.fetch_add(out.escapes.size(), std::memory_order_relaxed);
+  part_escapes_.fetch_add(raw.size(), std::memory_order_relaxed);
   part_seeded_.fetch_add(cont_solver_->seeded_tuples(),
                          std::memory_order_relaxed);
   part_busy_ns_.fetch_add(thread_cpu_ns() - busy_start,
@@ -534,15 +531,9 @@ void Session::compactor_main() {
       want = std::move(cx_queue_);
       cx_queue_.clear();
     }
-    // A rebuild must keep covering what is already published (the queue only
-    // carries the delta: fresh hot roots + entries an update dirtied).
-    {
-      support::EpochGuard guard(support::global_epoch_domain());
-      const cfl::CsIndex* current = index_.load(std::memory_order_acquire);
-      if (current != nullptr)
-        for (const cfl::CsIndex::Entry& e : current->entries())
-          want.push_back(e.key);
-    }
+    // The queue is the delta — fresh hot roots plus the entries an update
+    // dropped. Only those are cold-solved; the pass merges them into the
+    // published index, whose other entries are still exact.
     std::sort(want.begin(), want.end());
     want.erase(std::unique(want.begin(), want.end()), want.end());
     if (want.size() > kIndexMaxEntries) want.resize(kIndexMaxEntries);
@@ -564,7 +555,10 @@ void Session::compactor_main() {
       cx_building_ = false;
       if (cx_stop_) return;
       if (built != nullptr && generation == cx_generation_) {
+        // Same generation: no update swapped the index since the queue was
+        // taken, so it answers for the graph the pass solved against.
         const cfl::CsIndex* old = index_.load(std::memory_order_relaxed);
+        if (old != nullptr) built = old->merged(*built, kIndexMaxEntries);
         index_.store(built.release(), std::memory_order_release);
         if (old != nullptr) support::global_epoch_domain().retire_object(old);
         ++cx_builds_;

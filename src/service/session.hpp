@@ -69,6 +69,7 @@
 #include "pag/pag.hpp"
 #include "pag/partition.hpp"
 #include "pag/reduce.hpp"
+#include "service/protocol.hpp"
 
 namespace parcfl::andersen {
 class Prefilter;
@@ -157,24 +158,6 @@ class Session {
 
   // ---- partitioned continuation plane (DESIGN.md §14) ---------------------
 
-  /// One (node, context-chain) tuple crossing the process boundary. Chains
-  /// are call-site id lists, bottom-first; CtxIds never leave the process
-  /// (they index this session's private interning table).
-  struct ContTuple {
-    pag::NodeId node = pag::NodeId::invalid();
-    std::vector<std::uint32_t> chain;
-  };
-
-  /// A cross-partition discovery the router must follow up on. `request`
-  /// distinguishes a foreign-rooted sub-query (results consumed structurally
-  /// by the escaping task, never unioned) from a suppressed push (dst's
-  /// result set belongs inside src's).
-  struct ContEscape {
-    bool request = false;
-    cfl::Direction dir = cfl::Direction::kBackward;
-    ContTuple src, dst;
-  };
-
   /// One continuation task: run configuration (node, chain) in `dir` with
   /// the caller's accumulated facts seeded.
   struct ContRequest {
@@ -184,11 +167,13 @@ class Session {
     std::uint64_t budget = 0;              // 0 = engine default
   };
 
+  /// Results and escapes cross the process boundary as chains, not CtxIds
+  /// (they index this session's private interning table), in wire order:
+  /// every result tuple, then every escape (protocol.hpp's `cont` payload).
   struct ContResult {
     cfl::QueryStatus status = cfl::QueryStatus::kComplete;
     std::uint64_t charged_steps = 0;
-    std::vector<ContTuple> tuples;
-    std::vector<ContEscape> escapes;
+    std::vector<ContRecord> records;
   };
 
   bool partitioned() const { return partition_map_ != nullptr; }

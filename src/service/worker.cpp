@@ -6,43 +6,27 @@
 
 namespace parcfl::service {
 
-namespace {
-
-Reply error_reply(std::string text) {
-  Reply r;
-  r.status = Reply::Status::kError;
-  r.text = std::move(text);
-  return r;
-}
-
-}  // namespace
-
 bool WireSession::handle(const std::string& line, std::string& reply_line) {
   Request request;
   std::string error;
+  Reply reply;
+  bool keep_open = true;
   if (!parse_request(line, service_.node_count(), request, error)) {
     service_.note_protocol_error();
-    reply_line = format_reply(error_reply(std::move(error))) + "\n";
-    return true;
+    reply = error_reply(std::move(error));
+  } else if (request.verb == Verb::kPart) {
+    reply = handle_part(request);
+  } else if (request.verb == Verb::kCFact) {
+    reply = handle_cfact(request);
+  } else if (request.verb == Verb::kCont) {
+    reply = handle_cont(request);
+  } else if (request.verb == Verb::kCReset) {
+    reply = handle_creset();
+  } else {
+    keep_open = request.verb != Verb::kQuit;
+    reply = service_.call(std::move(request));
   }
-  switch (request.verb) {
-    case Verb::kPart:
-      reply_line = format_reply(handle_part(request)) + "\n";
-      return true;
-    case Verb::kCFact:
-      reply_line = format_reply(handle_cfact(request)) + "\n";
-      return true;
-    case Verb::kCont:
-      reply_line = format_reply(handle_cont(request)) + "\n";
-      return true;
-    case Verb::kCReset:
-      reply_line = format_reply(handle_creset()) + "\n";
-      return true;
-    default:
-      break;
-  }
-  const bool keep_open = request.verb != Verb::kQuit;
-  reply_line = format_reply(service_.call(std::move(request))) + "\n";
+  reply_line = format_reply(reply) + "\n";
   return keep_open;
 }
 
@@ -107,24 +91,7 @@ Reply WireSession::handle_cont(const Request& request) {
   r.verb = Verb::kCont;
   r.query_status = result.status;
   r.charged_steps = result.charged_steps;
-  std::string payload;
-  for (const Session::ContTuple& tuple : result.tuples) {
-    if (!payload.empty()) payload += '\n';
-    payload += "t " + std::to_string(tuple.node.value()) + ' ' +
-               format_chain(tuple.chain);
-  }
-  for (const Session::ContEscape& escape : result.escapes) {
-    if (!payload.empty()) payload += '\n';
-    payload += "e ";
-    payload += escape.request ? 'r' : 'u';
-    payload += ' ';
-    payload += escape.dir == cfl::Direction::kBackward ? 'b' : 'f';
-    payload += ' ' + std::to_string(escape.src.node.value()) + ' ' +
-               format_chain(escape.src.chain) + ' ' +
-               std::to_string(escape.dst.node.value()) + ' ' +
-               format_chain(escape.dst.chain);
-  }
-  r.text = std::move(payload);
+  r.text = format_cont_payload(result.records);
   return r;
 }
 

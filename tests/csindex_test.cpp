@@ -8,7 +8,7 @@
 //    approximation, entries coupled by a field's first store), without()
 //    compacts the target pool, and after a Session::update the pruned index
 //    still answers identically to an index-free session that applied the
-//    same delta;
+//    same delta; the next compactor pass re-solves only the dropped roots;
 //  * outcome identity — the metamorphic bar: with the index on, every mode,
 //    warm or cold, any per-item budget, answers exactly what an index-off
 //    session answers (an index hit additionally charges 0 steps);
@@ -602,6 +602,77 @@ TEST(CsIndexSession, UpdateDropsExactlyTheJmpStoreEvictions) {
       }
     }
   }
+}
+
+// The compactor is incremental: after an update drops k of the n entries,
+// the next pass cold-solves exactly those k roots — it charges what a cold
+// build over them alone charges, not a re-solve of all n — and merges them
+// into the survivors. Every answer the merged index serves still equals a
+// cold solve on the new graph.
+TEST(CsIndexSession, CompactorReSolvesOnlyTheDroppedEntries) {
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const pag::Pag pag = small_pag(seed);
+    const pag::Delta d = contract_delta(pag, seed);
+    auto opts = session_options(cfl::Mode::kSequential, true);
+    opts.engine.threads = 1;
+    const cfl::SolverOptions& solver = opts.engine.solver;
+    const auto vars = test::all_variables(pag);
+
+    // The entries a full pass indexes: complete cold solves of every root.
+    const auto built = cfl::build_csindex(pag, keys_of(vars), solver);
+    ASSERT_NE(built, nullptr);
+    std::vector<std::uint64_t> roots;
+    for (const auto& e : built->entries()) roots.push_back(e.key);
+    const auto dropped = jmp_store_drops(pag, d, false, false, roots);
+    if (dropped.empty() || dropped.size() == roots.size()) continue;
+    ++checked;
+
+    service::Session s(pag, opts);
+    for (const NodeId v : vars) s.note_hot(v);
+    ASSERT_TRUE(s.wait_for_index());
+    const auto before = s.index_info();
+    ASSERT_EQ(before.entries, roots.size()) << "seed " << seed;
+
+    std::string error;
+    ASSERT_TRUE(s.update(d, &error)) << error;
+    ASSERT_TRUE(s.wait_for_index());
+    const auto after = s.index_info();
+    EXPECT_EQ(after.invalidated, dropped.size()) << "seed " << seed;
+    EXPECT_EQ(after.builds, before.builds + 1) << "seed " << seed;
+
+    const std::optional<pag::Pag> next = pag::apply_delta(pag, d);
+    ASSERT_TRUE(next.has_value());
+    const auto resolved = cfl::build_csindex(*next, dropped, solver);
+    ASSERT_NE(resolved, nullptr);
+    EXPECT_EQ(after.build_charged_steps - before.build_charged_steps,
+              resolved->stats().build_charged_steps)
+        << "seed " << seed << ": the pass did not charge exactly the cold "
+        << "solves of the " << dropped.size() << " dropped roots";
+    EXPECT_EQ(after.entries,
+              roots.size() - dropped.size() + resolved->entries().size())
+        << "seed " << seed;
+
+    // Each variable once: every merged entry is hit, and every answer equals
+    // a cold solve on the new graph.
+    const auto got = s.run_batch(items_of(vars)).items;
+    EXPECT_EQ(s.index_info().hits - after.hits, after.entries)
+        << "seed " << seed;
+    cfl::ContextTable contexts;
+    cfl::Solver cold(*next, contexts, nullptr, solver);
+    ASSERT_EQ(got.size(), vars.size());
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+      const auto r = cold.points_to(vars[i]);
+      std::vector<NodeId> expect;
+      for (const NodeId n : r.nodes()) expect.push_back(n);
+      std::sort(expect.begin(), expect.end());
+      EXPECT_EQ(got[i].status, r.status)
+          << "seed " << seed << " var " << vars[i].value();
+      EXPECT_EQ(got[i].objects, expect)
+          << "seed " << seed << " var " << vars[i].value();
+    }
+  }
+  EXPECT_GT(checked, 0u) << "no seed dropped a proper subset of the entries";
 }
 
 // ---------------------------------------------------------------------------

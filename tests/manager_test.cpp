@@ -31,16 +31,12 @@
 #include "frontend/lower.hpp"
 #include "pag/collapse.hpp"
 #include "pag/pag_io.hpp"
+#include "service/line_io.hpp"
 #include "service/manager.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
 #include "synth/generator.hpp"
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 namespace parcfl::service {
 namespace {
@@ -654,29 +650,20 @@ TEST(ManagerTest, GracefulTcpTeardownWithConnectedClient) {
   std::thread serving([&] { server.serve(); });
 
   // Connect, complete one request, then stay connected and idle.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-      0);
-  const std::string line =
-      "query " + std::to_string(w.queries.front().value()) + "\n";
-  ASSERT_EQ(::send(fd, line.data(), line.size(), 0),
-            static_cast<ssize_t>(line.size()));
-  char buf[4096];
-  ASSERT_GT(::recv(fd, buf, sizeof(buf), 0), 0);  // got the reply
+  // No receive timeout: a read that returns must have seen data or EOF.
+  LineConn conn;
+  ASSERT_TRUE(conn.connect(std::to_string(server.port()), /*deadline_ms=*/0));
+  ASSERT_TRUE(conn.send_all(
+      "query " + std::to_string(w.queries.front().value()) + "\n"));
+  std::string reply;
+  ASSERT_TRUE(conn.read_line(reply, kMaxReplyLine));  // got the reply
 
   // Shutdown with the client still connected must not hang: the handler
   // blocked in recv is half-closed, drains, and joins.
   server.shutdown();
   serving.join();
   // The client observes EOF.
-  EXPECT_EQ(::recv(fd, buf, sizeof(buf), 0), 0);
-  ::close(fd);
+  EXPECT_FALSE(conn.read_line(reply, kMaxReplyLine));
 }
 
 }  // namespace

@@ -236,13 +236,14 @@ TEST_P(SchedulerPropertyTest, OrderRespectsSortKeys) {
     const double dd_a = metrics.group_dd[metrics.group_of[a]];
     const double dd_b = metrics.group_dd[metrics.group_of[b]];
     EXPECT_LE(dd_a, dd_b + 1e-12) << "groups out of DD order at " << i;
-    if (metrics.group_of[a] == metrics.group_of[b])
+    if (metrics.group_of[a] == metrics.group_of[b]) {
       EXPECT_LE(metrics.cd[a], metrics.cd[b]) << "CD order violated at " << i;
+    }
   }
 
   // Units tile the ordered sequence exactly.
   std::uint32_t expected_begin = 0;
-  for (const auto [begin, end] : schedule.units) {
+  for (const auto& [begin, end] : schedule.units) {
     EXPECT_EQ(begin, expected_begin);
     EXPECT_GT(end, begin);
     expected_begin = end;

@@ -166,7 +166,7 @@ TEST(Schedule, UnitsCoverAllQueriesOnce) {
   const auto fx = test::fig2();
   const auto schedule = schedule_queries(fx.lowered.pag, fx.lowered.queries);
   std::vector<NodeId> seen;
-  for (const auto [begin, end] : schedule.units)
+  for (const auto& [begin, end] : schedule.units)
     for (std::uint32_t i = begin; i < end; ++i) seen.push_back(schedule.ordered[i]);
   EXPECT_EQ(seen.size(), fx.lowered.queries.size());
   auto sorted_seen = seen;

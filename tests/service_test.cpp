@@ -8,7 +8,9 @@
 //  * QueryService — micro-batch coalescing, admission control (overload and
 //    deadline sheds), multi-client concurrency (the tsan target), save/load
 //    warm start;
-//  * wire — serve_stream over string streams and a loopback TCP smoke test.
+//  * wire — serve_stream over string streams, loopback TCP, and the line
+//    layer every peer shares: pipelining, CRLF, the flood cutoff, counted
+//    frames, and the router's worker-reply cap.
 
 #include <gtest/gtest.h>
 
@@ -29,7 +31,10 @@
 #include "cfl/engine.hpp"
 #include "frontend/lower.hpp"
 #include "pag/collapse.hpp"
+#include "pag/partition.hpp"
+#include "service/line_io.hpp"
 #include "service/protocol.hpp"
+#include "service/router.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
 #include "service/session.hpp"
@@ -37,11 +42,6 @@
 #include "support/metrics.hpp"
 #include "synth/generator.hpp"
 #include "test_util.hpp"
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 namespace parcfl::service {
 namespace {
@@ -512,36 +512,19 @@ TEST(Wire, TcpServerAnswersOverLoopback) {
   ASSERT_NE(server.port(), 0u);
   std::thread acceptor([&] { server.serve(); });
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-
-  const std::string request =
-      "ping\nquery " + std::to_string(w.queries[0].value()) + "\nquit\n";
-  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
-
-  std::string received;
-  char chunk[4096];
-  while (std::count(received.begin(), received.end(), '\n') < 3) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    received.append(chunk, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
+  LineConn conn;
+  ASSERT_TRUE(conn.connect(std::to_string(server.port()), 5000));
+  ASSERT_TRUE(conn.send_all("ping\nquery " +
+                            std::to_string(w.queries[0].value()) + "\nquit\n"));
+  std::vector<std::string> lines;
+  for (std::string line; lines.size() < 3 &&
+                         conn.read_line(line, kMaxReplyLine);)
+    lines.push_back(line);
+  conn.close();
   server.shutdown();
   acceptor.join();
 
-  std::vector<std::string> lines;
-  std::istringstream replies(received);
-  for (std::string line; std::getline(replies, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 3u) << received;
+  ASSERT_EQ(lines.size(), 3u);
   EXPECT_EQ(lines[0], "ok pong");
   EXPECT_EQ(lines[1].rfind("ok ", 0), 0u) << lines[1];
   EXPECT_EQ(lines[2], "ok bye");
@@ -580,26 +563,13 @@ TEST(Wire, TcpServerJoinsFinishedConnectionsWhileServing) {
   ASSERT_TRUE(server.ok()) << error;
   std::thread acceptor([&] { server.serve(); });
 
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(server.port());
   const auto ping_cycle = [&] {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-    ASSERT_EQ(::send(fd, "ping\n", 5, 0), 5);
+    LineConn conn;
+    ASSERT_TRUE(conn.connect(std::to_string(server.port()), 5000));
     std::string received;
-    char chunk[64];
-    while (received.find('\n') == std::string::npos) {
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) break;
-      received.append(chunk, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    EXPECT_EQ(received, "ok pong\n");
+    ASSERT_TRUE(conn.send_all("ping\n"));
+    ASSERT_TRUE(conn.read_line(received, kMaxReplyLine));
+    EXPECT_EQ(received, "ok pong");
   };
   // Handlers exit on the client's close; wait until only the baseline
   // threads remain.
@@ -717,6 +687,219 @@ TEST(QueryService, MetricsTextIsValidPrometheus) {
   EXPECT_NE(text.find("parcfl_engine_traversed_steps"), std::string::npos);
   EXPECT_NE(text.find("parcfl_request_latency_ms_bucket{le=\"+Inf\"}"),
             std::string::npos);
+}
+
+// ---- the line layer (service/line_io.hpp) ----------------------------------
+
+/// Replies with the charged-steps token blanked: it reflects how warm the
+/// session was, not what the answer is.
+std::string answer_of(const std::string& reply) {
+  if (reply.rfind("ok ", 0) != 0) return reply;
+  const std::size_t status_end = reply.find(' ', 3);
+  if (status_end == std::string::npos) return reply;
+  std::size_t charged_end = reply.find(' ', status_end + 1);
+  if (charged_end == std::string::npos) charged_end = reply.size();
+  return reply.substr(0, status_end + 1) + "_" + reply.substr(charged_end);
+}
+
+/// Echo server: every line comes back as `ok <line>`.
+TcpServer::HandlerFactory echo_factory() {
+  return [] {
+    return [](const std::string& line, std::string& reply) {
+      reply = "ok " + line + "\n";
+      return true;
+    };
+  };
+}
+
+TEST(Wire, PipelinedLinesInOneSegmentAnswerInOrder) {
+  std::string error;
+  TcpServer server(echo_factory(), /*port=*/0, &error);
+  ASSERT_TRUE(server.ok()) << error;
+  std::thread acceptor([&] { server.serve(); });
+
+  // ~2 KB in one send: a single loopback segment carrying 200 lines.
+  std::string batch;
+  for (int i = 0; i < 200; ++i) batch += "line " + std::to_string(i) + "\n";
+  LineConn conn;
+  ASSERT_TRUE(conn.connect(std::to_string(server.port()), 5000));
+  ASSERT_TRUE(conn.send_all(batch));
+  std::string reply;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(conn.read_line(reply, kMaxReplyLine)) << i;
+    EXPECT_EQ(reply, "ok line " + std::to_string(i));
+  }
+  conn.close();
+  server.shutdown();
+  acceptor.join();
+}
+
+TEST(Wire, CrlfClientGetsTheSameRepliesAsLfClient) {
+  const auto w = container_workload();
+  QueryService svc(w.pag, service_options(2));
+  std::string error;
+  TcpServer server(svc, /*port=*/0, &error);
+  ASSERT_TRUE(server.ok()) << error;
+  std::thread acceptor([&] { server.serve(); });
+
+  const std::string a = std::to_string(w.queries[0].value());
+  const std::string b = std::to_string(w.queries[1].value());
+  const std::vector<std::string> requests = {
+      "ping", "query " + a, "alias " + a + " " + b, "bogus", "query v" + b,
+      "quit"};
+  const auto replies = [&](const char* eol) {
+    LineConn conn;
+    EXPECT_TRUE(conn.connect(std::to_string(server.port()), 5000));
+    std::string batch;
+    for (const std::string& r : requests) batch += r + eol;
+    EXPECT_TRUE(conn.send_all(batch));
+    std::vector<std::string> out;
+    for (std::string line; out.size() < requests.size() &&
+                           conn.read_line(line, kMaxReplyLine);)
+      out.push_back(answer_of(line));
+    return out;
+  };
+  const auto lf = replies("\n");
+  const auto crlf = replies("\r\n");
+  server.shutdown();
+  acceptor.join();
+
+  ASSERT_EQ(lf.size(), requests.size());
+  EXPECT_EQ(crlf, lf);
+  EXPECT_EQ(lf[0], "ok pong");
+  EXPECT_EQ(lf[3].rfind("err ", 0), 0u) << lf[3];
+  EXPECT_EQ(lf.back(), "ok bye");
+}
+
+TEST(Wire, NewlineLessFloodClosesOnlyThatConnection) {
+  const auto w = container_workload();
+  QueryService svc(w.pag, service_options(2));
+  std::string error;
+  TcpServer server(svc, /*port=*/0, &error);
+  ASSERT_TRUE(server.ok()) << error;
+  std::thread acceptor([&] { server.serve(); });
+  const std::string port = std::to_string(server.port());
+
+  LineConn bystander;
+  ASSERT_TRUE(bystander.connect(port, 20'000));
+  std::string reply;
+  ASSERT_TRUE(bystander.send_all("ping\n"));
+  ASSERT_TRUE(bystander.read_line(reply, kMaxReplyLine));
+
+  LineConn flood;
+  ASSERT_TRUE(flood.connect(port, 20'000));
+  // A line at the server's cap is still a (rejected) request...
+  ASSERT_TRUE(flood.send_all(std::string(2 * kMaxRequestLine, 'q') + "\n"));
+  ASSERT_TRUE(flood.read_line(reply, kMaxReplyLine));
+  EXPECT_EQ(reply, "err request line too long");
+  // ...one byte past it with no newline is a flood: the server hangs up.
+  const auto start = std::chrono::steady_clock::now();
+  flood.send_all(std::string(3 * kMaxRequestLine, 'x'));
+  EXPECT_FALSE(flood.read_line(reply, kMaxReplyLine));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10))
+      << "the flood was buffered until the read timed out, not cut off";
+
+  // Every other connection keeps being served, and new ones are accepted.
+  ASSERT_TRUE(bystander.send_all("ping\n"));
+  ASSERT_TRUE(bystander.read_line(reply, kMaxReplyLine));
+  EXPECT_EQ(reply, "ok pong");
+  LineConn late;
+  ASSERT_TRUE(late.connect(port, 20'000));
+  ASSERT_TRUE(late.send_all("ping\n"));
+  ASSERT_TRUE(late.read_line(reply, kMaxReplyLine));
+  EXPECT_EQ(reply, "ok pong");
+
+  bystander.close();
+  late.close();
+  server.shutdown();
+  acceptor.join();
+}
+
+TEST(Wire, ReadFrameReturnsExactlyTheMetricsPayload) {
+  const auto w = container_workload();
+  QueryService svc(w.pag, service_options(2));
+  std::string error;
+  TcpServer server(svc, /*port=*/0, &error);
+  ASSERT_TRUE(server.ok()) << error;
+  std::thread acceptor([&] { server.serve(); });
+
+  LineConn conn;
+  ASSERT_TRUE(conn.connect(std::to_string(server.port()), 5000));
+  ASSERT_TRUE(conn.send_all("query " + std::to_string(w.queries[0].value()) +
+                            "\nmetrics\nping\n"));
+  std::string header;
+  std::vector<std::string> payload;
+  // A single-line reply is a frame with no payload.
+  ASSERT_TRUE(conn.read_frame(header, payload, kMaxReplyLine));
+  EXPECT_EQ(header.rfind("ok complete ", 0), 0u) << header;
+  EXPECT_TRUE(payload.empty());
+
+  ASSERT_TRUE(conn.read_frame(header, payload, kMaxReplyLine));
+  ASSERT_EQ(header.rfind("ok metrics ", 0), 0u) << header;
+  const std::uint64_t announced = std::stoull(header.substr(11));
+  EXPECT_GT(announced, 0u);
+  EXPECT_EQ(payload.size(), announced);
+  std::string text;
+  for (const std::string& line : payload) text += line + "\n";
+  expect_valid_exposition(text);
+  // The frame ended exactly where the server's frame did.
+  ASSERT_TRUE(conn.read_line(header, kMaxReplyLine));
+  EXPECT_EQ(header, "ok pong");
+
+  conn.close();
+  server.shutdown();
+  acceptor.join();
+}
+
+// A worker whose `cont` reply carries a line past the router's reply cap is
+// a broken partition: the query fails as `err partition unavailable` (after
+// the one transparent retry) instead of hanging or buffering without bound.
+TEST(Wire, OverlongWorkerReplyFailsTheRoutedQuery) {
+  constexpr std::uint32_t kNodes = 4;
+  std::string error;
+  TcpServer worker(
+      [] {
+        return [](const std::string& line, std::string& reply) {
+          if (line == "part") {
+            reply = "ok part 0 1 " + std::to_string(kNodes) + " 0\n";
+          } else if (line == "creset") {
+            reply = "ok creset\n";
+          } else if (line.rfind("cont ", 0) == 0) {
+            reply = "ok cont complete 1 1\nt " +
+                    std::string(kMaxReplyLine + 1, '7') + "\n";
+          } else {
+            reply = "err unexpected\n";
+          }
+          return true;
+        };
+      },
+      /*port=*/0, &error);
+  ASSERT_TRUE(worker.ok()) << error;
+  std::thread acceptor([&] { worker.serve(); });
+
+  auto map = std::make_shared<pag::PartitionMap>();
+  map->parts = 1;
+  map->owner.assign(kNodes, 0);
+  RouterOptions ro;
+  ro.map = map;
+  ro.workers = {std::to_string(worker.port())};
+  {
+    RouterCore router(std::move(ro), &error);
+    ASSERT_TRUE(router.ok()) << error;
+    Request q;
+    q.verb = Verb::kQuery;
+    q.a = NodeId(0);
+    const auto start = std::chrono::steady_clock::now();
+    const Reply r = router.handle(q);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(10));
+    EXPECT_EQ(r.status, Reply::Status::kError);
+    EXPECT_EQ(r.text, "partition unavailable");
+    EXPECT_NE(router.stats_json().find("\"unavailable\":1"), std::string::npos)
+        << router.stats_json();
+  }
+  worker.shutdown();
+  acceptor.join();
 }
 
 TEST(Wire, MetricsOpReturnsCountedFrame) {
