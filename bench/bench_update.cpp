@@ -12,8 +12,9 @@
 // Both arms start from byte-identical warm state (two single-threaded warm
 // runs over the same query order are deterministic), so the rewarm
 // traversed-steps difference is purely the value of the entries selective
-// invalidation kept. Results go to BENCH_update.json (same schema style as
-// BENCH_service.json: a "context" object plus a "benchmarks" array).
+// invalidation kept whole or carried on their unfinished half. Results go to
+// BENCH_update.json (same schema style as BENCH_service.json: a "context"
+// object plus a "benchmarks" array).
 //
 //   bench_update [--out FILE]     (PARCFL_SCALE / PARCFL_BUDGET apply)
 
@@ -180,7 +181,8 @@ int main(int argc, char** argv) {
         "%s    {\"name\": \"update/%s/selective\", \"apply_ms\": %.3f, "
         "\"invalidate_ms\": %.3f, \"edges_added\": %u, \"edges_removed\": %u, "
         "\"entries_before\": %" PRIu64 ", \"evicted\": %" PRIu64
-        ", \"kept\": %" PRIu64 ", \"warm_steps\": %" PRIu64
+        ", \"carried_unfinished\": %" PRIu64 ", \"kept\": %" PRIu64
+        ", \"warm_steps\": %" PRIu64
         ", \"rewarm_steps\": %" PRIu64 ", \"rewarm_jmps_taken\": %" PRIu64
         "},\n"
         "    {\"name\": \"update/%s/full_clear\", \"clear_ms\": %.3f, "
@@ -190,7 +192,7 @@ int main(int argc, char** argv) {
         "%.3f}",
         first ? "" : ",\n", name, apply_ms, sel.prep_ms,
         apply_stats.edges_added, apply_stats.edges_removed, inv.entries_before,
-        inv.evicted, inv.kept, warm.traversed_steps,
+        inv.evicted, inv.carried_unfinished, inv.kept, warm.traversed_steps,
         sel.rewarm.traversed_steps, sel.rewarm.jmps_taken, name, clr.prep_ms,
         clr.rewarm.traversed_steps, clr.rewarm.jmps_taken, name, ratio);
     first = false;

@@ -259,17 +259,20 @@ InvalidateStats invalidate_sharing_state(
 
   const std::uint32_t known_nodes =
       std::max(old_pag.node_count(), new_pag.node_count());
-  stats.evicted = store.erase_if([&](std::uint64_t key) {
+  using Evict = JmpStore::Evict;
+  const JmpStore::Evicted evicted = store.erase_if([&](std::uint64_t key) {
     const auto dir = static_cast<Direction>(key & 1);
     const auto ctx = static_cast<std::uint32_t>((key >> 1) & 0xffffffffu);
     const auto node = static_cast<std::uint32_t>(key >> 33);
-    if (node >= known_nodes) return true;  // foreign state: never sound to keep
-    if (dir == Direction::kBackward ? marker.backward(node)
-                                    : marker.forward(node))
-      return true;
-    return chain_retired(ctx);
+    if (node >= known_nodes) return Evict::kEntry;  // foreign state
+    if (chain_retired(ctx)) return Evict::kEntry;
+    const bool marked = dir == Direction::kBackward ? marker.backward(node)
+                                                    : marker.forward(node);
+    return marked ? Evict::kFinished : Evict::kKeep;
   });
-  stats.kept = stats.entries_before - stats.evicted;
+  stats.evicted = evicted.dropped;
+  stats.carried_unfinished = evicted.carried;
+  stats.kept = stats.entries_before - stats.evicted - stats.carried_unfinished;
   stats.marked_backward = marker.backward_count();
   stats.marked_forward = marker.forward_count();
   if (backward_cone != nullptr) *backward_cone = marker.take_backward();

@@ -14,7 +14,9 @@
 //
 //  * unfinished — Fig. 3(b): a traversal ran out of budget s steps after
 //    (x, c); a later query whose remaining budget is below s terminates
-//    early (ET).
+//    early (ET). An edit never invalidates this half: it can only stop a
+//    walk, never add a target, so erase_if can trim an entry to it while
+//    dropping the finished half (cfl/invalidate.hpp).
 //
 // Insertion is first-wins for both kinds (the paper: concurrent inserters —
 // "only one of the two will succeed"; preferring the larger s was judged
@@ -31,6 +33,7 @@
 // run at quiescent points by the existing invalidation contract, so the two
 // protections overlap rather than leaving a gap.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -139,29 +142,48 @@ class JmpStore {
     return bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Selective invalidation support (cfl/invalidate.hpp): drop every entry
-  /// for which pred(key) returns true, releasing its bytes. Returns the
-  /// number of entries dropped. Shard-atomic (ShardedMap::retain); dropped
-  /// records are retired to the epoch domain, so a concurrent reader holding
-  /// pin() never touches freed memory — but the caller must still ensure no
-  /// solver is mid-query against the graph the evicted entries were computed
-  /// on (semantic staleness, not memory safety).
-  template <class Pred>
-  std::uint64_t erase_if(Pred&& pred) {
+  /// What erase_if does with one entry: keep it, drop its finished half
+  /// (the entry survives on its unfinished s, if it has one), or drop it.
+  enum class Evict : std::uint8_t { kKeep, kFinished, kEntry };
+
+  struct Evicted {
+    std::uint64_t dropped = 0;  // entries removed whole
+    std::uint64_t carried = 0;  // kFinished entries kept for their unfinished s
+  };
+
+  /// Selective invalidation support (cfl/invalidate.hpp): one pass in which
+  /// evict(key) returns an Evict verdict per entry. A trimmed entry is
+  /// republished as {nullptr, s}; only the finished half's bytes are
+  /// released. Shard-atomic (ShardedMap::retain); dropped records are retired
+  /// to the epoch domain, so a concurrent reader holding pin() never touches
+  /// freed memory — but the caller must still ensure no solver is mid-query
+  /// against the graph the evicted entries were computed on (semantic
+  /// staleness, not memory safety).
+  template <class EvictFn>
+  Evicted erase_if(EvictFn&& evict) {
+    using Retain = Map::Retain;
+    Evicted out;
     std::uint64_t freed = 0;       // mirrors bytes_ accounting
     std::uint64_t freed_recs = 0;  // mirrors MemTally (finished records only)
-    const std::size_t erased = map_.retain(
-        [&](std::uint64_t key, const Entry& e) {
-          if (!pred(key)) return true;
-          if (e.finished != nullptr) {
+    out.dropped = map_.retain(
+        [&](std::uint64_t key, Entry& e) {
+          const Evict verdict = evict(key);
+          if (verdict == Evict::kKeep) return Retain::kKeep;
+          const bool had_finished = e.finished != nullptr;
+          if (had_finished) {
             const std::uint64_t rec_bytes =
                 sizeof(FinishedJmp) +
                 e.finished->targets.capacity() * sizeof(JmpTarget);
             freed += rec_bytes + sizeof(Entry);
             freed_recs += rec_bytes;
           }
+          if (verdict == Evict::kFinished && e.unfinished_s != 0) {
+            ++out.carried;
+            e.finished = nullptr;
+            return had_finished ? Retain::kReplace : Retain::kKeep;
+          }
           if (e.unfinished_s != 0) freed += sizeof(Entry);
-          return false;
+          return Retain::kDrop;
         },
         [](const Entry& e) {
           if (e.finished != nullptr)
@@ -175,7 +197,7 @@ class JmpStore {
     support::MemTally::note_free(freed_recs);
     // Quiescent-point housekeeping: reclaim whatever is provably safe now.
     support::global_epoch_domain().collect();
-    return erased;
+    return out;
   }
 
   void clear() {
@@ -193,7 +215,9 @@ class JmpStore {
     std::uint32_t unfinished_s = 0;
   };
 
-  support::ShardedMap<std::uint64_t, Entry> map_;
+  using Map = support::ShardedMap<std::uint64_t, Entry>;
+
+  Map map_;
   std::atomic<std::uint64_t> bytes_{0};
 };
 

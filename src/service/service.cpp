@@ -478,7 +478,7 @@ void QueryService::execute_update(Pending pending) {
     std::string acquire_error;
     lease = manager_.acquire(pending.request.tenant, &acquire_error);
     if (!lease) {
-      recorder_.record_update(/*ok=*/false, 0);
+      recorder_.record_update(/*ok=*/false);
       pending.promise.set_value(error_reply(std::move(acquire_error)));
       return;
     }
@@ -487,17 +487,19 @@ void QueryService::execute_update(Pending pending) {
   std::string error;
   Session::UpdateStats stats;
   if (!session->update_from_file(pending.request.path, &error, &stats)) {
-    recorder_.record_update(/*ok=*/false, 0);
+    recorder_.record_update(/*ok=*/false);
     pending.promise.set_value(error_reply(std::move(error)));
     return;
   }
-  recorder_.record_update(/*ok=*/true, stats.invalidate.evicted);
+  recorder_.record_update(/*ok=*/true, stats.invalidate.evicted,
+                          stats.invalidate.carried_unfinished);
   std::string summary =
       pending.request.path + " rev " + std::to_string(stats.revision) + " +" +
       std::to_string(stats.apply.edges_added) + "e -" +
       std::to_string(stats.apply.edges_removed) + "e evicted " +
       std::to_string(stats.invalidate.evicted) + "/" +
-      std::to_string(stats.invalidate.entries_before) + " jmps";
+      std::to_string(stats.invalidate.entries_before) + " jmps carried " +
+      std::to_string(stats.invalidate.carried_unfinished) + " unfinished";
   pending.promise.set_value(
       ready_reply(Reply::Status::kOk, Verb::kUpdate, std::move(summary)));
 }

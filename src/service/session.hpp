@@ -211,10 +211,12 @@ class Session {
   };
   PartitionInfo partition_info() const;
 
-  /// Apply a PAG delta: build base + delta, evict the jmp entries whose
-  /// recorded traversals the change could invalidate (cfl/invalidate.hpp),
-  /// and swap the new graph in. Serialised against batches; after it returns,
-  /// warm queries answer exactly as a cold run on the mutated graph would.
+  /// Apply a PAG delta: build base + delta, evict the finished jmp entries
+  /// whose recorded traversals the change could invalidate, carrying their
+  /// unfinished halves (cfl/invalidate.hpp), and swap the new graph in.
+  /// Serialised against batches; after it returns, warm queries keep the
+  /// answer contract (DESIGN.md §8): a complete answer is exactly a cold
+  /// run's on the mutated graph, an incomplete one a subset of it.
   /// With reduction on, the delta applies to the unreduced base and the
   /// invalidation cone is seeded from the *serving-graph* edge diff — the
   /// edges whose keep decision actually changed, wherever they are.

@@ -55,7 +55,10 @@ StatsRecorder::StatsRecorder(obs::MetricsRegistry& registry)
                                       "PAG deltas rejected.")),
       jmp_evicted_(registry.counter(
           "parcfl_jmp_evicted_total",
-          "Jmp entries invalidated across all updates.")),
+          "Jmp entries dropped across all updates.")),
+      jmp_carried_unfinished_(registry.counter(
+          "parcfl_jmp_carried_unfinished_total",
+          "Jmp entries in an update's cone kept for their unfinished half.")),
       slow_queries_(registry.counter(
           "parcfl_slow_queries_total",
           "Queries at or above the slow-query latency threshold.")),
@@ -124,10 +127,13 @@ void StatsRecorder::record_batch(std::uint64_t query_units) {
   registry_.max_gauge(max_batch_gauge_, static_cast<double>(query_units));
 }
 
-void StatsRecorder::record_update(bool ok, std::uint64_t jmp_evicted) {
+void StatsRecorder::record_update(bool ok, std::uint64_t jmp_evicted,
+                                  std::uint64_t jmp_carried_unfinished) {
   if (ok) {
     registry_.add(updates_applied_);
     if (jmp_evicted != 0) registry_.add(jmp_evicted_, jmp_evicted);
+    if (jmp_carried_unfinished != 0)
+      registry_.add(jmp_carried_unfinished_, jmp_carried_unfinished);
   } else {
     registry_.add(update_errors_);
   }
@@ -145,6 +151,7 @@ void StatsRecorder::snapshot(ServiceStats& out) const {
   out.updates_applied = registry_.counter_value(updates_applied_);
   out.update_errors = registry_.counter_value(update_errors_);
   out.jmp_evicted = registry_.counter_value(jmp_evicted_);
+  out.jmp_carried_unfinished = registry_.counter_value(jmp_carried_unfinished_);
   out.slow_queries = registry_.counter_value(slow_queries_);
   out.max_batch_size =
       static_cast<std::uint64_t>(registry_.gauge_value(max_batch_gauge_));
@@ -181,6 +188,7 @@ std::string ServiceStats::to_json() const {
      << ",\"slow_queries\":" << slow_queries
      << ",\"updates\":{\"applied\":" << updates_applied
      << ",\"errors\":" << update_errors << ",\"jmp_evicted\":" << jmp_evicted
+     << ",\"jmp_carried_unfinished\":" << jmp_carried_unfinished
      << ",\"pag_revision\":" << pag_revision << "}"
      << ",\"latency_ms\":{\"p50\":" << p50_ms << ",\"p95\":" << p95_ms
      << ",\"p99\":" << p99_ms << ",\"max\":" << max_ms << "}"

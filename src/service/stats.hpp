@@ -40,7 +40,8 @@ struct ServiceStats {
   std::uint64_t protocol_errors = 0;  // malformed wire requests
   std::uint64_t updates_applied = 0;  // PAG deltas applied
   std::uint64_t update_errors = 0;    // deltas rejected (parse/apply failure)
-  std::uint64_t jmp_evicted = 0;      // entries invalidated across all updates
+  std::uint64_t jmp_evicted = 0;      // entries dropped across all updates
+  std::uint64_t jmp_carried_unfinished = 0;  // kept for their unfinished s
   std::uint64_t slow_queries = 0;     // queries past the slow-query threshold
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0, max_ms = 0.0;
 
@@ -138,7 +139,8 @@ class StatsRecorder {
   void record_shed_overload() { registry_.add(shed_overload_); }
   void record_shed_deadline() { registry_.add(shed_deadline_); }
   void record_protocol_error() { registry_.add(protocol_errors_); }
-  void record_update(bool ok, std::uint64_t jmp_evicted);
+  void record_update(bool ok, std::uint64_t jmp_evicted = 0,
+                     std::uint64_t jmp_carried_unfinished = 0);
   void record_slow_query() { registry_.add(slow_queries_); }
 
   /// Fill the request-plane fields of `out` (percentiles sorted on demand).
@@ -158,6 +160,7 @@ class StatsRecorder {
   obs::MetricsRegistry::MetricId updates_applied_;
   obs::MetricsRegistry::MetricId update_errors_;
   obs::MetricsRegistry::MetricId jmp_evicted_;
+  obs::MetricsRegistry::MetricId jmp_carried_unfinished_;
   obs::MetricsRegistry::MetricId slow_queries_;
   obs::MetricsRegistry::MetricId latency_hist_;
   obs::MetricsRegistry::MetricId max_batch_gauge_;

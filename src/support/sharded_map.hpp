@@ -13,9 +13,9 @@
 //    retires underneath them stays allocated until they finish.
 //  * Writers (insert_if_absent / get_or_insert / upsert / retain / clear)
 //    serialise per shard on a spinlock. Nodes are immutable once published;
-//    a read-modify-write publishes a replacement node and retires the old
-//    one, so readers always see a complete old or new value, never a torn
-//    mix.
+//    a read-modify-write (upsert, or a retain kReplace verdict) publishes a
+//    replacement node and retires the old one, so readers always see a
+//    complete old or new value, never a torn mix.
 //  * insert_if_absent has first-wins semantics: the first inserter's value
 //    is kept, matching the paper's discussion of concurrent jmp insertion
 //    ("only one of the two will succeed").
@@ -145,48 +145,68 @@ class ShardedMap {
     }
   }
 
-  /// Keep only entries for which pred(key, value) returns true; returns the
-  /// number of entries dropped. Each shard is rebuilt atomically under its
-  /// lock: survivors move to a fresh table published in one store, and the
-  /// old table plus dropped nodes are retired to the epoch domain (readers
-  /// mid-probe keep seeing the old table until they unpin). `on_drop(value)`
-  /// runs for each dropped entry after the new table is published — use it
-  /// to retire owned records.
-  template <class Pred, class DropFn>
-  std::size_t retain(Pred&& pred, DropFn&& on_drop) {
+  /// Per-entry verdict of retain(): leave the entry, publish the edited
+  /// value as a replacement node, or drop the entry.
+  enum class Retain : std::uint8_t { kKeep, kReplace, kDrop };
+
+  /// One pass over every entry: fn(key, value) sees a mutable copy of the
+  /// value and returns a Retain verdict. Returns the number of entries
+  /// dropped. Each shard that changes is rebuilt atomically under its lock:
+  /// survivors — replacement nodes for kReplace — move to a fresh table
+  /// published in one store, and the old table plus every displaced node are
+  /// retired to the epoch domain (readers mid-probe keep seeing the old table
+  /// until they unpin). `on_drop(value)` runs, after the new table is
+  /// published, for every value that left the map: each dropped entry's and
+  /// each replaced entry's old value — use it to retire owned records, which
+  /// a replacement therefore must not share.
+  template <class Fn, class DropFn>
+  std::size_t retain(Fn&& fn, DropFn&& on_drop) {
     std::size_t erased_total = 0;
-    std::vector<Node*> keep, drop;
+    std::vector<Node*> keep, displaced;
     for (Shard& s : shards_) {
       keep.clear();
-      drop.clear();
+      displaced.clear();
       std::lock_guard lock(s.mu);
       Table* t = s.table.load(std::memory_order_relaxed);
       if (t == nullptr || s.size == 0) continue;
       for (std::size_t i = 0; i <= t->mask; ++i) {
         Node* n = t->slots[i].load(std::memory_order_relaxed);
         if (n == nullptr) continue;
-        (pred(n->key, n->value) ? keep : drop).push_back(n);
+        Value value = n->value;
+        switch (fn(n->key, value)) {
+          case Retain::kKeep:
+            keep.push_back(n);
+            break;
+          case Retain::kReplace:
+            keep.push_back(new Node{n->key, value});
+            displaced.push_back(n);
+            break;
+          case Retain::kDrop:
+            displaced.push_back(n);
+            break;
+        }
       }
-      if (drop.empty()) continue;
+      if (displaced.empty()) continue;
       Table* fresh = make_table(capacity_for(keep.size()));
       for (Node* n : keep)
         fresh->slots[locate(fresh, n->key)].store(n, std::memory_order_relaxed);
       s.table.store(fresh, std::memory_order_release);  // unlink, then retire
       retire_table(t);
-      for (Node* n : drop) {
+      for (Node* n : displaced) {
         on_drop(static_cast<const Value&>(n->value));
         global_epoch_domain().retire_object(n);
       }
+      const std::size_t dropped = s.size - keep.size();
       s.size = keep.size();
-      size_.fetch_sub(drop.size(), std::memory_order_relaxed);
-      erased_total += drop.size();
+      size_.fetch_sub(dropped, std::memory_order_relaxed);
+      erased_total += dropped;
     }
     return erased_total;
   }
 
-  template <class Pred>
-  std::size_t retain(Pred&& pred) {
-    return retain(std::forward<Pred>(pred), [](const Value&) {});
+  template <class Fn>
+  std::size_t retain(Fn&& fn) {
+    return retain(std::forward<Fn>(fn), [](const Value&) {});
   }
 
   /// Entry count, maintained as a relaxed atomic — O(1), touches no shard

@@ -96,8 +96,9 @@ TEST(Ebr, UnpinnedRetirementsReclaimAfterTwoCollects) {
 TEST(ConcurrencyStress, ShardedMapReadersVsWritersAndRetain) {
   // Writers publish value = key * 3 under first-wins; readers must only ever
   // observe that value (a torn or stale-node read would surface here), while
-  // the main thread periodically drops odd keys via retain() — exercising
-  // table rebuild + node retirement against live lock-free readers.
+  // the main thread periodically drops odd keys and republishes every fourth
+  // key via retain() — exercising table rebuild, replacement nodes and node
+  // retirement against live lock-free readers.
   ShardedMap<std::uint64_t, std::uint64_t> map;
   constexpr std::uint64_t kKeys = 512;
   constexpr int kReaders = 3;
@@ -131,7 +132,12 @@ TEST(ConcurrencyStress, ShardedMapReadersVsWritersAndRetain) {
   }
 
   for (int round = 0; round < 50; ++round) {
-    map.retain([](std::uint64_t k, std::uint64_t) { return (k & 1) == 0; });
+    using Retain = ShardedMap<std::uint64_t, std::uint64_t>::Retain;
+    map.retain([](std::uint64_t k, std::uint64_t&) {
+      if ((k & 1) != 0) return Retain::kDrop;
+      // Every fourth key: the unchanged value republished as a fresh node.
+      return k % 4 == 0 ? Retain::kReplace : Retain::kKeep;
+    });
     global_epoch_domain().collect();
     std::this_thread::yield();
   }
@@ -161,6 +167,7 @@ TEST(ConcurrencyStress, JmpStoreLookupRacesEraseIfUnderPin) {
   auto publish = [&](std::uint32_t i) {
     store.insert_finished(key_of(i), /*cost=*/100 + i,
                           {cfl::JmpTarget{pag::NodeId(i + 1), cfl::CtxId(0), i}});
+    store.insert_unfinished(key_of(i), /*s=*/1000 + i);
   };
   for (std::uint32_t i = 0; i < kKeys; ++i) publish(i);
 
@@ -178,6 +185,8 @@ TEST(ConcurrencyStress, JmpStoreLookupRacesEraseIfUnderPin) {
               lk.finished->targets[0].node.value() != (i % kKeys) + 1)
             bad_records.fetch_add(1, std::memory_order_relaxed);
         }
+        if (lk.unfinished_s != 0 && lk.unfinished_s != 1000 + i % kKeys)
+          bad_records.fetch_add(1, std::memory_order_relaxed);
         ++i;
       }
     });
@@ -188,11 +197,14 @@ TEST(ConcurrencyStress, JmpStoreLookupRacesEraseIfUnderPin) {
   });
 
   for (int round = 0; round < 200; ++round) {
-    // Drop a rotating quarter of the key space; erase_if collects internally.
+    // Drop a rotating quarter of the key space and trim another quarter to
+    // its unfinished half; erase_if collects internally.
     const std::uint32_t band = round % 4;
     store.erase_if([&](std::uint64_t k) {
       const auto node = static_cast<std::uint32_t>(k >> 33);
-      return node % 4 == band;
+      if (node % 4 == band) return cfl::JmpStore::Evict::kEntry;
+      if (node % 4 == (band + 2) % 4) return cfl::JmpStore::Evict::kFinished;
+      return cfl::JmpStore::Evict::kKeep;
     });
   }
   stop.store(true, std::memory_order_relaxed);
@@ -254,10 +266,14 @@ TEST(ConcurrencyStress, ConcurrentQueriesWithBetweenBatchEraseIf) {
       });
     }
     for (auto& th : threads) th.join();
-    // Quiescent point: no solver mid-query. Evict a rotating slice.
+    // Quiescent point: no solver mid-query. Evict a rotating slice and trim
+    // the next one to its unfinished halves.
     const std::uint32_t band = round % 3;
     store.erase_if([&](std::uint64_t k) {
-      return static_cast<std::uint32_t>(k >> 33) % 3 == band;
+      const std::uint32_t slice = static_cast<std::uint32_t>(k >> 33) % 3;
+      if (slice == band) return cfl::JmpStore::Evict::kEntry;
+      if (slice == (band + 1) % 3) return cfl::JmpStore::Evict::kFinished;
+      return cfl::JmpStore::Evict::kKeep;
     });
   }
 

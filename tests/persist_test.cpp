@@ -137,7 +137,9 @@ TEST(Persist, WarmStartEliminatesTraversalWork) {
 
   // Warm answers equal cold answers.
   ContextTable c3;
-  Solver plain(w.pag, c3, nullptr, SolverOptions{.budget = 1'000'000});
+  SolverOptions plain_options;
+  plain_options.budget = 1'000'000;
+  Solver plain(w.pag, c3, nullptr, plain_options);
   for (std::size_t i = 0; i < w.queries.size(); ++i)
     EXPECT_EQ(warm_answers[i], plain.points_to(w.queries[i]).nodes())
         << "query " << w.queries[i].value();

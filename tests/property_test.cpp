@@ -184,8 +184,9 @@ TEST_P(PropertyTest, BruteForceCrossChecksExactOracle) {
         << "seed " << cfg.seed << " obj " << o.value();
     // Precision: when the enumeration completed, every fixpoint fact must be
     // witnessed by a path of bounded length (cyclic graphs may truncate).
-    if (!brute.truncated)
+    if (!brute.truncated) {
       EXPECT_EQ(brute.vars, fix) << "seed " << cfg.seed << " obj " << o.value();
+    }
   }
 }
 

@@ -7,6 +7,9 @@
 //    *warm* solver answers exactly like a cold run on the mutated graph
 //    (ExactOracle at small scale, Andersen CI at medium scale), while
 //    entries in unaffected regions survive (the selectivity headline);
+//  * UpdateContract — with a budget tight enough to publish unfinished
+//    entries, which edits carry: complete answers equal the oracle,
+//    incomplete ones are subsets of it;
 //  * Session/QueryService — `update` swaps the graph between batches, keeps
 //    the warm store consistent, and races cleanly with concurrent queries
 //    (the tsan target: every reply matches the pre- or post-update truth).
@@ -397,6 +400,194 @@ TEST_P(UpdateMetamorphicTest, WarmAfterUpdateMatchesExactOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, UpdateMetamorphicTest,
                          ::testing::Range<std::uint64_t>(1, 13));
 
+// ---- answer contract with carried unfinished entries ------------------------
+
+std::vector<std::uint32_t> ids(const std::vector<NodeId>& nodes) {
+  std::vector<std::uint32_t> out;
+  for (const NodeId n : nodes) out.push_back(n.value());
+  return out;
+}
+
+/// DESIGN.md §8's answer contract: an edit drops a marked entry's finished
+/// half but carries its unfinished s, so after any delta sequence every
+/// complete answer equals the exact oracle on the live revision and every
+/// incomplete answer is a subset of it. A tight budget makes the warm-up
+/// publish unfinished entries for the cone to carry; a generous batch beside
+/// it lets queries complete, so a stale finished half shows in their answers.
+TEST(UpdateContract, TightBudgetAnswersAreExactOrSubsetsOfTheOracle) {
+  constexpr std::uint64_t kTightBudget = 24;
+  constexpr std::uint64_t kFullBudget = 1'000'000;
+  std::uint64_t carried = 0, incomplete = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    test::RandomPagConfig cfg;
+    cfg.seed = seed;
+    cfg.layers = 2 + seed % 3;
+    cfg.vars_per_layer = 3;
+    cfg.assign_edges = 4 + seed % 4;
+    pag::Pag pag = test::random_layered_pag(cfg);
+
+    service::Session::Options options;
+    options.engine.threads = 2;
+    options.engine.solver.budget = kFullBudget;
+    options.engine.solver.tau_finished = 2;
+    options.engine.solver.tau_unfinished = 2;
+    service::Session session(pag, options);
+    support::Rng rng(seed * 7919 + 5);
+
+    // Warms the store and checks both batches against the live revision.
+    auto run_and_check = [&](int step) {
+      const oracle::ExactOracle exact(pag);
+      const std::vector<NodeId> vars = test::all_variables(pag);
+      for (const std::uint64_t budget : {kTightBudget, kFullBudget}) {
+        std::vector<service::Session::Item> items;
+        for (const NodeId v : vars) items.push_back({v, budget});
+        const auto batch = session.run_batch(items);
+        ASSERT_EQ(batch.items.size(), vars.size());
+        for (std::size_t i = 0; i < vars.size(); ++i) {
+          const auto want = exact.points_to(vars[i]);
+          const auto got = ids(batch.items[i].objects);
+          if (batch.items[i].status == cfl::QueryStatus::kComplete) {
+            EXPECT_EQ(got, want) << "step " << step << " budget " << budget
+                                 << " var " << vars[i].value();
+          } else {
+            ++incomplete;
+            EXPECT_TRUE(std::includes(want.begin(), want.end(), got.begin(),
+                                      got.end()))
+                << "step " << step << " budget " << budget << " var "
+                << vars[i].value();
+          }
+        }
+      }
+    };
+
+    run_and_check(-1);
+    for (int step = 0; step < 3; ++step) {
+      const pag::Delta delta = random_layer_delta(pag, cfg.layers, rng);
+      std::string error;
+      auto next = pag::apply_delta(pag, delta, nullptr, &error);
+      ASSERT_TRUE(next.has_value()) << error;
+      service::Session::UpdateStats stats;
+      ASSERT_TRUE(session.update(delta, &error, &stats)) << error;
+      const cfl::InvalidateStats& inv = stats.invalidate;
+      EXPECT_EQ(inv.entries_before,
+                inv.evicted + inv.carried_unfinished + inv.kept);
+      carried += inv.carried_unfinished;
+      pag = std::move(*next);
+      run_and_check(step);
+    }
+  }
+  EXPECT_GT(carried, 0u) << "no seed carried an unfinished entry through an edit";
+  EXPECT_GT(incomplete, 0u) << "the tight budget never cut an answer short";
+}
+
+/// The Line graph with one jmp entry per case, all keyed at marked nodes.
+TEST(Invalidate, MarkedEntryKeepsUnfinishedHalfAndLosesItsRecord) {
+  Line g = line_graph();
+  cfl::ContextTable contexts;
+  cfl::JmpStore store;
+  const cfl::CtxId empty = cfl::ContextTable::empty();
+  const auto both = cfl::JmpStore::key(cfl::Direction::kBackward, g.v1, empty);
+  const auto finished_only =
+      cfl::JmpStore::key(cfl::Direction::kBackward, g.v0, empty);
+  const auto unfinished_only =
+      cfl::JmpStore::key(cfl::Direction::kForward, g.v0, empty);
+  store.insert_finished(both, 5, {cfl::JmpTarget{g.o, empty, 2}});
+  store.insert_unfinished(both, 7);
+  store.insert_finished(finished_only, 3, {cfl::JmpTarget{g.o, empty, 1}});
+  store.insert_unfinished(unfinished_only, 9);
+
+  pag::Delta d(g.pag);
+  d.remove_edge(EdgeKind::kAssignLocal, g.v1, g.v0);
+  std::string error;
+  auto next = pag::apply_delta(g.pag, d, nullptr, &error);
+  ASSERT_TRUE(next.has_value()) << error;
+
+  const auto stats = cfl::invalidate_sharing_state(g.pag, *next, d, contexts, store);
+  EXPECT_EQ(stats.entries_before, 3u);
+  EXPECT_EQ(stats.evicted, 1u);
+  EXPECT_EQ(stats.carried_unfinished, 2u);
+  EXPECT_EQ(stats.kept, 0u);
+  EXPECT_EQ(store.entry_count(), 2u);
+
+  cfl::JmpStore::Lookup lk;
+  ASSERT_TRUE(store.lookup(both, lk));
+  EXPECT_EQ(lk.finished, nullptr);
+  EXPECT_EQ(lk.unfinished_s, 7u);
+  EXPECT_FALSE(store.lookup(finished_only, lk));
+  ASSERT_TRUE(store.lookup(unfinished_only, lk));
+  EXPECT_EQ(lk.finished, nullptr);
+  EXPECT_EQ(lk.unfinished_s, 9u);
+}
+
+TEST(Invalidate, OutOfRangeNodeOrRetiredChainDropsEntryWhole) {
+  // a (method 0) --param cs0--> b (method 1); removing the edge retires cs0.
+  pag::Pag::Builder b;
+  b.set_counts(1, 1, 1, 2);
+  const NodeId a = b.add_local(pag::TypeId(0), pag::MethodId(0));
+  const NodeId callee = b.add_local(pag::TypeId(0), pag::MethodId(1));
+  const NodeId o = b.add_object(pag::TypeId(0), pag::MethodId(0));
+  b.new_edge(a, o);
+  b.param(callee, a, pag::CallSiteId(0));
+  const pag::Pag pag = std::move(b).finalize();
+
+  cfl::ContextTable contexts;
+  cfl::JmpStore store;
+  const cfl::CtxId empty = cfl::ContextTable::empty();
+  const cfl::CtxId via_cs0 = contexts.push(empty, pag::CallSiteId(0));
+  // Both keyed at marked nodes, so only the drop-whole rules tell them apart
+  // from a carried entry.
+  const auto retired =
+      cfl::JmpStore::key(cfl::Direction::kBackward, callee, via_cs0);
+  const auto foreign =
+      cfl::JmpStore::key(cfl::Direction::kBackward, NodeId(1000), empty);
+  for (const std::uint64_t k : {retired, foreign}) {
+    store.insert_finished(k, 4, {cfl::JmpTarget{o, empty, 1}});
+    store.insert_unfinished(k, 6);
+  }
+
+  pag::Delta d(pag);
+  d.remove_edge(EdgeKind::kParam, callee, a, 0);
+  std::string error;
+  auto next = pag::apply_delta(pag, d, nullptr, &error);
+  ASSERT_TRUE(next.has_value()) << error;
+
+  const auto stats = cfl::invalidate_sharing_state(pag, *next, d, contexts, store);
+  EXPECT_EQ(stats.retired_call_sites, 1u);
+  EXPECT_EQ(stats.entries_before, 2u);
+  EXPECT_EQ(stats.evicted, 2u);
+  EXPECT_EQ(stats.carried_unfinished, 0u);
+  EXPECT_EQ(store.entry_count(), 0u);
+  EXPECT_EQ(store.memory_bytes(), 0u);
+}
+
+TEST(Invalidate, TrimFreesExactlyTheFinishedRecordBytes) {
+  const auto k =
+      cfl::JmpStore::key(cfl::Direction::kBackward, NodeId(3), cfl::CtxId(0));
+  cfl::JmpStore store;
+  store.insert_finished(k, 9,
+                        {cfl::JmpTarget{NodeId(1), cfl::CtxId(0), 3},
+                         cfl::JmpTarget{NodeId(2), cfl::CtxId(0), 5}});
+  const std::uint64_t record = store.memory_bytes();
+  ASSERT_GT(record, 0u);
+  store.insert_unfinished(k, 11);
+  const std::uint64_t before = store.memory_bytes();
+
+  const auto evicted =
+      store.erase_if([](std::uint64_t) { return cfl::JmpStore::Evict::kFinished; });
+  EXPECT_EQ(evicted.dropped, 0u);
+  EXPECT_EQ(evicted.carried, 1u);
+  EXPECT_EQ(store.memory_bytes(), before - record);
+
+  cfl::JmpStore unfinished_only;
+  unfinished_only.insert_unfinished(k, 11);
+  EXPECT_EQ(store.memory_bytes(), unfinished_only.memory_bytes());
+  cfl::JmpStore::Lookup lk;
+  ASSERT_TRUE(store.lookup(k, lk));
+  EXPECT_EQ(lk.finished, nullptr);
+  EXPECT_EQ(lk.unfinished_s, 11u);
+}
+
 /// One heap-matching cluster: p1/p2 alias a container object o, a store
 /// writes s (pointing to os) through p1, a load reads through p2 into x, and
 /// t copies x. points_to(t) = {os}, derived via a ReachableNodes call at x —
@@ -658,6 +849,7 @@ TEST(ServiceUpdate, RidesTheQueueOverTheWireProtocol) {
   EXPECT_EQ(replies[0].rfind("ok", 0), 0u) << replies[0];
   EXPECT_EQ(replies[1].rfind("ok updated", 0), 0u) << replies[1];
   EXPECT_NE(replies[1].find("rev 1"), std::string::npos) << replies[1];
+  EXPECT_NE(replies[1].find(" unfinished"), std::string::npos) << replies[1];
   EXPECT_EQ(replies[2].rfind("ok", 0), 0u) << replies[2];
   EXPECT_EQ(replies[3].rfind("err ", 0), 0u) << replies[3];
   EXPECT_EQ(replies[4].rfind("err ", 0), 0u) << replies[4];
@@ -667,6 +859,8 @@ TEST(ServiceUpdate, RidesTheQueueOverTheWireProtocol) {
   EXPECT_EQ(stats.update_errors, 2u);
   EXPECT_EQ(stats.pag_revision, 1u);
   EXPECT_NE(stats.to_json().find("\"updates\""), std::string::npos);
+  EXPECT_NE(stats.to_json().find("\"jmp_carried_unfinished\""),
+            std::string::npos);
 }
 
 // A malformed delta sent over the wire is answered `err` with the reader's
