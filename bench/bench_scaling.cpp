@@ -122,9 +122,9 @@ int main(int argc, char** argv) {
       // a fully-minted store (the service steady state).
       cfl::ContextTable contexts;
       cfl::JmpStore store;
-      cfl::BatchRunner runner(w.pag, o, contexts, store);
-      p.cold = runner.run(w.queries);
-      p.warm = runner.run(w.queries);
+      cfl::BatchRunner runner(o, contexts, store);
+      p.cold = runner.run(w.pag, w.queries);
+      p.warm = runner.run(w.pag, w.queries);
       points.push_back(std::move(p));
     }
 

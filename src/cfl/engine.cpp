@@ -161,6 +161,28 @@ EngineResult run_batch(const EngineOptions& options, Schedule schedule,
   return result;
 }
 
+// One solver per worker over the shared state, each with its own trace ring
+// when tracing is on (`rings` must outlive the solvers' use of them).
+void add_solvers(const pag::Pag& pag, const EngineOptions& options,
+                 unsigned threads, ContextTable& contexts, JmpStore& store,
+                 std::vector<std::unique_ptr<Solver>>& solvers,
+                 std::vector<std::unique_ptr<obs::TraceRing>>& rings) {
+  SolverOptions solver_options = options.solver;
+  solver_options.data_sharing = options.mode == Mode::kDataSharing ||
+                                options.mode == Mode::kDataSharingScheduling;
+  solvers.reserve(threads);
+  for (unsigned t = 0; t < threads; ++t) {
+    solvers.push_back(std::make_unique<Solver>(
+        pag, contexts, solver_options.data_sharing ? &store : nullptr,
+        solver_options));
+    solvers.back()->set_partition(options.partition);
+    if (solver_options.trace_level > 0) {
+      rings.push_back(std::make_unique<obs::TraceRing>());
+      solvers.back()->set_trace(rings.back().get());
+    }
+  }
+}
+
 }  // namespace
 
 Engine::Engine(const pag::Pag& pag, const EngineOptions& options)
@@ -179,12 +201,7 @@ EngineResult Engine::run(std::span<const pag::NodeId> queries,
 EngineResult Engine::run(std::span<const pag::NodeId> queries,
                          ContextTable& contexts, JmpStore& store,
                          std::span<const QueryKind> kinds) {
-  const bool sharing = options_.mode == Mode::kDataSharing ||
-                       options_.mode == Mode::kDataSharingScheduling;
   const bool scheduling = options_.mode == Mode::kDataSharingScheduling;
-
-  SolverOptions solver_options = options_.solver;
-  solver_options.data_sharing = sharing;
 
   // Cold by design: every run builds its own schedule plan, so
   // schedule_seconds is the paper's per-batch scheduling cost (Table I,
@@ -200,17 +217,7 @@ EngineResult Engine::run(std::span<const pag::NodeId> queries,
       1, std::min<std::uint64_t>(options_.threads, schedule.units.size())));
   std::vector<std::unique_ptr<Solver>> solvers;
   std::vector<std::unique_ptr<obs::TraceRing>> rings;  // outlives run_batch
-  solvers.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    solvers.push_back(std::make_unique<Solver>(pag_, contexts,
-                                               sharing ? &store : nullptr,
-                                               solver_options));
-    solvers.back()->set_partition(options_.partition);
-    if (solver_options.trace_level > 0) {
-      rings.push_back(std::make_unique<obs::TraceRing>());
-      solvers.back()->set_trace(rings.back().get());
-    }
-  }
+  add_solvers(pag_, options_, threads, contexts, store, solvers, rings);
   std::vector<detail::WorkerScratch> scratch(threads);
   std::vector<detail::PrefilterTally> tally(threads);
 
@@ -221,26 +228,11 @@ EngineResult Engine::run(std::span<const pag::NodeId> queries,
                    store);
 }
 
-BatchRunner::BatchRunner(const pag::Pag& pag, const EngineOptions& options,
-                         ContextTable& contexts, JmpStore& store)
-    : pag_(pag), options_(options), store_(store), contexts_(contexts) {
+BatchRunner::BatchRunner(const EngineOptions& options, ContextTable& contexts,
+                         JmpStore& store)
+    : options_(options), store_(store), contexts_(contexts) {
   if (options_.mode == Mode::kSequential) options_.threads = 1;
   PARCFL_CHECK(options_.threads >= 1);
-  const bool sharing = options_.mode == Mode::kDataSharing ||
-                       options_.mode == Mode::kDataSharingScheduling;
-  SolverOptions solver_options = options_.solver;
-  solver_options.data_sharing = sharing;
-  solvers_.reserve(options_.threads);
-  for (unsigned t = 0; t < options_.threads; ++t) {
-    solvers_.push_back(std::make_unique<Solver>(pag_, contexts_,
-                                                sharing ? &store_ : nullptr,
-                                                solver_options));
-    solvers_.back()->set_partition(options_.partition);
-    if (solver_options.trace_level > 0) {
-      rings_.push_back(std::make_unique<obs::TraceRing>());
-      solvers_.back()->set_trace(rings_.back().get());
-    }
-  }
   scratch_.resize(options_.threads);
   prefilter_tally_.resize(options_.threads);
   if (options_.threads > 1)
@@ -249,17 +241,23 @@ BatchRunner::BatchRunner(const pag::Pag& pag, const EngineOptions& options,
 
 BatchRunner::~BatchRunner() = default;
 
-EngineResult BatchRunner::run(std::span<const pag::NodeId> queries,
+EngineResult BatchRunner::run(const pag::Pag& pag,
+                              std::span<const pag::NodeId> queries,
                               std::span<const std::uint64_t> budgets,
                               std::span<const QueryKind> kinds) {
   PARCFL_CHECK_MSG(budgets.empty() || budgets.size() == queries.size(),
                    "budgets must parallel queries");
   PARCFL_CHECK_MSG(kinds.empty() || kinds.size() == queries.size(),
                    "kinds must parallel queries");
+  // Built at the first batch, once there is a graph to bind.
+  if (solvers_.empty())
+    add_solvers(pag, options_, options_.threads, contexts_, store_, solvers_,
+                rings_);
+  for (const auto& solver : solvers_) solver->rebind(pag);
   const bool scheduling = options_.mode == Mode::kDataSharingScheduling;
   support::WallTimer schedule_timer;
-  if (scheduling && (!plan_ || !plan_->matches(pag_))) {
-    plan_ = SchedulePlan::build(pag_);
+  if (scheduling && (!plan_ || !plan_->matches(pag))) {
+    plan_ = SchedulePlan::build(pag);
     plan_builds_.fetch_add(1, std::memory_order_relaxed);
     plan_bytes_.store(plan_->memory_bytes(), std::memory_order_relaxed);
   }

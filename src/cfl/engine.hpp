@@ -166,6 +166,10 @@ struct alignas(64) PrefilterTally {
 /// and thread start-up once, and every batch after the first rides the jmp
 /// shortcuts minted by its predecessors.
 ///
+/// The graph is an argument of each run(): the warm solvers are rebound to
+/// it per batch, so batches may walk successive graph revisions as long as
+/// the shared store was kept sound across each change (cfl/invalidate.hpp).
+///
 /// Counters in each EngineResult are per-batch deltas (warm solvers
 /// accumulate internally); jmp/context statistics are store-wide absolutes.
 ///
@@ -175,17 +179,17 @@ struct alignas(64) PrefilterTally {
 /// their own concurrency contracts cover that.
 class BatchRunner {
  public:
-  BatchRunner(const pag::Pag& pag, const EngineOptions& options,
-              ContextTable& contexts, JmpStore& store);
+  BatchRunner(const EngineOptions& options, ContextTable& contexts,
+              JmpStore& store);
   ~BatchRunner();
 
-  /// Answer one micro-batch against the warm shared state. `budgets`, when
-  /// non-empty, parallels `queries`: each entry caps that query's
-  /// charged-step budget at min(entry, options.solver.budget); 0 keeps the
-  /// engine default (per-request admission control). `kinds`, when non-empty,
-  /// also parallels `queries` and routes each one to its query kind
-  /// (empty = all points-to).
-  EngineResult run(std::span<const pag::NodeId> queries,
+  /// Answer one micro-batch over `pag` against the warm shared state.
+  /// `budgets`, when non-empty, parallels `queries`: each entry caps that
+  /// query's charged-step budget at min(entry, options.solver.budget); 0
+  /// keeps the engine default (per-request admission control). `kinds`, when
+  /// non-empty, also parallels `queries` and routes each one to its query
+  /// kind (empty = all points-to).
+  EngineResult run(const pag::Pag& pag, std::span<const pag::NodeId> queries,
                    std::span<const std::uint64_t> budgets = {},
                    std::span<const QueryKind> kinds = {});
 
@@ -195,10 +199,9 @@ class BatchRunner {
   support::QueryCounters lifetime_totals() const;
 
   /// Schedule plans built so far. ParCFL_DQ builds one at the first batch on
-  /// each graph revision and reuses it for every later batch on that
-  /// revision. The bound Pag may be move-assigned between batches as long as
-  /// the replacement carries a new revision() (pag::apply_delta bumps it).
-  /// Safe to read concurrently with run().
+  /// each graph revision (revision() and node count, which pag::apply_delta
+  /// changes) and reuses it for every later batch on that revision. Safe to
+  /// read concurrently with run().
   std::uint64_t schedule_plan_builds() const {
     return plan_builds_.load(std::memory_order_relaxed);
   }
@@ -209,11 +212,10 @@ class BatchRunner {
   }
 
  private:
-  const pag::Pag& pag_;
   EngineOptions options_;
   JmpStore& store_;
   ContextTable& contexts_;
-  std::vector<std::unique_ptr<Solver>> solvers_;
+  std::vector<std::unique_ptr<Solver>> solvers_;  // empty until the first run
   std::vector<detail::WorkerScratch> scratch_;
   std::vector<detail::PrefilterTally> prefilter_tally_;
   /// One ring per warm solver when solver.trace_level > 0 (same lifetime, so
@@ -221,7 +223,7 @@ class BatchRunner {
   std::vector<std::unique_ptr<obs::TraceRing>> rings_;
   std::unique_ptr<support::ThreadPool> pool_;  // null when threads == 1
   /// DQ schedule plan of the graph revision it is stamped with; rebuilt at
-  /// the first batch after pag_ changes revision.
+  /// the first batch on another revision.
   std::optional<SchedulePlan> plan_;
   std::atomic<std::uint64_t> plan_builds_{0};
   std::atomic<std::uint64_t> plan_bytes_{0};

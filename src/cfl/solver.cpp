@@ -51,7 +51,7 @@ bool QueryResult::contains(NodeId n) const {
 
 Solver::Solver(const pag::Pag& pag, ContextTable& contexts, JmpStore* store,
                const SolverOptions& options)
-    : pag_(pag), contexts_(contexts), store_(store), options_(options),
+    : pag_(&pag), contexts_(contexts), store_(store), options_(options),
       budget_limit_(options.budget) {
   if (options_.data_sharing)
     PARCFL_CHECK_MSG(store_ != nullptr, "data sharing requires a JmpStore");
@@ -70,12 +70,12 @@ QueryResult Solver::flows_to(NodeId o) {
 }
 
 void Solver::points_to(NodeId l, QueryResult& out) {
-  PARCFL_CHECK_MSG(pag_.is_variable(l), "points_to takes a variable node");
+  PARCFL_CHECK_MSG(pag_->is_variable(l), "points_to takes a variable node");
   run_query(Direction::kBackward, OnNew::kRecord, l, ContextTable::empty(), out);
 }
 
 void Solver::flows_to(NodeId o, QueryResult& out) {
-  PARCFL_CHECK_MSG(pag_.is_object(o), "flows_to takes an object node");
+  PARCFL_CHECK_MSG(pag_->is_object(o), "flows_to takes an object node");
   run_query(Direction::kForward, OnNew::kPush, o, ContextTable::empty(), out);
 }
 
@@ -436,14 +436,14 @@ void Solver::reachable_nodes_backward(NodeId x, CtxId c, ResultSet& out) {
         // FlowsTo(o, c0) for each (o, c0) in PointsTo(p, c); instead of
         // scanning all stores on f per alias candidate, we look up the
         // candidate's incoming store edges directly (same match set).
-        for (const HalfEdge ld : pag_.in_edges(x, EdgeKind::kLoad)) {
+        for (const HalfEdge ld : pag_->in_edges(x, EdgeKind::kLoad)) {
           const NodeId p = ld.other;
           const std::uint32_t f = ld.aux;
           if (options_.field_approximation && !options_.refined_fields.contains(f)) {
             // Regular approximation: every store on f matches, no alias test.
             // Targets restart from the empty context (an over-approximation
             // consistent with partial balance).
-            for (const HalfEdge st : pag_.stores_on_field(pag::FieldId(f))) {
+            for (const HalfEdge st : pag_->stores_on_field(pag::FieldId(f))) {
               const NodeId y(st.aux);
               if (!dedup.insert(make_key(y, ContextTable::empty())))
                 continue;
@@ -459,7 +459,7 @@ void Solver::reachable_nodes_backward(NodeId x, CtxId c, ResultSet& out) {
                 walk<Direction::kForward, OnNew::kPush>(oc.node, oc.ctx);
             for (std::size_t j = 0; j < aliased.items.size(); ++j) {
               const PtPair qc = aliased.items[j];
-              for (const HalfEdge st : pag_.in_edges(qc.node, EdgeKind::kStore)) {
+              for (const HalfEdge st : pag_->in_edges(qc.node, EdgeKind::kStore)) {
                 if (st.aux != f) continue;
                 const NodeId y = st.other;  // rhs of q.f = y
                 if (!dedup.insert(make_key(y, qc.ctx))) continue;
@@ -480,11 +480,11 @@ void Solver::reachable_nodes_forward(NodeId z, CtxId c, ResultSet& out) {
         // Mirror image: a store q.f = z forwards z's value into o.f for each
         // object o pointed to by q; every load x = p'.f on an aliased base p'
         // then continues the flowsTo path at x.
-        for (const HalfEdge st : pag_.out_edges(z, EdgeKind::kStore)) {
+        for (const HalfEdge st : pag_->out_edges(z, EdgeKind::kStore)) {
           const NodeId q = st.other;  // base of q.f = z
           const std::uint32_t f = st.aux;
           if (options_.field_approximation && !options_.refined_fields.contains(f)) {
-            for (const HalfEdge ld : pag_.loads_on_field(pag::FieldId(f))) {
+            for (const HalfEdge ld : pag_->loads_on_field(pag::FieldId(f))) {
               const NodeId target(ld.aux);  // dst of x = p.f
               if (!dedup.insert(make_key(target, ContextTable::empty())))
                 continue;
@@ -500,7 +500,7 @@ void Solver::reachable_nodes_forward(NodeId z, CtxId c, ResultSet& out) {
                 walk<Direction::kForward, OnNew::kPush>(oc.node, oc.ctx);
             for (std::size_t j = 0; j < aliased.items.size(); ++j) {
               const PtPair pc = aliased.items[j];
-              for (const HalfEdge ld : pag_.out_edges(pc.node, EdgeKind::kLoad)) {
+              for (const HalfEdge ld : pag_->out_edges(pc.node, EdgeKind::kLoad)) {
                 if (ld.aux != f) continue;
                 const NodeId x = ld.other;  // dst of x = p'.f
                 if (!dedup.insert(make_key(x, pc.ctx))) continue;

@@ -248,6 +248,11 @@ class Solver {
   }
   std::uint64_t query_budget() const { return budget_limit_; }
 
+  /// Walk `pag` from the next query on. No per-query state outlives a query,
+  /// so a warm solver may move to another graph revision between queries;
+  /// the shared store must already be sound for it (cfl/invalidate.hpp).
+  void rebind(const pag::Pag& pag) { pag_ = &pag; }
+
   /// Attach a partition view (null detaches). The caller owns the view and
   /// its owner table; both must outlive the solver's use of them.
   void set_partition(const PartitionView* view) { partition_ = view; }
@@ -461,7 +466,7 @@ class Solver {
   std::uint64_t seeded_tuples_ = 0;
 
   // ---- shared, immutable/concurrent --------------------------------------
-  const pag::Pag& pag_;
+  const pag::Pag* pag_;  // never null; see rebind()
   ContextTable& contexts_;
   JmpStore* store_;
   SolverOptions options_;

@@ -75,7 +75,7 @@ const Solver::ResultSet& Solver::walk(pag::NodeId root, CtxId rc) {
   // Backward walks follow incoming edges (flowsTo̅), forward walks outgoing
   // ones (flowsTo).
   auto edges = [&](NodeId u, EdgeKind kind) {
-    return backward ? pag_.in_edges(u, kind) : pag_.out_edges(u, kind);
+    return backward ? pag_->in_edges(u, kind) : pag_->out_edges(u, kind);
   };
   push(root, rc, PtPair{root, rc}, Via::kQueryRoot);
 
@@ -98,7 +98,7 @@ const Solver::ResultSet& Solver::walk(pag::NodeId root, CtxId rc) {
       }
     } else {
       // Every variable reached along the walk answers the query.
-      if (pag_.is_variable(u)) {
+      if (pag_->is_variable(u)) {
         if (entry.set.add(u, cu)) grew_ = true;
       }
       if constexpr (N == OnNew::kPush) {
@@ -125,9 +125,9 @@ const Solver::ResultSet& Solver::walk(pag::NodeId root, CtxId rc) {
     // sub-queries whatever the kind, so jmp keys are kind-independent.
     if (!options_.field_sensitive) continue;
     if constexpr (backward) {
-      if (pag_.in_edges(u, EdgeKind::kLoad).empty()) continue;
+      if (pag_->in_edges(u, EdgeKind::kLoad).empty()) continue;
     } else {
-      if (!pag_.is_variable(u) || pag_.out_edges(u, EdgeKind::kStore).empty())
+      if (!pag_->is_variable(u) || pag_->out_edges(u, EdgeKind::kStore).empty())
         continue;
     }
     ResultSet& rch = frame.rn_out;

@@ -30,7 +30,7 @@
 // lock with the entry marked busy; under the lock, a busy entry's fields are
 // never touched and waiters block on the cv. Lease release updates the LRU
 // tick and byte sample and triggers cap enforcement. Lock order: the manager
-// mutex may be held while taking a Session's pag_mu_ (resident_bytes), never
+// mutex may be held while taking a Session's rev_mu_ (resident_bytes), never
 // the reverse (Sessions know nothing of the manager).
 
 #include <condition_variable>

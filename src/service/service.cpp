@@ -336,8 +336,8 @@ std::future<Reply> QueryService::submit(Request request) {
         // The wire parser only bounds-checks ids; points_to is defined on
         // variable nodes — and so are both ends of alias/taint/depends — so
         // reject anything else here rather than tripping the solver's
-        // precondition check mid-batch. is_variable_node reads under the
-        // graph lock, and stays valid across updates (node ids are never
+        // precondition check mid-batch. is_variable_node reads one graph
+        // revision, and stays valid across updates (node ids are never
         // removed, kinds never change).
         if (!default_session_->is_variable_node(request.a) ||
             (request.verb != Verb::kQuery &&

@@ -123,9 +123,9 @@ class QueryService {
   const obs::MetricsRegistry& registry() const { return registry_; }
 
   /// Safe to call from any client thread, including concurrently with an
-  /// update (reads take the session's graph lock shared).
+  /// update (reads one snapshot of the session's graph revision).
   std::uint32_t node_count() const { return default_session_->node_count(); }
-  /// Single-threaded callers only — do not use where an update can race.
+  /// Single-threaded callers only; valid until the next update.
   const pag::Pag& pag() const { return default_session_->pag(); }
   /// The default tenant's session (the graph passed to the constructor).
   Session& session() { return *default_session_; }

@@ -83,6 +83,18 @@ pag::Delta serving_diff(const pag::Pag& old_pag, const pag::Pag& new_pag,
 
 }  // namespace
 
+/// One immutable graph revision (session.hpp).
+struct Session::Revision {
+  Revision(pag::Pag graph, bool reduce) : base(std::move(graph)) {
+    if (reduce) reduced = pag::reduce_unmatched_parens(base, &reduce_stats);
+  }
+  const pag::Pag& serving() const { return reduced ? *reduced : base; }
+
+  pag::Pag base;                    // the faithful graph deltas apply to
+  std::optional<pag::Pag> reduced;  // engaged iff reduction is on
+  pag::ReduceStats reduce_stats{};  // of `reduced`; all-zero when off
+};
+
 cfl::EngineOptions Session::engine_options(const Options& options) {
   cfl::EngineOptions engine = options.engine;
   // Replies carry the object sets, whatever the caller configured.
@@ -93,7 +105,7 @@ cfl::EngineOptions Session::engine_options(const Options& options) {
     // must cover the sub-PAG's (global) node id space.
     partition_map_ = options.partition;
     partition_id_ = options.partition_id;
-    PARCFL_CHECK_MSG(partition_map_->owner.size() == pag_.node_count(),
+    PARCFL_CHECK_MSG(partition_map_->owner.size() == node_count(),
                      "partition map does not cover the graph");
     PARCFL_CHECK_MSG(partition_id_ < partition_map_->parts,
                      "partition id out of range");
@@ -120,11 +132,8 @@ Session::Session(pag::Pag pag, Options options)
     // from partition-local information.
     : reduce_graph_(options.reduce_graph && options.partition == nullptr),
       prefilter_enabled_(options.prefilter && options.partition == nullptr),
-      base_pag_(reduce_graph_ ? std::optional<pag::Pag>(std::move(pag))
-                              : std::nullopt),
-      pag_(base_pag_ ? pag::reduce_unmatched_parens(*base_pag_, &reduce_stats_)
-                     : std::move(pag)),
-      runner_(pag_, engine_options(options), contexts_, store_),
+      rev_(std::make_shared<const Revision>(std::move(pag), reduce_graph_)),
+      runner_(engine_options(options), contexts_, store_),
       // charge_jmp_costs makes budget consumption configuration-dependent,
       // so an index hit could complete a query a live solve would not — the
       // outcome-identity contract only holds with it off (the default).
@@ -145,9 +154,9 @@ Session::Session(pag::Pag pag, Options options)
       // session manager's evict cycle depends on.
       std::string error;
       std::vector<std::uint64_t> hot;
-      if (!cfl::load_sharing_state_file_v3(options.state_path, pag_, contexts_,
-                                           store_, cfl::StateLoadMode::kAuto,
-                                           &error, &hot, &warm_stale_))
+      if (!cfl::load_sharing_state_file_v3(
+              options.state_path, live()->serving(), contexts_, store_,
+              cfl::StateLoadMode::kAuto, &error, &hot, &warm_stale_))
         std::fprintf(stderr, "parcfl-service: ignoring warm-start state %s: %s\n",
                      options.state_path.c_str(), error.c_str());
       // The spill's advisory hot section re-seeds the compactor queue, so a
@@ -162,11 +171,14 @@ Session::Session(pag::Pag pag, Options options)
     }
   }
   if (prefilter_enabled_) {
+    pf_rev_ = live();
     pf_dirty_ = true;
     prefilter_thread_ = std::thread([this] { prefilter_main(); });
   }
-  if (index_enabled_)
+  if (index_enabled_) {
+    cx_rev_ = live();
     compactor_thread_ = std::thread([this] { compactor_main(); });
+  }
 }
 
 Session::~Session() {
@@ -197,6 +209,7 @@ Session::~Session() {
 
 void Session::prefilter_main() {
   for (;;) {
+    std::shared_ptr<const Revision> rev;
     std::shared_ptr<const andersen::Prefilter> base;
     bool add_only = false;
     {
@@ -207,22 +220,16 @@ void Session::prefilter_main() {
       add_only = pf_add_only_;
       pf_add_only_ = true;
       base = prefilter_;
+      rev = pf_rev_;
     }
-    // Copy the live graph: the solve must not hold any session lock. A delta
-    // landing between the flag snapshot and this copy re-marks dirty, so the
-    // result is rebuilt; at worst this round seeds incrementally from a base
-    // the copy no longer extends, which over-approximates the fixpoint —
-    // still sound for definite-no answers (and superseded by the pending
-    // rebuild anyway).
-    std::optional<pag::Pag> copy;
-    {
-      std::shared_lock lock(pag_mu_);
-      copy.emplace(pag_);
-    }
+    // The bound revision is immutable, so the solve holds no session lock.
+    // update() sets it together with the add-only flag, so an incremental
+    // build only ever extends a base solved on a subgraph of it.
+    const pag::Pag& graph = rev->serving();
     auto built = std::make_shared<const andersen::Prefilter>(
         add_only && base != nullptr
-            ? andersen::Prefilter::build_incremental(*copy, *base)
-            : andersen::Prefilter::build(*copy));
+            ? andersen::Prefilter::build_incremental(graph, *base)
+            : andersen::Prefilter::build(graph));
     {
       std::lock_guard lock(pf_mu_);
       prefilter_ = std::move(built);
@@ -231,27 +238,10 @@ void Session::prefilter_main() {
   }
 }
 
-void Session::refresh_active_prefilter() {
-  // batch_mu_ held: pag_ is stable, and active_prefilter_ may be written.
-  std::lock_guard lock(pf_mu_);
-  if (prefilter_ != nullptr && prefilter_->revision() == pag_.revision())
-    active_prefilter_ = prefilter_;
-  else
-    active_prefilter_ = nullptr;
-}
-
 bool Session::prefilter_no_alias(pag::NodeId a, pag::NodeId b) const {
   if (!prefilter_enabled_) return false;
-  std::shared_ptr<const andersen::Prefilter> p;
-  {
-    std::lock_guard lock(pf_mu_);
-    p = prefilter_;
-  }
-  if (p == nullptr) return false;
-  {
-    std::shared_lock lock(pag_mu_);
-    if (p->revision() != pag_.revision()) return false;
-  }
+  const std::shared_ptr<const andersen::Prefilter> p = prefilter_snapshot();
+  if (p == nullptr || p->revision() != revision()) return false;
   const bool hit = p->no_alias(a, b);
   (hit ? pf_alias_hits_ : pf_alias_misses_)
       .fetch_add(1, std::memory_order_relaxed);
@@ -259,24 +249,13 @@ bool Session::prefilter_no_alias(pag::NodeId a, pag::NodeId b) const {
 }
 
 bool Session::prefilter_ready() const {
-  if (!prefilter_enabled_) return false;
-  std::shared_ptr<const andersen::Prefilter> p;
-  {
-    std::lock_guard lock(pf_mu_);
-    p = prefilter_;
-  }
-  if (p == nullptr) return false;
-  std::shared_lock lock(pag_mu_);
-  return p->revision() == pag_.revision();
+  const std::shared_ptr<const andersen::Prefilter> p = prefilter_snapshot();
+  return p != nullptr && p->revision() == revision();
 }
 
 bool Session::wait_for_prefilter() {
   if (!prefilter_enabled_) return false;
-  std::uint32_t rev = 0;
-  {
-    std::shared_lock lock(pag_mu_);
-    rev = pag_.revision();
-  }
+  const std::uint32_t rev = revision();
   std::unique_lock lock(pf_mu_);
   // Revisions are monotone, so >= rev means "covers the revision that was
   // live when the caller asked" — a racing update re-marks dirty and the
@@ -302,8 +281,7 @@ void Session::set_prefilter_paused(bool paused) {
 }
 
 pag::ReduceStats Session::reduce_stats() const {
-  std::shared_lock lock(pag_mu_);
-  return reduce_stats_;
+  return live()->reduce_stats;
 }
 
 Session::BatchResult Session::run_batch(std::span<const Item> items) {
@@ -323,6 +301,8 @@ Session::BatchResult Session::run_batch(std::span<const Item> items) {
   bool mined = false;
   {
     std::lock_guard lock(batch_mu_);
+    // Only update() replaces the revision, and it takes batch_mu_ first.
+    const std::shared_ptr<const Revision> rev = live();
     // Index dispatch first: a covered root is answered from the immutable
     // snapshot at 0 charged steps, before prefilter or solver see it. The
     // epoch pin keeps the snapshot alive for the whole read.
@@ -365,9 +345,14 @@ Session::BatchResult Session::run_batch(std::span<const Item> items) {
     }
 
     if (!queries.empty()) {
-      if (prefilter_enabled_) refresh_active_prefilter();
+      if (prefilter_enabled_) {
+        std::lock_guard pf_lock(pf_mu_);
+        const bool live = prefilter_ != nullptr &&
+                          prefilter_->revision() == rev->serving().revision();
+        active_prefilter_ = live ? prefilter_ : nullptr;
+      }
       cfl::EngineResult er = runner_.run(
-          queries,
+          rev->serving(), queries,
           any_budget ? std::span<const std::uint64_t>(budgets)
                      : std::span<const std::uint64_t>(),
           any_nonpointer ? std::span<const cfl::QueryKind>(kinds)
@@ -418,11 +403,7 @@ Session::BatchResult Session::run_batch(std::span<const Item> items) {
 
 bool Session::intern_chain(std::span<const std::uint32_t> chain,
                            cfl::CtxId* out, std::string* error) {
-  std::uint32_t sites = 0;
-  {
-    std::shared_lock lock(pag_mu_);
-    sites = pag_.call_site_count();
-  }
+  const std::uint32_t sites = live()->serving().call_site_count();
   cfl::CtxId c = cfl::ContextTable::empty();
   for (const std::uint32_t site : chain) {
     if (site >= sites)
@@ -449,6 +430,7 @@ bool Session::run_continuation(const ContRequest& request,
   // graph, context table and jmp store with the batch plane.
   std::lock_guard lock(batch_mu_);
   const std::uint64_t busy_start = thread_cpu_ns();
+  const std::shared_ptr<const Revision> rev = live();
   if (cont_solver_ == nullptr) {
     const cfl::Mode mode = runner_.options().mode;
     const bool sharing = mode == cfl::Mode::kDataSharing ||
@@ -456,9 +438,10 @@ bool Session::run_continuation(const ContRequest& request,
     cfl::SolverOptions solver_options = runner_.options().solver;
     solver_options.data_sharing = sharing;
     cont_solver_ = std::make_unique<cfl::Solver>(
-        pag_, contexts_, sharing ? &store_ : nullptr, solver_options);
+        rev->serving(), contexts_, sharing ? &store_ : nullptr, solver_options);
     cont_solver_->set_partition(&partition_view_);
   }
+  cont_solver_->rebind(rev->serving());
   cont_solver_->set_seed_facts(&seeds);
   cont_solver_->set_query_budget(request.budget);
   const std::uint64_t charged_before = cont_solver_->counters().charged_steps;
@@ -520,16 +503,16 @@ Session::PartitionInfo Session::partition_info() const {
 void Session::compactor_main() {
   for (;;) {
     std::vector<std::uint64_t> want;
-    std::uint64_t generation = 0;
+    std::shared_ptr<const Revision> rev;
     {
       std::unique_lock lock(cx_mu_);
       cx_cv_.wait(lock, [&] { return cx_stop_ || cx_dirty_; });
       if (cx_stop_) return;
       cx_dirty_ = false;
       cx_building_ = true;
-      generation = cx_generation_;
       want = std::move(cx_queue_);
       cx_queue_.clear();
+      rev = cx_rev_;
     }
     // The queue is the delta — fresh hot roots plus the entries an update
     // dropped. Only those are cold-solved; the pass merges them into the
@@ -538,34 +521,29 @@ void Session::compactor_main() {
     want.erase(std::unique(want.begin(), want.end()), want.end());
     if (want.size() > kIndexMaxEntries) want.resize(kIndexMaxEntries);
 
+    // The build holds no session lock, so batches and updates proceed while
+    // it runs on the bound revision.
     std::unique_ptr<const cfl::CsIndex> built;
-    if (!want.empty()) {
-      // Copy the live graph; the build itself holds no session lock, so
-      // batches and updates proceed while it runs.
-      std::optional<pag::Pag> copy;
-      {
-        std::shared_lock lock(pag_mu_);
-        copy.emplace(pag_);
-      }
-      built = cfl::build_csindex(*copy, want, cx_solver_options_, &cx_cancel_);
-    }
+    if (!want.empty())
+      built = cfl::build_csindex(rev->serving(), want, cx_solver_options_,
+                                 &cx_cancel_);
 
     {
       std::lock_guard lock(cx_mu_);
       cx_building_ = false;
       if (cx_stop_) return;
-      if (built != nullptr && generation == cx_generation_) {
-        // Same generation: no update swapped the index since the queue was
-        // taken, so it answers for the graph the pass solved against.
+      if (built != nullptr && rev == cx_rev_) {
+        // No update pruned the index since the pass bound its revision, so
+        // the build answers for the revision the index answers for.
         const cfl::CsIndex* old = index_.load(std::memory_order_relaxed);
         if (old != nullptr) built = old->merged(*built, kIndexMaxEntries);
         index_.store(built.release(), std::memory_order_release);
         if (old != nullptr) support::global_epoch_domain().retire_object(old);
         ++cx_builds_;
       } else if (!want.empty()) {
-        // Cancelled, or an update landed mid-build: the answers may be for a
-        // graph that is no longer live. Discard and re-queue — the published
-        // index was already pruned by the update itself.
+        // Cancelled, or an update landed mid-build: the answers are for a
+        // retired revision. Discard and re-queue — the published index was
+        // already pruned by the update itself.
         cx_queue_.insert(cx_queue_.end(), want.begin(), want.end());
         cx_dirty_ = true;
       }
@@ -625,50 +603,41 @@ void Session::note_hot(pag::NodeId var) {
 
 bool Session::update(const pag::Delta& delta, std::string* error,
                      UpdateStats* stats) {
+  // A worker's sub-PAG must stay in step with the router's partition map
+  // and with the other workers' sub-PAGs, and a delta applied here keeps
+  // neither (new nodes would outgrow the owner table).
+  if (partitioned())
+    return fail(error, "update unsupported on a partitioned worker");
   // Exclude query batches for the whole apply: the solver must never run
   // half against the old graph and half against the new one.
   std::lock_guard batch_lock(batch_mu_);
+  const std::shared_ptr<const Revision> old = live();
 
-  pag::ApplyStats apply{};
+  UpdateStats out;
   std::string apply_error;
   // The delta is recorded against the faithful base graph: it may remove an
   // edge that reduction already dropped from the serving graph.
-  auto next_base =
-      pag::apply_delta(base_pag_ ? *base_pag_ : pag_, delta, &apply, &apply_error);
+  std::optional<pag::Pag> next_base =
+      pag::apply_delta(old->base, delta, &out.apply, &apply_error);
   if (!next_base) return fail(error, "delta rejected: " + apply_error);
-
-  UpdateStats out;
-  out.apply = apply;
-
-  std::optional<pag::Pag> next_serving;
-  if (reduce_graph_)
-    next_serving = pag::reduce_unmatched_parens(*next_base, &out.reduce);
+  const auto next =
+      std::make_shared<const Revision>(std::move(*next_base), reduce_graph_);
+  out.reduce = next->reduce_stats;
+  out.revision = next->serving().revision();
+  const pag::Delta served =
+      reduce_graph_ ? serving_diff(old->serving(), next->serving(), delta)
+                    : delta;
 
   // The cone's backward plane, read by the index prune below.
   std::vector<std::uint8_t> cone;
-  std::vector<std::uint8_t>* const cone_out = index_enabled_ ? &cone : nullptr;
-
   {
-    // Exclude the lock-free control plane (save/load, validation reads) only
-    // for the invalidate + swap window.
+    // Keep save/load/spill out of the invalidate + publish window only.
     std::unique_lock pag_lock(pag_mu_);
-    if (next_serving) {
-      const pag::Delta sdiff = serving_diff(pag_, *next_serving, delta);
-      out.invalidate =
-          cfl::invalidate_sharing_state(pag_, *next_serving, sdiff, contexts_,
-                                        store_, invalidate_options_, cone_out);
-      // Move-assign in place: the Pag's address is what the warm BatchRunner
-      // and its solvers hold, and that does not change.
-      pag_ = std::move(*next_serving);
-      *base_pag_ = std::move(*next_base);
-    } else {
-      out.invalidate =
-          cfl::invalidate_sharing_state(pag_, *next_base, delta, contexts_,
-                                        store_, invalidate_options_, cone_out);
-      pag_ = std::move(*next_base);
-    }
-    reduce_stats_ = out.reduce;
-    out.revision = pag_.revision();
+    out.invalidate = cfl::invalidate_sharing_state(
+        old->serving(), next->serving(), served, contexts_, store_,
+        invalidate_options_, index_enabled_ ? &cone : nullptr);
+    std::lock_guard rev_lock(rev_mu_);
+    rev_ = next;
   }
 
   if (index_enabled_) {
@@ -676,24 +645,24 @@ bool Session::update(const pag::Delta& delta, std::string* error,
     // backward entry on the same root: the root is marked in the cone's
     // backward plane, or lies beyond the graphs' node range. Restamp the
     // survivors to the new revision and re-queue the dropped keys for
-    // compaction. The generation bump makes any mid-build compactor pass
-    // discard its (old-graph) result at publish time.
+    // compaction. A compactor pass bound to the old revision discards its
+    // result at publish time.
     bool notify = false;
     {
       std::lock_guard cx_lock(cx_mu_);
-      ++cx_generation_;
-      const cfl::CsIndex* old = index_.load(std::memory_order_relaxed);
-      if (old != nullptr) {
+      cx_rev_ = next;
+      const cfl::CsIndex* current = index_.load(std::memory_order_relaxed);
+      if (current != nullptr) {
         std::vector<std::uint64_t> dirty;  // key-sorted, as entries() is
-        for (const cfl::CsIndex::Entry& e : old->entries()) {
+        for (const cfl::CsIndex::Entry& e : current->entries()) {
           const std::uint32_t root = cfl::CsIndex::key_node(e.key).value();
           if (root >= cone.size() || cone[root] != 0) dirty.push_back(e.key);
         }
         cx_invalidated_ += dirty.size();
-        std::unique_ptr<const cfl::CsIndex> next =
-            old->without(dirty, out.revision);
-        index_.store(next.release(), std::memory_order_release);
-        support::global_epoch_domain().retire_object(old);
+        std::unique_ptr<const cfl::CsIndex> pruned =
+            current->without(dirty, out.revision);
+        index_.store(pruned.release(), std::memory_order_release);
+        support::global_epoch_domain().retire_object(current);
         if (!dirty.empty()) {
           cx_queue_.insert(cx_queue_.end(), dirty.begin(), dirty.end());
           cx_dirty_ = true;
@@ -711,6 +680,7 @@ bool Session::update(const pag::Delta& delta, std::string* error,
     active_prefilter_ = nullptr;
     {
       std::lock_guard pf_lock(pf_mu_);
+      pf_rev_ = next;
       pf_dirty_ = true;
       pf_add_only_ = pf_add_only_ && delta.removed_edges().empty() &&
                      delta.removed_nodes().empty();
@@ -726,13 +696,10 @@ bool Session::update_from_file(const std::string& path, std::string* error,
   std::ifstream in(path);
   if (!in) return fail(error, "cannot open " + path);
   std::string parse_error;
-  std::optional<pag::Delta> delta;
-  {
-    // Parse against a stable view of the graph (bounds checks read pag_;
-    // reduction keeps node ids, so serving and base agree on the id space).
-    std::shared_lock lock(pag_mu_);
-    delta = pag::read_delta(in, pag_, &parse_error);
-  }
+  // Bounds checks read one revision; reduction keeps node ids, so serving
+  // and base graph agree on the id space.
+  const std::optional<pag::Delta> delta =
+      pag::read_delta(in, live()->serving(), &parse_error);
   if (!delta) return fail(error, path + ": " + parse_error);
   return update(*delta, error, stats);
 }
@@ -747,12 +714,14 @@ support::QueryCounters Session::lifetime_totals() const {
 
 bool Session::save(const std::string& path, std::string* error) {
   std::shared_lock lock(pag_mu_);
-  return cfl::save_sharing_state_file_v3(path, pag_, contexts_, store_, error);
+  return cfl::save_sharing_state_file_v3(path, live()->serving(),
+                                         contexts_, store_, error);
 }
 
 bool Session::load(const std::string& path, std::string* error) {
   std::shared_lock lock(pag_mu_);
-  return cfl::load_sharing_state_file_v3(path, pag_, contexts_, store_,
+  return cfl::load_sharing_state_file_v3(path, live()->serving(),
+                                         contexts_, store_,
                                          cfl::StateLoadMode::kAuto, error);
 }
 
@@ -780,45 +749,56 @@ bool Session::spill(const std::string& state_path,
     if (hot.size() > kIndexMaxEntries) hot.resize(kIndexMaxEntries);
   }
   std::shared_lock lock(pag_mu_);
+  const std::shared_ptr<const Revision> rev = live();
   if (wrote_pag != nullptr) *wrote_pag = false;
   std::int64_t revision_override = -1;
-  if (pag_.revision() != 0) {
+  if (rev->base.revision() != 0) {
     // The graph drifted from its source file (applied deltas). Spill the
     // faithful base next to the state and stamp both epoch 0: reloading the
     // spilled graph yields this exact content at revision 0, so the pair is
     // self-consistent and the fingerprint guard still protects it.
     std::ostringstream os;
-    pag::write_pag(os, base_pag_ ? *base_pag_ : pag_);
+    pag::write_pag(os, rev->base);
     if (!cfl::write_file_atomic(spill_pag_path, os.str(), error)) return false;
     if (wrote_pag != nullptr) *wrote_pag = true;
     revision_override = 0;
   }
-  return cfl::save_sharing_state_file_v3(state_path, pag_, contexts_, store_,
-                                         error, revision_override, hot);
+  return cfl::save_sharing_state_file_v3(state_path, rev->serving(), contexts_,
+                                         store_, error, revision_override, hot);
 }
 
 std::uint64_t Session::resident_bytes() const {
-  std::shared_lock lock(pag_mu_);
-  std::uint64_t total = pag_.memory_bytes() + store_.memory_bytes() +
+  const std::shared_ptr<const Revision> rev = live();
+  std::uint64_t total = rev->base.memory_bytes() + store_.memory_bytes() +
                         contexts_.size() * 16 +  // entry + intern slot
                         runner_.schedule_plan_bytes();
-  if (base_pag_) total += base_pag_->memory_bytes();
+  if (rev->reduced) total += rev->reduced->memory_bytes();
   return total;
 }
 
+std::shared_ptr<const Session::Revision> Session::live() const {
+  std::lock_guard lock(rev_mu_);
+  return rev_;
+}
+
+const pag::Pag& Session::pag() const { return live()->serving(); }
+
+const pag::Pag& Session::base_pag() const { return live()->base; }
+
+// A temporary snapshot lives to the end of the full expression, so the
+// revision it reads cannot be retired under it.
 std::uint32_t Session::node_count() const {
-  std::shared_lock lock(pag_mu_);
-  return pag_.node_count();
+  return live()->serving().node_count();
 }
 
 bool Session::is_variable_node(pag::NodeId n) const {
-  std::shared_lock lock(pag_mu_);
-  return n.valid() && n.value() < pag_.node_count() && pag_.is_variable(n);
+  const std::shared_ptr<const Revision> rev = live();
+  const pag::Pag& graph = rev->serving();
+  return n.valid() && n.value() < graph.node_count() && graph.is_variable(n);
 }
 
 std::uint32_t Session::revision() const {
-  std::shared_lock lock(pag_mu_);
-  return pag_.revision();
+  return live()->serving().revision();
 }
 
 }  // namespace parcfl::service

@@ -5,15 +5,20 @@
 // query stream gets monotonically cheaper — the across-run reuse that
 // cfl/persist.hpp only offered as save/reload is kept *live* here.
 //
+// The graph is one immutable Revision (base graph, serving graph, reduce
+// stats) behind a shared_ptr: update() builds the next one and swaps the
+// pointer, and a retired revision is freed with its last holder.
+//
 // Pre-solve pipeline (DESIGN.md §11), both stages on by default:
 //  * Graph reduction — the session serves the *reduced* graph
 //    (pag/reduce.hpp): edges that can never lie on a complete flowsTo
 //    derivation are dropped up front, so every traversal walks fewer steps
-//    for identical answers. The faithful unreduced graph is kept as
-//    `base_pag_`: client deltas are recorded against it (a delta may remove
-//    an edge reduction already dropped), and each update re-reduces the new
-//    base. Reduction preserves node ids, so request validation and the wire
-//    protocol are oblivious to it.
+//    for identical answers. The faithful unreduced graph is kept as the
+//    revision's base: client deltas are recorded against it (a delta may
+//    remove an edge reduction already dropped), and each update re-reduces
+//    the new base. With reduction off, base and serving graph are one
+//    object. Reduction preserves node ids, so request validation and the
+//    wire protocol are oblivious to it.
 //  * Andersen prefilter — a background thread solves the word-parallel
 //    inclusion analysis (andersen/prefilter.hpp) over the serving graph and
 //    publishes the result revision-stamped. Batches consult it through
@@ -25,36 +30,37 @@
 //
 // Concurrency contract:
 //  * run_batch() serialises batches on batch_mu_ (the engine parallelises
-//    *within* a batch across the configured worker threads).
-//  * update() takes batch_mu_ exclusively too: the invalidate-then-swap runs
-//    strictly between batches, so no in-flight batch ever observes a
-//    half-applied delta. The Pag object itself is move-assigned in place —
-//    its address never changes — so the references the BatchRunner and its
-//    warm solvers hold stay valid across the swap.
-//  * pag_mu_ protects the graph's *contents* for readers outside batch_mu_:
-//    save/load, validation reads (node_count / is_variable_node) and stats
-//    take it shared; update holds it exclusively only for the short
-//    invalidate + swap window, so the control plane never blocks behind a
-//    whole batch. The prefilter thread copies the graph under it.
-//  * pf_mu_ guards the prefilter build state (latest result, dirty flag).
-//    `active_prefilter_` — the result the in-flight batch reads through the
-//    definitely_empty predicate — is written only under batch_mu_ (refreshed
-//    at batch start, cleared by update), so predicate reads need no lock.
+//    *within* a batch across the configured worker threads) and hands the
+//    live revision's serving graph to the BatchRunner for that batch.
+//  * update() takes batch_mu_ too: the invalidate-then-publish runs strictly
+//    between batches, so no batch ever observes a half-applied delta.
+//  * rev_mu_ is held only to copy or replace the revision pointer.
+//    Validation reads (node_count, is_variable_node, revision, reduce_stats,
+//    intern_chain), resident_bytes and the prefilter probes each copy one
+//    revision snapshot and never block behind a batch or an update.
+//  * pag_mu_ keeps save/load/spill out of update's invalidate + publish
+//    window, so stored state never mixes jmp entries of two revisions: they
+//    take it shared, update exclusively.
+//  * The prefilter thread and the compactor bind a revision and build on it
+//    without any session lock. pf_mu_ guards the prefilter build state
+//    (bound revision, latest result, dirty and add-only flags), which
+//    update() sets together. `active_prefilter_` — the result the in-flight
+//    batch reads through the definitely_empty predicate — is written only
+//    under batch_mu_ (refreshed at batch start, cleared by update), so
+//    predicate reads need no lock.
 //  * The reachability index (cfl/csindex.hpp, DESIGN.md §13) is published
 //    through the process EpochDomain: run_batch pins an epoch and
 //    acquire-loads `index_`; update and the compactor swap it under cx_mu_
 //    and retire the old snapshot, so index reads never block. cx_mu_ guards
-//    the compactor's queue/counters.
-//  * Lock order: batch_mu_ before pag_mu_ before cx_mu_; pf_mu_ and cx_mu_
-//    are leaf locks — never held while acquiring another lock (the compactor
-//    releases cx_mu_ before copying the graph under pag_mu_).
+//    the compactor's queue/counters and the revision the index answers for.
+//  * Lock order: batch_mu_ before pag_mu_; rev_mu_, pf_mu_ and cx_mu_ are
+//    leaf locks, never held while acquiring another lock.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -90,7 +96,7 @@ class Session {
     /// missing file is not an error — the session just starts cold).
     std::string state_path;
     /// Serve the reduced graph (pag/reduce.hpp). Identical answers, fewer
-    /// traversed steps; costs one extra graph copy (the unreduced base).
+    /// traversed steps; keeps a second graph resident (the unreduced base).
     bool reduce_graph = true;
     /// Solve the Andersen prefilter in the background and short-circuit
     /// provably-empty queries / provably-no alias pairs.
@@ -243,7 +249,7 @@ class Session {
   bool spill(const std::string& state_path, const std::string& spill_pag_path,
              bool* wrote_pag, std::string* error);
 
-  /// Approximate resident footprint: serving + base graph, jmp store,
+  /// Approximate resident footprint: the revision's graphs, jmp store,
   /// context table and the batch runner's schedule plan. What the manager's
   /// max_resident_bytes cap meters.
   std::uint64_t resident_bytes() const;
@@ -311,11 +317,12 @@ class Session {
   bool warm_start_stale() const { return warm_stale_; }
 
   /// Direct graph access for single-threaded callers (tests, benchmarks).
-  /// Do not use from a thread that can race an update(). pag() is the graph
-  /// queries run against (reduced when reduce_graph is on); base_pag() is
-  /// the faithful client-visible graph deltas apply to.
-  const pag::Pag& pag() const { return pag_; }
-  const pag::Pag& base_pag() const { return base_pag_ ? *base_pag_ : pag_; }
+  /// The reference is valid until the next update(), which retires the
+  /// revision it points into. pag() is the graph queries run against
+  /// (reduced when reduce_graph is on); base_pag() is the faithful
+  /// client-visible graph deltas apply to.
+  const pag::Pag& pag() const;
+  const pag::Pag& base_pag() const;
   const cfl::JmpStore& store() const { return store_; }
   std::uint64_t context_count() const { return contexts_.size(); }
   /// Cumulative engine counters over every batch served, including
@@ -325,23 +332,23 @@ class Session {
   support::QueryCounters lifetime_totals() const;
 
  private:
+  struct Revision;
+
   cfl::EngineOptions engine_options(const Options& options);
-  /// Recompute active_prefilter_ for the batch about to run. Caller holds
-  /// batch_mu_.
-  void refresh_active_prefilter();
-  /// Background build loop: wait for a dirty graph, copy it, solve, publish.
+  /// A snapshot of the live revision.
+  std::shared_ptr<const Revision> live() const;
+  /// Background build loop: wait for a dirty revision, solve it, publish.
   void prefilter_main();
-  /// Background compaction loop: wait for queued hot roots, copy the graph,
-  /// build the index (generation-checked against racing updates), publish.
+  /// Background compaction loop: wait for queued hot roots, build the index
+  /// on the revision it answers for, publish unless an update intervened.
   void compactor_main();
 
   bool reduce_graph_ = false;
   bool prefilter_enabled_ = false;
-  pag::ReduceStats reduce_stats_{};  // of the live pag_; guarded by pag_mu_
-  /// Engaged iff reduce_graph_: the unreduced graph, base for deltas. When
-  /// reduction is off the serving graph *is* the base and no copy is kept.
-  std::optional<pag::Pag> base_pag_;
-  pag::Pag pag_;  // the serving graph (reduced when reduce_graph_)
+  /// The live revision; replaced only by update() under batch_mu_ and
+  /// pag_mu_. Declared before runner_: engine_options() reads it.
+  mutable std::mutex rev_mu_;
+  std::shared_ptr<const Revision> rev_;  // guarded by rev_mu_
   cfl::ContextTable contexts_;
   cfl::JmpStore store_;
   cfl::InvalidateOptions invalidate_options_;  // mirrors the solver config
@@ -368,8 +375,11 @@ class Session {
   /// only under batch_mu_ (refresh at batch start, clear in update), and the
   /// predicate only runs inside runner_.run — also under batch_mu_.
   std::shared_ptr<const andersen::Prefilter> active_prefilter_;
-  mutable std::mutex pf_mu_;  // guards prefilter_ / pf_dirty_ / pf_add_only_
+  mutable std::mutex pf_mu_;  // guards prefilter_, pf_rev_ and the flags
   std::condition_variable pf_cv_;
+  /// The revision the next build solves; set by update() together with
+  /// pf_dirty_ and pf_add_only_.
+  std::shared_ptr<const Revision> pf_rev_;
   std::shared_ptr<const andersen::Prefilter> prefilter_;  // latest build
   bool pf_dirty_ = false;
   bool pf_stop_ = false;
@@ -405,9 +415,10 @@ class Session {
   bool cx_dirty_ = false;
   bool cx_stop_ = false;
   bool cx_building_ = false;
-  /// Bumped by every update (under cx_mu_): a compactor pass whose start
-  /// generation is stale at publish time discards its build and re-queues.
-  std::uint64_t cx_generation_ = 0;
+  /// The revision the published index answers for; update() advances it
+  /// when it prunes. A pass publishes only if its bound revision is still
+  /// this one (the held pointer keeps the address from being reused).
+  std::shared_ptr<const Revision> cx_rev_;
   /// Set only at shutdown: aborts a mid-flight build between solves.
   std::atomic<bool> cx_cancel_{false};
   mutable std::atomic<std::uint64_t> cx_hits_{0};

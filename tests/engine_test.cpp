@@ -126,10 +126,10 @@ TEST(BatchRunner, SecondBatchAgainstWarmStoreTraversesStrictlyFewerSteps) {
   const EngineOptions o = options_for(Mode::kDataSharing, 4);
   ContextTable contexts;
   JmpStore store;
-  BatchRunner runner(w.pag, o, contexts, store);
+  BatchRunner runner(o, contexts, store);
 
-  const auto first = runner.run(w.queries);
-  const auto second = runner.run(w.queries);
+  const auto first = runner.run(w.pag, w.queries);
+  const auto second = runner.run(w.pag, w.queries);
 
   // Counters are per-batch deltas; both batches did answer every query.
   EXPECT_EQ(first.totals.queries, w.queries.size());

@@ -10,13 +10,15 @@
 //  * teardown — fleet + router destruction with concurrent clients in
 //    flight stays clean (the tsan target);
 //  * wire — the part handshake and the cont/cfact/creset continuation verbs
-//    against a WireSession, including the per-connection fact isolation.
+//    against a WireSession, including the per-connection fact isolation,
+//    and the refusal of `update` on a worker.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +27,7 @@
 #include "cfl/engine.hpp"
 #include "frontend/lower.hpp"
 #include "pag/collapse.hpp"
+#include "pag/delta.hpp"
 #include "pag/partition.hpp"
 #include "service/protocol.hpp"
 #include "service/router.hpp"
@@ -385,6 +388,55 @@ TEST(WorkerWire, ContinuationRunsAndFactsReset) {
     EXPECT_TRUE(ws.handle(bad, reply)) << bad;
     EXPECT_EQ(reply.rfind("err ", 0), 0u) << bad << " -> " << reply;
   }
+}
+
+// A worker's sub-PAG must match the router's partition map. A delta that
+// adds nodes would outgrow the owner table (a query on a new node then
+// reads past it), so the worker refuses every update before applying it.
+TEST(WorkerWire, UpdateIsRefusedAndGraphUnchanged) {
+  const auto w = container_workload();
+  pag::PartitionOptions po;
+  po.parts = 2;
+  const auto map =
+      std::make_shared<const pag::PartitionMap>(pag::partition_pag(w.pag, po));
+  NodeId local = NodeId::invalid();
+  for (const NodeId q : w.queries)
+    if (map->owner_of(q) == 0) {
+      local = q;
+      break;
+    }
+  ASSERT_TRUE(local.valid());
+  NodeId object = NodeId::invalid();
+  for (std::uint32_t n = 0; n < w.pag.node_count() && !object.valid(); ++n)
+    if (w.pag.is_object(NodeId(n))) object = NodeId(n);
+  ASSERT_TRUE(object.valid());
+
+  ServiceOptions so;
+  so.session.engine = engine_options(cfl::Mode::kSequential, 1);
+  so.session.partition = map;
+  so.session.partition_id = 0;
+  QueryService svc(pag::make_sub_pag(w.pag, *map, 0), so);
+  WireSession ws(svc);
+  const std::uint32_t nodes = svc.session().node_count();
+  const std::uint32_t revision = svc.session().revision();
+
+  pag::Delta delta(nodes);
+  NodeId fresh = NodeId::invalid();
+  for (int i = 0; i < 4096; ++i) fresh = delta.add_node(pag::NodeKind::kLocal);
+  delta.add_edge(pag::EdgeKind::kNew, fresh, object);
+  const std::string path = ::testing::TempDir() + "router_test_worker.delta";
+  {
+    std::ofstream out(path);
+    pag::write_delta(out, delta);
+  }
+
+  std::string reply;
+  EXPECT_TRUE(ws.handle("update " + path, reply));
+  EXPECT_EQ(reply, "err update unsupported on a partitioned worker\n");
+  EXPECT_EQ(svc.session().node_count(), nodes);
+  EXPECT_EQ(svc.session().revision(), revision);
+  EXPECT_TRUE(ws.handle("query " + std::to_string(local.value()), reply));
+  EXPECT_EQ(reply.rfind("ok ", 0), 0u) << reply;
 }
 
 }  // namespace
