@@ -13,12 +13,10 @@
 //
 // Non-empty probes prove nothing and must fall through to the solver.
 //
-// Each result is stamped with the revision of the graph it was solved on;
-// consumers (service::Session) must discard a prefilter whose revision does
-// not match the live graph. build_incremental seeds rows from a previous
-// result when the new graph extends the old one add-only (node ids are
-// stable and Andersen is monotone in edges), which converges much faster
-// than a cold solve after small deltas.
+// build_incremental seeds rows from a previous result when the new graph
+// extends the old one add-only (node ids are stable and Andersen is
+// monotone in edges), which converges much faster than a cold solve after
+// small deltas.
 
 #include <cstdint>
 #include <memory>

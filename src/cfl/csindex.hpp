@@ -57,8 +57,8 @@ class CsIndex {
     return pag::NodeId(static_cast<std::uint32_t>(key >> 32));
   }
 
-  /// Binary search; null on miss. Lock-free — callers hold an EpochGuard on
-  /// the domain the index was published through.
+  /// Binary search; null on miss. The index is immutable, so concurrent
+  /// readers need no lock.
   const Entry* find(std::uint64_t key) const;
 
   std::span<const pag::NodeId> targets(const Entry& e) const {

@@ -38,7 +38,6 @@ EngineResult run_batch(const EngineOptions& options, Schedule schedule,
                        std::span<const QueryKind> kinds,
                        std::span<const std::unique_ptr<Solver>> solvers,
                        std::span<detail::WorkerScratch> scratch,
-                       std::span<detail::PrefilterTally> prefilter_tally,
                        support::ThreadPool* pool, unsigned active_workers,
                        const ContextTable& contexts, const JmpStore& store) {
   EngineResult result;
@@ -57,8 +56,6 @@ EngineResult run_batch(const EngineOptions& options, Schedule schedule,
   std::vector<PaddedCounters> baseline(workers);
   for (std::size_t t = 0; t < workers; ++t)
     baseline[t].counters = solvers[t]->counters();
-  std::vector<detail::PrefilterTally> tally_baseline(prefilter_tally.begin(),
-                                                     prefilter_tally.end());
 
   result.outcomes.resize(schedule.ordered.size());
   if (options.collect_objects) result.objects.resize(schedule.ordered.size());
@@ -77,20 +74,6 @@ EngineResult run_batch(const EngineOptions& options, Schedule schedule,
       const pag::NodeId var = schedule.ordered[i];
       const QueryKind kind =
           kinds.empty() ? QueryKind::kPointsTo : kinds[schedule.source_index[i]];
-      // The Andersen prefilter proves *points-to* sets empty; taint/depends
-      // answers are variable sets with different reachability, so only
-      // pointer queries may short-circuit on it.
-      if (kind == QueryKind::kPointsTo && options.definitely_empty) {
-        if (options.definitely_empty(var)) {
-          // Proven empty: complete answer, zero objects, zero charge — the
-          // solver (and its jmp state) is never touched.
-          ++prefilter_tally[worker].hits;
-          result.outcomes[i] = QueryOutcome{var, QueryStatus::kComplete, 0, 0};
-          if (options.collect_objects) result.objects[i].clear();
-          continue;
-        }
-        ++prefilter_tally[worker].misses;
-      }
       if (!budgets.empty())
         solver.set_query_budget(budgets[schedule.source_index[i]]);
       const std::uint64_t charged_before = solver.counters().charged_steps;
@@ -146,11 +129,8 @@ EngineResult run_batch(const EngineOptions& options, Schedule schedule,
 
   result.per_thread_traversed.resize(workers, 0);
   for (std::size_t t = 0; t < workers; ++t) {
-    support::QueryCounters delta =
+    const support::QueryCounters delta =
         solvers[t]->counters().since(baseline[t].counters);
-    delta.prefilter_hits = prefilter_tally[t].hits - tally_baseline[t].hits;
-    delta.prefilter_misses =
-        prefilter_tally[t].misses - tally_baseline[t].misses;
     result.per_thread_traversed[t] = delta.traversed_steps;
     result.totals.merge(delta);
   }
@@ -219,13 +199,11 @@ EngineResult Engine::run(std::span<const pag::NodeId> queries,
   std::vector<std::unique_ptr<obs::TraceRing>> rings;  // outlives run_batch
   add_solvers(pag_, options_, threads, contexts, store, solvers, rings);
   std::vector<detail::WorkerScratch> scratch(threads);
-  std::vector<detail::PrefilterTally> tally(threads);
 
   std::unique_ptr<support::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<support::ThreadPool>(threads);
   return run_batch(options_, std::move(schedule), schedule_seconds, {}, kinds,
-                   solvers, scratch, tally, pool.get(), threads, contexts,
-                   store);
+                   solvers, scratch, pool.get(), threads, contexts, store);
 }
 
 BatchRunner::BatchRunner(const EngineOptions& options, ContextTable& contexts,
@@ -234,7 +212,6 @@ BatchRunner::BatchRunner(const EngineOptions& options, ContextTable& contexts,
   if (options_.mode == Mode::kSequential) options_.threads = 1;
   PARCFL_CHECK(options_.threads >= 1);
   scratch_.resize(options_.threads);
-  prefilter_tally_.resize(options_.threads);
   if (options_.threads > 1)
     pool_ = std::make_unique<support::ThreadPool>(options_.threads);
 }
@@ -267,17 +244,13 @@ EngineResult BatchRunner::run(const pag::Pag& pag,
   const unsigned active = static_cast<unsigned>(std::max<std::uint64_t>(
       1, std::min<std::uint64_t>(options_.threads, schedule.units.size())));
   return run_batch(options_, std::move(schedule), schedule_seconds, budgets,
-                   kinds, solvers_, scratch_, prefilter_tally_, pool_.get(),
-                   active, contexts_, store_);
+                   kinds, solvers_, scratch_, pool_.get(), active, contexts_,
+                   store_);
 }
 
 support::QueryCounters BatchRunner::lifetime_totals() const {
   support::QueryCounters totals;
   for (const auto& solver : solvers_) totals.merge(solver->counters());
-  for (const auto& tally : prefilter_tally_) {
-    totals.prefilter_hits += tally.hits;
-    totals.prefilter_misses += tally.misses;
-  }
   return totals;
 }
 

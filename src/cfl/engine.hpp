@@ -69,14 +69,6 @@ struct EngineOptions {
   /// 0 (the default) skips the per-query clock reads entirely.
   double slow_query_ms = 0.0;
   std::function<void(const SlowQueryRecord&)> slow_query_sink;
-  /// Pre-solve short-circuit (DESIGN.md §11): when set and returning true for
-  /// a query variable, the engine answers kComplete with an empty object set
-  /// without invoking the solver. The predicate must only return true when
-  /// the points-to set is provably empty (the Andersen prefilter's
-  /// context-insensitive result is a superset of every CFL answer, so its
-  /// empty set is a definite no). Called concurrently from worker threads —
-  /// must be thread-safe and stable for the duration of a run.
-  std::function<bool(pag::NodeId)> definitely_empty;
   /// Partitioned worker execution (DESIGN.md §14): when set, every solver
   /// runs with this view — cross-partition pushes are dropped (batch-path
   /// answers become partition-local) and any partition-contaminated query
@@ -148,15 +140,6 @@ struct alignas(64) WorkerScratch {
   QueryResult qr;
   std::vector<pag::NodeId> nodes;
 };
-
-/// Per-worker prefilter short-circuit tallies. Kept outside the solver (a
-/// hit never reaches it) and cache-line padded for the same reason as
-/// WorkerScratch. BatchRunner accumulates these across batches; per-batch
-/// results are entry-snapshot deltas like the solver counters.
-struct alignas(64) PrefilterTally {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
 }  // namespace detail
 
 /// Long-lived batch runner — the engine core of parcfl::service. Binds one
@@ -217,7 +200,6 @@ class BatchRunner {
   ContextTable& contexts_;
   std::vector<std::unique_ptr<Solver>> solvers_;  // empty until the first run
   std::vector<detail::WorkerScratch> scratch_;
-  std::vector<detail::PrefilterTally> prefilter_tally_;
   /// One ring per warm solver when solver.trace_level > 0 (same lifetime, so
   /// the slow-query hook can export a query's trace at any point).
   std::vector<std::unique_ptr<obs::TraceRing>> rings_;

@@ -30,8 +30,9 @@
 // lock with the entry marked busy; under the lock, a busy entry's fields are
 // never touched and waiters block on the cv. Lease release updates the LRU
 // tick and byte sample and triggers cap enforcement. Lock order: the manager
-// mutex may be held while taking a Session's rev_mu_ (resident_bytes), never
-// the reverse (Sessions know nothing of the manager).
+// mutex may be held while resident_bytes() takes a Session's rev_mu_, then
+// its pf_mu_ and its cx_mu_ (each alone, to copy a pointer), never the
+// reverse (Sessions know nothing of the manager).
 
 #include <condition_variable>
 #include <cstdint>

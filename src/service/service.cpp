@@ -385,6 +385,15 @@ std::future<Reply> QueryService::submit(Request request) {
   return future;
 }
 
+void QueryService::release_tenant_units(const std::string& tenant,
+                                        std::uint32_t units) {
+  if (options_.tenant_max_queue == 0) return;
+  const auto it = tenant_queued_units_.find(tenant);
+  if (it == tenant_queued_units_.end()) return;
+  it->second = it->second > units ? it->second - units : 0;
+  if (it->second == 0) tenant_queued_units_.erase(it);
+}
+
 void QueryService::collector_main() {
   for (;;) {
     std::vector<Pending> batch;
@@ -428,16 +437,9 @@ void QueryService::collector_main() {
       // micro-batches down to near size one.
       if (queue_.front().request.verb == Verb::kUpdate) {
         is_update = true;
-        batch_units += units_of(queue_.front().request);
-        if (options_.tenant_max_queue != 0) {
-          const auto it =
-              tenant_queued_units_.find(queue_.front().request.tenant);
-          if (it != tenant_queued_units_.end()) {
-            const std::uint32_t units = units_of(queue_.front().request);
-            it->second = it->second > units ? it->second - units : 0;
-            if (it->second == 0) tenant_queued_units_.erase(it);
-          }
-        }
+        const std::uint32_t units = units_of(queue_.front().request);
+        batch_units += units;
+        release_tenant_units(queue_.front().request.tenant, units);
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       } else {
@@ -451,13 +453,7 @@ void QueryService::collector_main() {
           }
           const std::uint32_t units = units_of(it->request);
           batch_units += units;
-          if (options_.tenant_max_queue != 0) {
-            const auto q = tenant_queued_units_.find(batch_tenant);
-            if (q != tenant_queued_units_.end()) {
-              q->second = q->second > units ? q->second - units : 0;
-              if (q->second == 0) tenant_queued_units_.erase(q);
-            }
-          }
+          release_tenant_units(batch_tenant, units);
           batch.push_back(std::move(*it));
           it = queue_.erase(it);
         }

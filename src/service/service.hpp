@@ -145,6 +145,9 @@ class QueryService {
   };
 
   void collector_main();
+  /// Return `units` of `tenant`'s admission quota as its requests leave the
+  /// queue. Caller holds mu_.
+  void release_tenant_units(const std::string& tenant, std::uint32_t units);
   void execute_batch(std::vector<Pending> batch);
   void execute_update(Pending pending);
   void note_slow_query(const cfl::SlowQueryRecord& record);

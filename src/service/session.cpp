@@ -12,7 +12,6 @@
 #include "cfl/csindex.hpp"
 #include "cfl/persist.hpp"
 #include "pag/pag_io.hpp"
-#include "support/ebr.hpp"
 
 namespace parcfl::service {
 
@@ -83,7 +82,8 @@ pag::Delta serving_diff(const pag::Pag& old_pag, const pag::Pag& new_pag,
 
 }  // namespace
 
-/// One immutable graph revision (session.hpp).
+/// One immutable graph revision plus the two results derived from it after
+/// it is published (session.hpp).
 struct Session::Revision {
   Revision(pag::Pag graph, bool reduce) : base(std::move(graph)) {
     if (reduce) reduced = pag::reduce_unmatched_parens(base, &reduce_stats);
@@ -93,6 +93,15 @@ struct Session::Revision {
   pag::Pag base;                    // the faithful graph deltas apply to
   std::optional<pag::Pag> reduced;  // engaged iff reduction is on
   pag::ReduceStats reduce_stats{};  // of `reduced`; all-zero when off
+
+  /// Andersen result over serving(); null until the prefilter thread fills
+  /// it, and again once update() retires the revision. Guarded by
+  /// Session::pf_mu_.
+  mutable std::shared_ptr<const andersen::Prefilter> prefilter;
+  /// Reachability index over serving(). update() moves the previous
+  /// revision's index in, pruned, and the compactor replaces it with merged
+  /// builds while this revision is live. Guarded by Session::cx_mu_.
+  mutable std::shared_ptr<const cfl::CsIndex> index;
 };
 
 cfl::EngineOptions Session::engine_options(const Options& options) {
@@ -114,14 +123,6 @@ cfl::EngineOptions Session::engine_options(const Options& options) {
     partition_view_.owner = partition_map_->owner.data();
     partition_view_.local = partition_id_;
     engine.partition = &partition_view_;
-  }
-  if (prefilter_enabled_) {
-    // Runs on engine workers inside runner_.run, i.e. under batch_mu_ —
-    // exactly where active_prefilter_ is stable (see member comment).
-    engine.definitely_empty = [this](pag::NodeId v) {
-      const andersen::Prefilter* p = active_prefilter_.get();
-      return p != nullptr && p->pts_empty(v);
-    };
   }
   return engine;
 }
@@ -175,10 +176,8 @@ Session::Session(pag::Pag pag, Options options)
     pf_dirty_ = true;
     prefilter_thread_ = std::thread([this] { prefilter_main(); });
   }
-  if (index_enabled_) {
-    cx_rev_ = live();
+  if (index_enabled_)
     compactor_thread_ = std::thread([this] { compactor_main(); });
-  }
 }
 
 Session::~Session() {
@@ -201,16 +200,13 @@ Session::~Session() {
     pf_cv_.notify_all();
     prefilter_thread_.join();
   }
-  // Late readers may still sit in retired-epoch grace; route the last
-  // published snapshot through the domain like every predecessor.
-  const cfl::CsIndex* last = index_.load(std::memory_order_relaxed);
-  if (last != nullptr) support::global_epoch_domain().retire_object(last);
 }
 
 void Session::prefilter_main() {
+  // The last build: the incremental base for an add-only successor.
+  std::shared_ptr<const andersen::Prefilter> last;
   for (;;) {
     std::shared_ptr<const Revision> rev;
-    std::shared_ptr<const andersen::Prefilter> base;
     bool add_only = false;
     {
       std::unique_lock lock(pf_mu_);
@@ -219,57 +215,63 @@ void Session::prefilter_main() {
       pf_dirty_ = false;
       add_only = pf_add_only_;
       pf_add_only_ = true;
-      base = prefilter_;
       rev = pf_rev_;
     }
     // The bound revision is immutable, so the solve holds no session lock.
     // update() sets it together with the add-only flag, so an incremental
     // build only ever extends a base solved on a subgraph of it.
+    if (!add_only) last.reset();
     const pag::Pag& graph = rev->serving();
-    auto built = std::make_shared<const andersen::Prefilter>(
-        add_only && base != nullptr
-            ? andersen::Prefilter::build_incremental(graph, *base)
-            : andersen::Prefilter::build(graph));
+    last = std::make_shared<const andersen::Prefilter>(
+        last != nullptr ? andersen::Prefilter::build_incremental(graph, *last)
+                        : andersen::Prefilter::build(graph));
     {
       std::lock_guard lock(pf_mu_);
-      prefilter_ = std::move(built);
+      // Only the live revision holds a prefilter (see update()); a result
+      // for a revision retired mid-build is kept only as `last`.
+      if (rev == pf_rev_) rev->prefilter = last;
     }
     pf_cv_.notify_all();
   }
 }
 
+std::shared_ptr<const andersen::Prefilter> Session::prefilter_of(
+    const Revision& rev) const {
+  std::lock_guard lock(pf_mu_);
+  return rev.prefilter;
+}
+
+std::shared_ptr<const cfl::CsIndex> Session::index_of(
+    const Revision& rev) const {
+  std::lock_guard lock(cx_mu_);
+  return rev.index;
+}
+
 bool Session::prefilter_no_alias(pag::NodeId a, pag::NodeId b) const {
   if (!prefilter_enabled_) return false;
   const std::shared_ptr<const andersen::Prefilter> p = prefilter_snapshot();
-  if (p == nullptr || p->revision() != revision()) return false;
+  if (p == nullptr) return false;
   const bool hit = p->no_alias(a, b);
-  (hit ? pf_alias_hits_ : pf_alias_misses_)
-      .fetch_add(1, std::memory_order_relaxed);
+  (hit ? pf_hits_ : pf_misses_).fetch_add(1, std::memory_order_relaxed);
   return hit;
 }
 
 bool Session::prefilter_ready() const {
-  const std::shared_ptr<const andersen::Prefilter> p = prefilter_snapshot();
-  return p != nullptr && p->revision() == revision();
+  return prefilter_snapshot() != nullptr;
 }
 
 bool Session::wait_for_prefilter() {
   if (!prefilter_enabled_) return false;
-  const std::uint32_t rev = revision();
   std::unique_lock lock(pf_mu_);
-  // Revisions are monotone, so >= rev means "covers the revision that was
-  // live when the caller asked" — a racing update re-marks dirty and the
-  // caller can simply wait again.
-  pf_cv_.wait(lock, [&] {
-    return pf_stop_ ||
-           (!pf_dirty_ && prefilter_ != nullptr && prefilter_->revision() >= rev);
-  });
+  // pf_rev_ is the live revision, or the one live when the caller asked
+  // while an update is publishing its successor; that update then re-marks
+  // dirty and the caller can simply wait again.
+  pf_cv_.wait(lock, [&] { return pf_stop_ || pf_rev_->prefilter != nullptr; });
   return !pf_stop_;
 }
 
 std::shared_ptr<const andersen::Prefilter> Session::prefilter_snapshot() const {
-  std::lock_guard lock(pf_mu_);
-  return prefilter_;
+  return prefilter_of(*live());
 }
 
 void Session::set_prefilter_paused(bool paused) {
@@ -301,40 +303,47 @@ Session::BatchResult Session::run_batch(std::span<const Item> items) {
   bool mined = false;
   {
     std::lock_guard lock(batch_mu_);
-    // Only update() replaces the revision, and it takes batch_mu_ first.
+    // Only update() replaces the revision, and it takes batch_mu_ first. The
+    // snapshot gives the batch its graph, prefilter and index, all of one
+    // revision.
     const std::shared_ptr<const Revision> rev = live();
-    // Index dispatch first: a covered root is answered from the immutable
-    // snapshot at 0 charged steps, before prefilter or solver see it. The
-    // epoch pin keeps the snapshot alive for the whole read.
-    const cfl::CsIndex* index = nullptr;
-    std::optional<support::EpochGuard> guard;
-    if (index_enabled_) {
-      guard.emplace(support::global_epoch_domain());
-      index = index_.load(std::memory_order_acquire);
-    }
+    const auto index = index_enabled_ ? index_of(*rev) : nullptr;
+    const auto prefilter = prefilter_enabled_ ? prefilter_of(*rev) : nullptr;
+    // Solver-free answers first: an index hit, then a provably-empty
+    // points-to set. Both planes cover points-to answers only; taint and
+    // depends always solve. An unanswered item keeps ItemResult's default,
+    // which is the empty complete answer at 0 charged steps.
     for (std::size_t i = 0; i < items.size(); ++i) {
       const Item& item = items[i];
-      // The index caches points-to answers only; taint/depends always solve.
-      if (index_enabled_ && item.kind == cfl::QueryKind::kPointsTo) {
-        const cfl::CsIndex::Entry* entry =
-            index != nullptr ? index->find(cfl::CsIndex::key(item.var))
-                             : nullptr;
-        // Serve a hit only when the request's effective budget covers the
-        // recorded solve cost: a smaller budget would not have completed,
-        // and outcome identity with index-off is the contract.
-        const std::uint64_t effective =
-            item.budget == 0 ? default_budget_
-                             : std::min(item.budget, default_budget_);
-        if (entry != nullptr && entry->cost <= effective) {
-          ItemResult& r = result.items[i];
-          r.status = cfl::QueryStatus::kComplete;
-          const auto run = index->targets(*entry);
-          r.objects.assign(run.begin(), run.end());
-          r.charged_steps = 0;
-          cx_hits_.fetch_add(1, std::memory_order_relaxed);
-          continue;
+      if (item.kind == cfl::QueryKind::kPointsTo) {
+        if (index_enabled_) {
+          const cfl::CsIndex::Entry* entry =
+              index != nullptr ? index->find(cfl::CsIndex::key(item.var))
+                               : nullptr;
+          // Serve a hit only when the request's effective budget covers the
+          // recorded solve cost: a smaller budget would not have completed,
+          // and outcome identity with index-off is the contract.
+          const std::uint64_t effective =
+              item.budget == 0 ? default_budget_
+                               : std::min(item.budget, default_budget_);
+          if (entry != nullptr && entry->cost <= effective) {
+            const auto run = index->targets(*entry);
+            result.items[i].objects.assign(run.begin(), run.end());
+            cx_hits_.fetch_add(1, std::memory_order_relaxed);
+            continue;
+          }
+          cx_misses_.fetch_add(1, std::memory_order_relaxed);
         }
-        cx_misses_.fetch_add(1, std::memory_order_relaxed);
+        if (prefilter_enabled_) {
+          // Andersen's context-insensitive pts(v) is a superset of every CFL
+          // answer, so an empty row is a definite "no objects". Until the
+          // rebuild after an update fills the slot, every item solves.
+          if (prefilter != nullptr && prefilter->pts_empty(item.var)) {
+            ++result.delta.prefilter_hits;
+            continue;
+          }
+          ++result.delta.prefilter_misses;
+        }
       }
       positions.push_back(i);
       queries.push_back(item.var);
@@ -343,14 +352,11 @@ Session::BatchResult Session::run_batch(std::span<const Item> items) {
       any_budget |= item.budget != 0;
       any_nonpointer |= item.kind != cfl::QueryKind::kPointsTo;
     }
+    pf_hits_.fetch_add(result.delta.prefilter_hits, std::memory_order_relaxed);
+    pf_misses_.fetch_add(result.delta.prefilter_misses,
+                         std::memory_order_relaxed);
 
     if (!queries.empty()) {
-      if (prefilter_enabled_) {
-        std::lock_guard pf_lock(pf_mu_);
-        const bool live = prefilter_ != nullptr &&
-                          prefilter_->revision() == rev->serving().revision();
-        active_prefilter_ = live ? prefilter_ : nullptr;
-      }
       cfl::EngineResult er = runner_.run(
           rev->serving(), queries,
           any_budget ? std::span<const std::uint64_t>(budgets)
@@ -364,7 +370,7 @@ Session::BatchResult Session::run_batch(std::span<const Item> items) {
         item.charged_steps = er.outcomes[i].charged_steps;
         item.objects = std::move(er.objects[i]);
       }
-      result.delta = er.totals;
+      result.delta.merge(er.totals);
       result.wall_seconds = er.wall_seconds;
     }
 
@@ -512,7 +518,10 @@ void Session::compactor_main() {
       cx_building_ = true;
       want = std::move(cx_queue_);
       cx_queue_.clear();
-      rev = cx_rev_;
+      // update() prunes the index into its successor and publishes that
+      // revision in one cx_mu_ section, so the live revision's index and
+      // the queue agree here.
+      rev = live();
     }
     // The queue is the delta — fresh hot roots plus the entries an update
     // dropped. Only those are cold-solved; the pass merges them into the
@@ -532,18 +541,17 @@ void Session::compactor_main() {
       std::lock_guard lock(cx_mu_);
       cx_building_ = false;
       if (cx_stop_) return;
-      if (built != nullptr && rev == cx_rev_) {
-        // No update pruned the index since the pass bound its revision, so
-        // the build answers for the revision the index answers for.
-        const cfl::CsIndex* old = index_.load(std::memory_order_relaxed);
-        if (old != nullptr) built = old->merged(*built, kIndexMaxEntries);
-        index_.store(built.release(), std::memory_order_release);
-        if (old != nullptr) support::global_epoch_domain().retire_object(old);
+      if (built != nullptr && rev == live()) {
+        // The bound revision is still live: merge into its index. The held
+        // pointer keeps the revision alive, so its address is not reused.
+        if (rev->index != nullptr)
+          built = rev->index->merged(*built, kIndexMaxEntries);
+        rev->index = std::move(built);
         ++cx_builds_;
       } else if (!want.empty()) {
         // Cancelled, or an update landed mid-build: the answers are for a
-        // retired revision. Discard and re-queue — the published index was
-        // already pruned by the update itself.
+        // retired revision. Discard and re-queue — the update already moved
+        // the pruned index into its successor.
         cx_queue_.insert(cx_queue_.end(), want.begin(), want.end());
         cx_dirty_ = true;
       }
@@ -564,8 +572,7 @@ Session::IndexInfo Session::index_info() const {
     info.invalidated = cx_invalidated_;
     info.pending = cx_queue_.size();
   }
-  support::EpochGuard guard(support::global_epoch_domain());
-  const cfl::CsIndex* current = index_.load(std::memory_order_acquire);
+  const std::shared_ptr<const cfl::CsIndex> current = index_of(*live());
   if (current != nullptr) {
     const cfl::CsIndexStats s = current->stats();
     info.entries = s.entries;
@@ -630,56 +637,48 @@ bool Session::update(const pag::Delta& delta, std::string* error,
 
   // The cone's backward plane, read by the index prune below.
   std::vector<std::uint8_t> cone;
+  bool requeued = false;
   {
     // Keep save/load/spill out of the invalidate + publish window only.
     std::unique_lock pag_lock(pag_mu_);
     out.invalidate = cfl::invalidate_sharing_state(
         old->serving(), next->serving(), served, contexts_, store_,
         invalidate_options_, index_enabled_ ? &cone : nullptr);
+    // The index moves to the next revision and that revision is published
+    // in one cx_mu_ section: a compactor pass bound to the old revision
+    // finds it retired, and one that binds the next finds its index there.
+    std::lock_guard cx_lock(cx_mu_);
+    if (old->index != nullptr) {
+      // Drop exactly the entries the jmp eviction above evicts for a
+      // finished backward entry on the same root: the root is marked in the
+      // cone's backward plane, or lies beyond the graphs' node range.
+      // Restamp the survivors to the new revision and re-queue the dropped
+      // keys for compaction.
+      std::vector<std::uint64_t> dirty;  // key-sorted, as entries() is
+      for (const cfl::CsIndex::Entry& e : old->index->entries()) {
+        const std::uint32_t root = cfl::CsIndex::key_node(e.key).value();
+        if (root >= cone.size() || cone[root] != 0) dirty.push_back(e.key);
+      }
+      cx_invalidated_ += dirty.size();
+      next->index = old->index->without(dirty, out.revision);
+      if (!dirty.empty()) {
+        cx_queue_.insert(cx_queue_.end(), dirty.begin(), dirty.end());
+        cx_dirty_ = true;
+        requeued = true;
+      }
+    }
     std::lock_guard rev_lock(rev_mu_);
     rev_ = next;
   }
-
-  if (index_enabled_) {
-    // Drop exactly the entries the jmp eviction above evicts for a finished
-    // backward entry on the same root: the root is marked in the cone's
-    // backward plane, or lies beyond the graphs' node range. Restamp the
-    // survivors to the new revision and re-queue the dropped keys for
-    // compaction. A compactor pass bound to the old revision discards its
-    // result at publish time.
-    bool notify = false;
-    {
-      std::lock_guard cx_lock(cx_mu_);
-      cx_rev_ = next;
-      const cfl::CsIndex* current = index_.load(std::memory_order_relaxed);
-      if (current != nullptr) {
-        std::vector<std::uint64_t> dirty;  // key-sorted, as entries() is
-        for (const cfl::CsIndex::Entry& e : current->entries()) {
-          const std::uint32_t root = cfl::CsIndex::key_node(e.key).value();
-          if (root >= cone.size() || cone[root] != 0) dirty.push_back(e.key);
-        }
-        cx_invalidated_ += dirty.size();
-        std::unique_ptr<const cfl::CsIndex> pruned =
-            current->without(dirty, out.revision);
-        index_.store(pruned.release(), std::memory_order_release);
-        support::global_epoch_domain().retire_object(current);
-        if (!dirty.empty()) {
-          cx_queue_.insert(cx_queue_.end(), dirty.begin(), dirty.end());
-          cx_dirty_ = true;
-          notify = true;
-        }
-      }
-    }
-    if (notify) cx_cv_.notify_all();
-  }
+  if (requeued) cx_cv_.notify_all();
 
   if (prefilter_enabled_) {
-    // Under batch_mu_: the next batch must not short-circuit against the old
-    // revision's rows. The batch-start refresh would catch the mismatch too;
-    // clearing here makes the invariant local.
-    active_prefilter_ = nullptr;
+    // The next revision's prefilter slot starts empty, so batches solve
+    // until the rebuild fills it. The retired revision drops its rows, the
+    // session's largest structure: a compactor pass may still hold it.
     {
       std::lock_guard pf_lock(pf_mu_);
+      old->prefilter = nullptr;
       pf_rev_ = next;
       pf_dirty_ = true;
       pf_add_only_ = pf_add_only_ && delta.removed_edges().empty() &&
@@ -707,8 +706,8 @@ bool Session::update_from_file(const std::string& path, std::string* error,
 support::QueryCounters Session::lifetime_totals() const {
   std::lock_guard lock(batch_mu_);
   support::QueryCounters totals = runner_.lifetime_totals();
-  totals.prefilter_hits += pf_alias_hits_.load(std::memory_order_relaxed);
-  totals.prefilter_misses += pf_alias_misses_.load(std::memory_order_relaxed);
+  totals.prefilter_hits += pf_hits_.load(std::memory_order_relaxed);
+  totals.prefilter_misses += pf_misses_.load(std::memory_order_relaxed);
   return totals;
 }
 
@@ -733,17 +732,12 @@ bool Session::spill(const std::string& state_path,
   // the v3 advisory hot section so reopen re-seeds the compactor.
   std::vector<std::uint64_t> hot;
   if (index_enabled_) {
-    {
-      support::EpochGuard guard(support::global_epoch_domain());
-      const cfl::CsIndex* current = index_.load(std::memory_order_acquire);
-      if (current != nullptr)
-        for (const cfl::CsIndex::Entry& e : current->entries())
-          hot.push_back(e.key);
-    }
-    {
-      std::lock_guard cx_lock(cx_mu_);
-      hot.insert(hot.end(), cx_queue_.begin(), cx_queue_.end());
-    }
+    const std::shared_ptr<const Revision> rev = live();
+    std::lock_guard cx_lock(cx_mu_);
+    if (rev->index != nullptr)
+      for (const cfl::CsIndex::Entry& e : rev->index->entries())
+        hot.push_back(e.key);
+    hot.insert(hot.end(), cx_queue_.begin(), cx_queue_.end());
     std::sort(hot.begin(), hot.end());
     hot.erase(std::unique(hot.begin(), hot.end()), hot.end());
     if (hot.size() > kIndexMaxEntries) hot.resize(kIndexMaxEntries);
@@ -773,6 +767,9 @@ std::uint64_t Session::resident_bytes() const {
                         contexts_.size() * 16 +  // entry + intern slot
                         runner_.schedule_plan_bytes();
   if (rev->reduced) total += rev->reduced->memory_bytes();
+  if (const auto prefilter = prefilter_of(*rev))
+    total += prefilter->memory_bytes();
+  if (const auto index = index_of(*rev)) total += index->stats().memory_bytes;
   return total;
 }
 

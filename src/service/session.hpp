@@ -7,7 +7,11 @@
 //
 // The graph is one immutable Revision (base graph, serving graph, reduce
 // stats) behind a shared_ptr: update() builds the next one and swaps the
-// pointer, and a retired revision is freed with its last holder.
+// pointer, and a retired revision is freed with its last holder. Each
+// revision also carries two slots filled after it is published: the
+// Andersen prefilter and the reachability index solved on its serving
+// graph. One revision snapshot thus gives a batch a graph, prefilter and
+// index that agree by construction.
 //
 // Pre-solve pipeline (DESIGN.md §11), both stages on by default:
 //  * Graph reduction — the session serves the *reduced* graph
@@ -20,18 +24,18 @@
 //    object. Reduction preserves node ids, so request validation and the
 //    wire protocol are oblivious to it.
 //  * Andersen prefilter — a background thread solves the word-parallel
-//    inclusion analysis (andersen/prefilter.hpp) over the serving graph and
-//    publishes the result revision-stamped. Batches consult it through
-//    EngineOptions::definitely_empty to answer provably-empty queries without
-//    touching a solver; the service consults no_alias() to short-circuit
-//    whole alias pairs. A result whose revision does not match the live
-//    graph is never consulted — between an update and the rebuild finishing,
+//    inclusion analysis (andersen/prefilter.hpp) over each revision's
+//    serving graph and fills that revision's prefilter slot. run_batch
+//    answers a points-to item whose row is empty without touching a solver;
+//    the service consults no_alias() to short-circuit whole alias pairs.
+//    Between an update and the rebuild filling the new revision's slot,
 //    queries simply fall through to the solver (slower, never wrong).
 //
 // Concurrency contract:
 //  * run_batch() serialises batches on batch_mu_ (the engine parallelises
-//    *within* a batch across the configured worker threads) and hands the
-//    live revision's serving graph to the BatchRunner for that batch.
+//    *within* a batch across the configured worker threads). It takes one
+//    revision snapshot and answers every item from it: index hit, then
+//    provably-empty points-to set, then the solver on its serving graph.
 //  * update() takes batch_mu_ too: the invalidate-then-publish runs strictly
 //    between batches, so no batch ever observes a half-applied delta.
 //  * rev_mu_ is held only to copy or replace the revision pointer.
@@ -41,20 +45,19 @@
 //  * pag_mu_ keeps save/load/spill out of update's invalidate + publish
 //    window, so stored state never mixes jmp entries of two revisions: they
 //    take it shared, update exclusively.
-//  * The prefilter thread and the compactor bind a revision and build on it
-//    without any session lock. pf_mu_ guards the prefilter build state
-//    (bound revision, latest result, dirty and add-only flags), which
-//    update() sets together. `active_prefilter_` — the result the in-flight
-//    batch reads through the definitely_empty predicate — is written only
-//    under batch_mu_ (refreshed at batch start, cleared by update), so
-//    predicate reads need no lock.
-//  * The reachability index (cfl/csindex.hpp, DESIGN.md §13) is published
-//    through the process EpochDomain: run_batch pins an epoch and
-//    acquire-loads `index_`; update and the compactor swap it under cx_mu_
-//    and retire the old snapshot, so index reads never block. cx_mu_ guards
-//    the compactor's queue/counters and the revision the index answers for.
-//  * Lock order: batch_mu_ before pag_mu_; rev_mu_, pf_mu_ and cx_mu_ are
-//    leaf locks, never held while acquiring another lock.
+//  * pf_mu_ guards every revision's prefilter slot and the prefilter thread's
+//    work order: the revision to solve next (pf_rev_) and the dirty and
+//    add-only flags, which update() sets together. The thread solves without
+//    any session lock and fills the bound revision's slot if that revision
+//    is still its work order; update() empties the slot of the revision it
+//    retires, so only the live revision holds a prefilter.
+//  * cx_mu_ guards every revision's index slot and the compactor's queue and
+//    counters. update() moves the pruned index into the next revision and
+//    publishes that revision inside one cx_mu_ section. A compactor pass
+//    binds the live revision, builds without any session lock, and merges
+//    into that revision's slot only if it is still live.
+//  * Lock order: batch_mu_ → pag_mu_ → cx_mu_ → pf_mu_ → rev_mu_. A thread
+//    may skip any of them but never takes one that precedes a lock it holds.
 
 #include <atomic>
 #include <condition_variable>
@@ -144,7 +147,9 @@ class Session {
 
   struct BatchResult {
     std::vector<ItemResult> items;       // parallels the input span
-    support::QueryCounters delta;        // engine counters for this batch only
+    /// This batch's engine counters, plus the prefilter hits and misses of
+    /// its points-to items.
+    support::QueryCounters delta;
     double wall_seconds = 0.0;
   };
 
@@ -249,9 +254,9 @@ class Session {
   bool spill(const std::string& state_path, const std::string& spill_pag_path,
              bool* wrote_pag, std::string* error);
 
-  /// Approximate resident footprint: the revision's graphs, jmp store,
-  /// context table and the batch runner's schedule plan. What the manager's
-  /// max_resident_bytes cap meters.
+  /// Approximate resident footprint: the live revision's graphs, prefilter
+  /// and index, the jmp store, context table and the batch runner's schedule
+  /// plan. What the manager's max_resident_bytes cap meters.
   std::uint64_t resident_bytes() const;
   /// Schedule plans the batch runner has built (one per graph revision that
   /// served a ParCFL_DQ batch).
@@ -268,18 +273,19 @@ class Session {
   std::uint32_t revision() const;
 
   /// True when Andersen proves pts(a) ∩ pts(b) = ∅ on the current revision —
-  /// alias(a,b) is impossible and the pair needs no solver time. False on a
-  /// stale or absent prefilter (never wrong, merely unhelpful). Counts into
-  /// lifetime_totals() as one prefilter hit/miss per consulted pair.
+  /// alias(a,b) is impossible and the pair needs no solver time. False while
+  /// the live revision has no prefilter yet (never wrong, merely unhelpful).
+  /// Counts into lifetime_totals() as one prefilter hit/miss per consulted
+  /// pair.
   bool prefilter_no_alias(pag::NodeId a, pag::NodeId b) const;
-  /// True when the latest prefilter matches the live graph revision.
+  /// True when the live revision's prefilter is built.
   bool prefilter_ready() const;
   /// Block until the prefilter covers the current revision (tests, benches,
   /// loadgen warm-up). Returns false immediately when the prefilter is
   /// disabled or the session is shutting down.
   bool wait_for_prefilter();
-  /// Latest built prefilter (possibly stale — check revision()); null until
-  /// the first solve finishes or when disabled.
+  /// The live revision's prefilter; null until its solve finishes, or when
+  /// disabled.
   std::shared_ptr<const andersen::Prefilter> prefilter_snapshot() const;
   /// Pause/resume the background prefilter rebuild loop (test hook: holds
   /// the service in the update-committed/rebuild-pending window so the stats
@@ -337,16 +343,20 @@ class Session {
   cfl::EngineOptions engine_options(const Options& options);
   /// A snapshot of the live revision.
   std::shared_ptr<const Revision> live() const;
+  /// A revision's slots, each read under the lock that guards it.
+  std::shared_ptr<const andersen::Prefilter> prefilter_of(
+      const Revision& rev) const;
+  std::shared_ptr<const cfl::CsIndex> index_of(const Revision& rev) const;
   /// Background build loop: wait for a dirty revision, solve it, publish.
   void prefilter_main();
-  /// Background compaction loop: wait for queued hot roots, build the index
-  /// on the revision it answers for, publish unless an update intervened.
+  /// Background compaction loop: wait for queued hot roots, build them on the
+  /// live revision, merge into its index unless an update intervened.
   void compactor_main();
 
   bool reduce_graph_ = false;
   bool prefilter_enabled_ = false;
-  /// The live revision; replaced only by update() under batch_mu_ and
-  /// pag_mu_. Declared before runner_: engine_options() reads it.
+  /// The live revision; replaced only by update() under batch_mu_, pag_mu_
+  /// and cx_mu_. Declared before runner_: engine_options() reads it.
   mutable std::mutex rev_mu_;
   std::shared_ptr<const Revision> rev_;  // guarded by rev_mu_
   cfl::ContextTable contexts_;
@@ -367,29 +377,24 @@ class Session {
   std::atomic<std::uint64_t> part_seeded_{0};
   std::atomic<std::uint64_t> part_busy_ns_{0};
   mutable std::mutex batch_mu_;
-  // Lock order: batch_mu_ before pag_mu_ (update takes both; everyone else
-  // takes exactly one).
-  mutable std::shared_mutex pag_mu_;
+  mutable std::shared_mutex pag_mu_;  // lock order: see the file comment
 
-  /// Read by the definitely_empty predicate from engine workers; written
-  /// only under batch_mu_ (refresh at batch start, clear in update), and the
-  /// predicate only runs inside runner_.run — also under batch_mu_.
-  std::shared_ptr<const andersen::Prefilter> active_prefilter_;
-  mutable std::mutex pf_mu_;  // guards prefilter_, pf_rev_ and the flags
+  /// Guards every revision's prefilter slot, pf_rev_ and the flags.
+  mutable std::mutex pf_mu_;
   std::condition_variable pf_cv_;
   /// The revision the next build solves; set by update() together with
   /// pf_dirty_ and pf_add_only_.
   std::shared_ptr<const Revision> pf_rev_;
-  std::shared_ptr<const andersen::Prefilter> prefilter_;  // latest build
   bool pf_dirty_ = false;
   bool pf_stop_ = false;
   /// Every delta since the last build start was add-only — the previous
   /// fixpoint is a sound under-approximation and seeds the next solve.
   bool pf_add_only_ = true;
-  /// Alias pairs short-circuited / consulted-but-unproven at the service
-  /// level (prefilter_no_alias), merged into lifetime_totals().
-  mutable std::atomic<std::uint64_t> pf_alias_hits_{0};
-  mutable std::atomic<std::uint64_t> pf_alias_misses_{0};
+  /// Points-to items and alias pairs the prefilter answered / consulted
+  /// without a proof (run_batch, prefilter_no_alias), merged into
+  /// lifetime_totals().
+  mutable std::atomic<std::uint64_t> pf_hits_{0};
+  mutable std::atomic<std::uint64_t> pf_misses_{0};
   /// Test hook: while true the rebuild loop sits on a marked-dirty graph.
   bool pf_paused_ = false;  // guarded by pf_mu_
   std::thread prefilter_thread_;
@@ -399,10 +404,7 @@ class Session {
   std::uint32_t index_hot_threshold_ = 4;
   std::uint64_t default_budget_ = 0;  // engine solver budget (hit gating)
   cfl::SolverOptions cx_solver_options_;  // for the compactor's cold solves
-  /// The published index. Readers pin the global EpochDomain and
-  /// acquire-load; writers (update under batch_mu_, the compactor) swap
-  /// under cx_mu_ and retire the old snapshot through the domain.
-  std::atomic<const cfl::CsIndex*> index_{nullptr};
+  /// Guards every revision's index slot, the queue and the counters.
   mutable std::mutex cx_mu_;
   std::condition_variable cx_cv_;
   std::vector<std::uint64_t> cx_queue_;  // hot keys awaiting compaction
@@ -415,10 +417,6 @@ class Session {
   bool cx_dirty_ = false;
   bool cx_stop_ = false;
   bool cx_building_ = false;
-  /// The revision the published index answers for; update() advances it
-  /// when it prunes. A pass publishes only if its bound revision is still
-  /// this one (the held pointer keeps the address from being reused).
-  std::shared_ptr<const Revision> cx_rev_;
   /// Set only at shutdown: aborts a mid-flight build between solves.
   std::atomic<bool> cx_cancel_{false};
   mutable std::atomic<std::uint64_t> cx_hits_{0};

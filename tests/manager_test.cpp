@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "andersen/prefilter.hpp"
 #include "cfl/persist.hpp"
 #include "frontend/lower.hpp"
 #include "pag/collapse.hpp"
@@ -297,6 +298,27 @@ TEST(ManagerTest, ByteCapEvicts) {
   // Both idle and both over the byte budget: everything evictable goes.
   EXPECT_EQ(mgr.counters().resident, 0u);
   EXPECT_GE(mgr.counters().evictions, 2u);
+}
+
+/// The byte cap meters what a session holds: the live revision's prefilter
+/// and index count beside its graph.
+TEST(ManagerTest, ResidentBytesMeterPrefilterAndIndex) {
+  const Workload w = small_workload();
+  Session::Options o = session_options();
+  o.prefilter = true;
+  o.index = true;
+  Session session(w.pag, o);
+  for (std::size_t i = 0; i < 4 && i < w.queries.size(); ++i)
+    session.note_hot(w.queries[i]);
+  ASSERT_TRUE(session.wait_for_prefilter());
+  ASSERT_TRUE(session.wait_for_index());
+  const auto prefilter = session.prefilter_snapshot();
+  ASSERT_NE(prefilter, nullptr);
+  const Session::IndexInfo index = session.index_info();
+  ASSERT_GT(index.entries, 0u);
+  EXPECT_GE(session.resident_bytes(), session.pag().memory_bytes() +
+                                          prefilter->memory_bytes() +
+                                          index.memory_bytes);
 }
 
 TEST(ManagerTest, LeasePinsAgainstEviction) {

@@ -1195,6 +1195,69 @@ TEST(SessionUpdate, StalePrefilterNeverAnswersAcrossUpdates) {
   EXPECT_TRUE(session.prefilter_no_alias(g.a, g.b));  // round 7 removed it
 }
 
+/// run_batch answers a points-to item whose Andersen row is empty itself:
+/// complete, no objects, no solver steps, one prefilter hit. Taint and
+/// depends items on the same variable still solve, and while the rebuild
+/// after an update is pending the points-to item solves and counts a miss.
+TEST(SessionUpdate, ProvablyEmptyPointsToSkipsTheSolver) {
+  pag::Pag::Builder b;
+  b.set_counts(1, 1, 1, 1);
+  const NodeId a = b.add_local(pag::TypeId(0), pag::MethodId(0));
+  const NodeId lonely = b.add_local(pag::TypeId(0), pag::MethodId(0));
+  const NodeId o = b.add_object(pag::TypeId(0), pag::MethodId(0));
+  b.new_edge(a, o);
+  const pag::Pag pag = std::move(b).finalize();
+
+  service::Session::Options options = session_options(2);
+  options.index = false;  // an index hit would answer ahead of the prefilter
+  service::Session session(pag, options);
+  ASSERT_TRUE(session.wait_for_prefilter());
+
+  const service::Session::Item empty{lonely, 0, cfl::QueryKind::kPointsTo};
+  const service::Session::BatchResult hit = session.run_batch({&empty, 1});
+  ASSERT_EQ(hit.items.size(), 1u);
+  EXPECT_EQ(hit.items[0].status, cfl::QueryStatus::kComplete);
+  EXPECT_TRUE(hit.items[0].objects.empty());
+  EXPECT_EQ(hit.items[0].charged_steps, 0u);
+  EXPECT_EQ(hit.delta.prefilter_hits, 1u);
+  EXPECT_EQ(hit.delta.prefilter_misses, 0u);
+  EXPECT_EQ(hit.delta.queries, 0u);  // no solver ran
+  EXPECT_EQ(session.lifetime_totals().prefilter_hits, 1u);
+
+  // The prefilter proves points-to sets empty, nothing about flows.
+  for (const cfl::QueryKind kind :
+       {cfl::QueryKind::kTaint, cfl::QueryKind::kDepends}) {
+    const service::Session::Item flow{lonely, 0, kind};
+    const service::Session::BatchResult solved = session.run_batch({&flow, 1});
+    EXPECT_EQ(solved.delta.queries, 1u);
+    EXPECT_EQ(solved.delta.prefilter_hits, 0u);
+    EXPECT_EQ(solved.delta.prefilter_misses, 0u);
+  }
+
+  // Hold the rebuild and commit an edit: the new revision has no prefilter.
+  session.set_prefilter_paused(true);
+  pag::Delta edit(pag);
+  const NodeId fresh =
+      edit.add_node(NodeKind::kObject, pag::TypeId(0), pag::MethodId(0));
+  edit.add_edge(EdgeKind::kNew, a, fresh);
+  std::string error;
+  ASSERT_TRUE(session.update(edit, &error)) << error;
+  EXPECT_FALSE(session.prefilter_ready());
+  const service::Session::BatchResult pending = session.run_batch({&empty, 1});
+  EXPECT_EQ(pending.items[0].status, cfl::QueryStatus::kComplete);
+  EXPECT_TRUE(pending.items[0].objects.empty());
+  EXPECT_EQ(pending.delta.queries, 1u);
+  EXPECT_EQ(pending.delta.prefilter_hits, 0u);
+  EXPECT_EQ(pending.delta.prefilter_misses, 1u);
+  const support::QueryCounters totals = session.lifetime_totals();
+  EXPECT_EQ(totals.prefilter_hits, 1u);
+  EXPECT_EQ(totals.prefilter_misses, 1u);
+
+  session.set_prefilter_paused(false);
+  ASSERT_TRUE(session.wait_for_prefilter());
+  EXPECT_EQ(session.run_batch({&empty, 1}).delta.prefilter_hits, 1u);
+}
+
 /// Same bar one layer up: the service dispatch short-circuits alias queries
 /// through the prefilter, so a stale result would surface as a wrong kNo on
 /// the wire. Before the update the short-circuit must fire (charged 0,
