@@ -29,14 +29,12 @@
 //
 // --connect PORT skips the in-process service and replays the request
 // sequence against a running `parcfl_serve` on 127.0.0.1:PORT over TCP
-// (request-plane metrics only; engine counters stay on the server). The
-// same flag drives a `parcfl_route` front-end — the protocol is identical.
+// (request-plane metrics only; engine counters stay on the server).
 // --answers-out FILE (connect mode) replays the request sequence once more
 // on a single connection after the phases and writes one normalized
 // `<request> -> <reply>` line per request (charged-steps token blanked, the
-// one field legitimately differing between engines). Dumps from a router
-// fleet and from a single-node server over the same graph must be
-// byte-identical — CI diffs them (see README "Scaling out").
+// one field legitimately differing between engines), so diffing two dumps
+// over the same graph compares two servers' answers.
 // --scrape FILE saves the service's Prometheus exposition after the warm
 // phase (in connect mode via the `metrics` wire verb).
 //

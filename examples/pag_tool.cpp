@@ -24,12 +24,6 @@
 //                                                 state is warm-loaded from it
 //                                                 when present and saved back
 //                                                 after the run.
-//   pag_tool partition <file.pag> <stem> [--parts K] [--seed S] [--balance B]
-//                                                 shard for the worker fleet:
-//                                                 writes <stem>.p<k>.pag per
-//                                                 partition and <stem>.map
-//                                                 (pag/partition.hpp);
-//                                                 deterministic per seed
 //
 // Example round trip:
 //   $ pag_tool gen tomcat /tmp/tomcat.pag 0.5
@@ -61,8 +55,7 @@ int usage() {
                "       pag_tool query <file.pag> <node-id>...\n"
                "       pag_tool reduce <in.pag> <out.pag> [--compact [remap.txt]]\n"
                "       pag_tool batch <file.pag> [seq|naive|d|dq] [threads]\n"
-               "       pag_tool partition <file.pag> <stem> [--parts K]\n"
-               "                          [--seed S] [--balance B]\n");
+               "                      [state-file]\n");
   return 2;
 }
 
@@ -320,56 +313,6 @@ int cmd_batch(const pag::Pag& raw, int argc, char** argv) {
   return 0;
 }
 
-int cmd_partition(const pag::Pag& pag, int argc, char** argv) {
-  if (argc < 4) return usage();
-  const std::string stem = argv[3];
-  pag::PartitionOptions options;
-  for (int i = 4; i < argc; ++i) {
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* arg = argv[i];
-    const char* v = nullptr;
-    if (std::strcmp(arg, "--parts") == 0 && (v = value())) {
-      options.parts = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (std::strcmp(arg, "--seed") == 0 && (v = value())) {
-      options.seed = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(arg, "--balance") == 0 && (v = value())) {
-      options.balance = std::strtod(v, nullptr);
-    } else {
-      return usage();
-    }
-  }
-  if (options.parts == 0 || options.balance < 1.0) {
-    std::fprintf(stderr, "pag_tool: need --parts >= 1 and --balance >= 1.0\n");
-    return 1;
-  }
-
-  const pag::PartitionMap map = pag::partition_pag(pag, options);
-  std::string error;
-  if (!pag::write_partition_files(pag, map, stem, &error)) {
-    std::fprintf(stderr, "pag_tool: %s\n", error.c_str());
-    return 1;
-  }
-
-  std::vector<std::uint32_t> sizes(map.parts, 0);
-  for (const std::uint32_t p : map.owner) ++sizes[p];
-  std::printf("partitioned %u nodes / %u edges into %u parts (seed %llu)\n",
-              pag.node_count(), pag.edge_count(), map.parts,
-              static_cast<unsigned long long>(map.seed));
-  for (std::uint32_t p = 0; p < map.parts; ++p)
-    std::printf("  p%u: %u nodes -> %s.p%u.pag\n", p, sizes[p], stem.c_str(),
-                p);
-  std::printf("cross-partition edges: %llu (%.1f%%); map -> %s.map\n",
-              static_cast<unsigned long long>(map.cross_edges),
-              pag.edge_count() == 0
-                  ? 0.0
-                  : 100.0 * static_cast<double>(map.cross_edges) /
-                        pag.edge_count(),
-              stem.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -385,6 +328,5 @@ int main(int argc, char** argv) {
   if (cmd == "query") return cmd_query(*pag, argc, argv);
   if (cmd == "reduce") return cmd_reduce(*pag, argc, argv);
   if (cmd == "batch") return cmd_batch(*pag, argc, argv);
-  if (cmd == "partition") return cmd_partition(*pag, argc, argv);
   return usage();
 }

@@ -30,15 +30,6 @@
 //     --tenant-queue N    per-tenant admission quota, units   (default off)
 //     --tenant-budget N   per-tenant step budget clamp        (default off)
 //
-// Partition worker mode (see README "Scaling out"): serve one partition of a
-// sharded graph behind a parcfl_route front-end. The positional PAG must be
-// the matching `<stem>.p<K>.pag` sub-PAG written by `pag_tool partition`.
-// Worker mode answers the worker verbs (part/cont/cfact/creset) and forces
-// graph reduction, the Andersen prefilter, and the index compactor off —
-// those are unsound or misleading on a sub-PAG.
-//     --worker MAP   partition map file (`<stem>.map`)
-//     --part K       the partition this worker owns           (default 0)
-//
 // Graceful shutdown: SIGINT/SIGTERM stop the accept loop, half-close live
 // connections, drain in-flight batches, spill every dirty session, then
 // exit 0.
@@ -77,8 +68,7 @@ int usage() {
                "                    [--index] [--no-index]\n"
                "                    [--max-sessions N] [--max-resident-mb N]\n"
                "                    [--spill-dir DIR] [--tenant-queue N]\n"
-               "                    [--tenant-budget N]\n"
-               "                    [--worker MAP --part K]\n");
+               "                    [--tenant-budget N]\n");
   return 2;
 }
 
@@ -100,8 +90,6 @@ int main(int argc, char** argv) {
   options.session.engine.threads = 4;
   options.session.engine.solver.budget = 100'000;
   long port = -1;  // -1 = stdio
-  const char* worker_map = nullptr;
-  long worker_part = 0;
 
   for (int i = 2; i < argc; ++i) {
     auto value = [&]() -> const char* {
@@ -149,10 +137,6 @@ int main(int argc, char** argv) {
       options.tenant_max_queue = static_cast<std::uint32_t>(std::atol(v));
     } else if (std::strcmp(arg, "--tenant-budget") == 0 && (v = value())) {
       options.tenant_step_budget = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(arg, "--worker") == 0 && (v = value())) {
-      worker_map = v;
-    } else if (std::strcmp(arg, "--part") == 0 && (v = value())) {
-      worker_part = std::atol(v);
     } else {
       return usage();
     }
@@ -179,28 +163,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (worker_map != nullptr) {
-    auto map = pag::read_partition_map_file(worker_map, &error);
-    if (!map) {
-      std::fprintf(stderr, "parcfl_serve: bad partition map: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    if (worker_part < 0 ||
-        static_cast<std::uint32_t>(worker_part) >= map->parts ||
-        map->owner.size() != pag->node_count()) {
-      std::fprintf(stderr,
-                   "parcfl_serve: --part %ld does not fit map "
-                   "(parts=%u nodes=%zu, graph has %u nodes)\n",
-                   worker_part, map->parts, map->owner.size(),
-                   pag->node_count());
-      return 1;
-    }
-    options.session.partition =
-        std::make_shared<const pag::PartitionMap>(std::move(*map));
-    options.session.partition_id = static_cast<std::uint32_t>(worker_part);
-  }
-
   service::QueryService svc(std::move(*pag), options);
   const pag::ReduceStats reduce = svc.session().reduce_stats();
   std::fprintf(stderr,
@@ -215,9 +177,6 @@ int main(int argc, char** argv) {
                options.max_queue,
                options.session.prefilter ? "on" : "off",
                options.session.index ? "on" : "off");
-  if (options.session.partition != nullptr)
-    std::fprintf(stderr, "parcfl_serve: worker for partition %ld of %u\n",
-                 worker_part, options.session.partition->parts);
 
   // Spill every dirty session (named tenants as mmap-able v3 pairs, the
   // default tenant to --state when set) so the next start reopens warm.

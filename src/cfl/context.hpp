@@ -60,14 +60,6 @@ class ContextTable {
 
   std::uint32_t depth(CtxId c) const { return c == empty() ? 0 : entry(c).depth; }
 
-  /// Visit every call site on c's chain, top first. Lock-free (reads only
-  /// published entries); used by the invalidation pass to find contexts that
-  /// mention retired call sites.
-  template <class Fn>
-  void for_each_site(CtxId c, Fn&& fn) const {
-    for (CtxId cur = c; cur != empty(); cur = pop(cur)) fn(top(cur));
-  }
-
   /// Number of interned contexts (including the empty one).
   std::uint64_t size() const { return next_id_.load(std::memory_order_acquire); }
 

@@ -155,7 +155,6 @@ void add_solvers(const pag::Pag& pag, const EngineOptions& options,
     solvers.push_back(std::make_unique<Solver>(
         pag, contexts, solver_options.data_sharing ? &store : nullptr,
         solver_options));
-    solvers.back()->set_partition(options.partition);
     if (solver_options.trace_level > 0) {
       rings.push_back(std::make_unique<obs::TraceRing>());
       solvers.back()->set_trace(rings.back().get());

@@ -69,12 +69,6 @@ struct EngineOptions {
   /// 0 (the default) skips the per-query clock reads entirely.
   double slow_query_ms = 0.0;
   std::function<void(const SlowQueryRecord&)> slow_query_sink;
-  /// Partitioned worker execution (DESIGN.md §14): when set, every solver
-  /// runs with this view — cross-partition pushes are dropped (batch-path
-  /// answers become partition-local) and any partition-contaminated query
-  /// publishes no jmps, keeping the shared store full-graph exact for the
-  /// service's continuation path. The view must outlive the engine/runner.
-  const PartitionView* partition = nullptr;
 };
 
 struct QueryOutcome {

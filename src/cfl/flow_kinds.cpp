@@ -25,19 +25,13 @@ QueryResult Solver::depends(pag::NodeId v) {
 }
 
 void Solver::taint(pag::NodeId v, QueryResult& out) {
-  PARCFL_CHECK_MSG(partition_ == nullptr,
-                   "taint queries are unsupported on partitioned workers "
-                   "(the router rejects them upstream)");
   PARCFL_CHECK_MSG(pag_->is_variable(v), "taint takes a variable node");
-  run_query(Direction::kForward, OnNew::kSkip, v, ContextTable::empty(), out);
+  run_query(Direction::kForward, OnNew::kSkip, v, out);
 }
 
 void Solver::depends(pag::NodeId v, QueryResult& out) {
-  PARCFL_CHECK_MSG(partition_ == nullptr,
-                   "depends queries are unsupported on partitioned workers "
-                   "(the router rejects them upstream)");
   PARCFL_CHECK_MSG(pag_->is_variable(v), "depends takes a variable node");
-  run_query(Direction::kBackward, OnNew::kSkip, v, ContextTable::empty(), out);
+  run_query(Direction::kBackward, OnNew::kSkip, v, out);
 }
 
 }  // namespace parcfl::cfl

@@ -71,19 +71,12 @@ QueryResult Solver::flows_to(NodeId o) {
 
 void Solver::points_to(NodeId l, QueryResult& out) {
   PARCFL_CHECK_MSG(pag_->is_variable(l), "points_to takes a variable node");
-  run_query(Direction::kBackward, OnNew::kRecord, l, ContextTable::empty(), out);
+  run_query(Direction::kBackward, OnNew::kRecord, l, out);
 }
 
 void Solver::flows_to(NodeId o, QueryResult& out) {
   PARCFL_CHECK_MSG(pag_->is_object(o), "flows_to takes an object node");
-  run_query(Direction::kForward, OnNew::kPush, o, ContextTable::empty(), out);
-}
-
-void Solver::run_config(NodeId root, CtxId rc, Direction dir, QueryResult& out) {
-  if (dir == Direction::kBackward)
-    run_query(Direction::kBackward, OnNew::kRecord, root, rc, out);
-  else
-    run_query(Direction::kForward, OnNew::kPush, root, rc, out);
+  run_query(Direction::kForward, OnNew::kPush, o, out);
 }
 
 const char* Solver::to_string(Via via) {
@@ -176,8 +169,7 @@ std::vector<Solver::WitnessStep> Solver::explain_points_to(NodeId var,
   witness_obj_.clear();
   recording_witness_ = true;
   QueryResult result;
-  run_query(Direction::kBackward, OnNew::kRecord, var, ContextTable::empty(),
-            result);
+  run_query(Direction::kBackward, OnNew::kRecord, var, result);
   recording_witness_ = false;
   (void)result;
 
@@ -226,32 +218,8 @@ Solver::AliasAnswer Solver::may_alias(NodeId v1, NodeId v2) {
   return AliasAnswer::kUnknown;
 }
 
-void Solver::take_escapes(std::vector<EscapeRecord>& out) {
-  std::sort(escapes_.begin(), escapes_.end());
-  escapes_.erase(std::unique(escapes_.begin(), escapes_.end()), escapes_.end());
-  out = std::move(escapes_);
-  escapes_.clear();
-}
-
-void Solver::seed_entry(MemoEntry& entry, Key key, Direction dir) {
-  if (seeds_ == nullptr) return;
-  const std::vector<PtPair>* facts = seeds_->find(dir, key);
-  if (facts == nullptr) return;
-  // Consuming a cross-partition fact makes this query's derived sets
-  // partition-dependent: publication is off from here on.
-  partition_dirty_ = true;
-  for (const PtPair& t : *facts)
-    if (entry.set.add(t.node, t.ctx)) ++seeded_tuples_;
-}
-
 void Solver::publish_finished(std::uint64_t jmp_key, std::uint64_t cost,
                               const JmpTarget* data, std::size_t n) {
-  if (partition_dirty_) {
-    // The target set may mix full-graph facts (seeds) with partition-local
-    // traversal; only fully local computations are store-exact.
-    ++counters_.jmps_suppressed;
-    return;
-  }
   const auto cost32 =
       static_cast<std::uint32_t>(std::min<std::uint64_t>(cost, UINT32_MAX));
   if (trace_jmp_events())
@@ -268,10 +236,6 @@ void Solver::publish_finished(std::uint64_t jmp_key, std::uint64_t cost,
 }
 
 void Solver::publish_unfinished(std::uint64_t jmp_key, std::uint32_t s) {
-  if (partition_dirty_) {
-    ++counters_.jmps_suppressed;
-    return;
-  }
   if (trace_jmp_events())
     trace_->emit(obs::TraceEvent::kJmpPublishUnfinished, jmp_key, s);
   if (options_.batched_publication) {
@@ -283,16 +247,6 @@ void Solver::publish_unfinished(std::uint64_t jmp_key, std::uint32_t s) {
 
 void Solver::flush_publications() {
   if (store_ == nullptr) return;
-  if (partition_dirty_) {
-    // Entries buffered before the query went dirty were computed cleanly,
-    // but dropping the whole batch keeps the invariant simple; the local
-    // recompute next time is what mints them.
-    counters_.jmps_suppressed += pub_finished_.size() + pub_unfinished_.size();
-    pub_finished_.clear();
-    pub_unfinished_.clear();
-    pub_targets_.clear();
-    return;
-  }
   for (const BufferedFinished& f : pub_finished_) {
     if (store_->insert_finished(
             f.key, f.cost,
@@ -513,7 +467,7 @@ void Solver::reachable_nodes_forward(NodeId z, CtxId c, ResultSet& out) {
       });
 }
 
-void Solver::run_query(Direction dir, OnNew on_new, NodeId root, CtxId rc,
+void Solver::run_query(Direction dir, OnNew on_new, NodeId root,
                        QueryResult& out) {
   // Pin the reclamation epoch for the whole query: jmp lookups hand back raw
   // pointers into store-owned records, and the pin keeps any record retired
@@ -538,9 +492,6 @@ void Solver::run_query(Direction dir, OnNew on_new, NodeId root, CtxId rc,
   taint_flag_ = false;
   recursion_depth_ = 0;
   iteration_ = 0;
-  partition_dirty_ = false;
-  seeded_tuples_ = 0;
-  escapes_.clear();
 
   if (trace_ != nullptr) {
     trace_->clear();
@@ -550,6 +501,7 @@ void Solver::run_query(Direction dir, OnNew on_new, NodeId root, CtxId rc,
   }
 
   const auto& memo = memo_for(dir, on_new);
+  const CtxId rc = ContextTable::empty();
   const Key root_key = make_key(root, rc);
 
   out.status = QueryStatus::kComplete;

@@ -47,7 +47,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -129,68 +128,6 @@ struct PtPair {
   CtxId ctx;
 };
 
-// ---- partitioned (scale-out) execution — DESIGN.md §14 ---------------------
-//
-// A solver serving one partition of a sharded PAG runs against a sub-PAG
-// that holds every edge incident to owned nodes plus all load/store edges
-// (pag::make_sub_pag). With a PartitionView attached:
-//   * pushing a configuration whose node another partition owns records an
-//     *escape* (src config -> dst config, same direction) and drops the push;
-//   * a sub-query rooted at a foreign node performs no traversal — it
-//     answers from injected seed facts and records a *request* so the router
-//     tasks the owner;
-//   * fresh memo entries are seeded from SeedFacts, the router's accumulated
-//     cross-partition fact table for this distributed query;
-//   * the first escape or consumed seed marks the query partition-dirty, and
-//     a dirty query publishes no jmps at all — every entry in the shared
-//     store therefore came from a fully local computation, which (by the
-//     sub-PAG edge rules) equals the full-graph computation, so warm state
-//     stays globally exact.
-// The router re-runs tasks with the growing fact table until a round adds
-// nothing (chaotic iteration of the monotone configuration fixpoint); see
-// service/router.hpp.
-
-struct PartitionView {
-  const std::uint32_t* owner = nullptr;  // node id -> owning partition
-  std::uint32_t local = 0;
-};
-
-/// One suppressed cross-partition discovery. `src`/`dst` pack (node<<32|ctx)
-/// like memo keys. kUnion: dst's full result belongs inside src's result set.
-/// kRequest: a foreign-rooted sub-query (src == dst) whose result is consumed
-/// structurally (alias matching), not unioned into any local set.
-struct EscapeRecord {
-  enum class Kind : std::uint8_t { kUnion, kRequest };
-  std::uint64_t src = 0;
-  std::uint64_t dst = 0;
-  Direction dir = Direction::kBackward;
-  Kind kind = Kind::kUnion;
-
-  friend bool operator==(const EscapeRecord& a, const EscapeRecord& b) {
-    return a.src == b.src && a.dst == b.dst && a.dir == b.dir && a.kind == b.kind;
-  }
-  friend bool operator<(const EscapeRecord& a, const EscapeRecord& b) {
-    if (a.dir != b.dir) return a.dir < b.dir;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    if (a.src != b.src) return a.src < b.src;
-    return a.dst < b.dst;
-  }
-};
-
-/// Injected cross-partition facts, keyed by packed (node<<32|ctx) config per
-/// direction. Owned by the service's continuation state; the solver reads it.
-struct SeedFacts {
-  std::unordered_map<std::uint64_t, std::vector<PtPair>> backward;
-  std::unordered_map<std::uint64_t, std::vector<PtPair>> forward;
-
-  const std::vector<PtPair>* find(Direction dir, std::uint64_t key) const {
-    const auto& m = dir == Direction::kBackward ? backward : forward;
-    const auto it = m.find(key);
-    return it == m.end() ? nullptr : &it->second;
-  }
-  bool empty() const { return backward.empty() && forward.empty(); }
-};
-
 struct QueryResult {
   QueryStatus status = QueryStatus::kComplete;
   std::vector<PtPair> tuples;  // (object, ctx) for PointsTo; (var, ctx) for FlowsTo
@@ -226,8 +163,7 @@ class Solver {
   /// as points_to/flows_to with `new` edges skipped and every visited
   /// variable answering; heap groups still run pointer-semantics alias
   /// sub-queries, so jmp keys stay kind-independent and the shared store
-  /// stays sound across kinds. Both take a variable root and are unsupported
-  /// on partitioned workers (checked).
+  /// stays sound across kinds. Both take a variable root.
   QueryResult taint(pag::NodeId v);
   QueryResult depends(pag::NodeId v);
   void taint(pag::NodeId v, QueryResult& out);
@@ -252,27 +188,6 @@ class Solver {
   /// so a warm solver may move to another graph revision between queries;
   /// the shared store must already be sound for it (cfl/invalidate.hpp).
   void rebind(const pag::Pag& pag) { pag_ = &pag; }
-
-  /// Attach a partition view (null detaches). The caller owns the view and
-  /// its owner table; both must outlive the solver's use of them.
-  void set_partition(const PartitionView* view) { partition_ = view; }
-  /// Attach injected cross-partition facts for subsequent queries (null
-  /// detaches). Consulted whenever a fresh memo entry is created.
-  void set_seed_facts(const SeedFacts* seeds) { seeds_ = seeds; }
-  /// Whether the last query escaped the partition or consumed a seed fact
-  /// (such queries publish no jmps and their answers are round-partial).
-  bool partition_dirty() const { return partition_dirty_; }
-  /// Escapes recorded by the last query, sorted and deduplicated. Clears the
-  /// internal buffer.
-  void take_escapes(std::vector<EscapeRecord>& out);
-  /// Seed tuples consumed by the last query (stats).
-  std::uint64_t seeded_tuples() const { return seeded_tuples_; }
-
-  /// Continuation entry point for the scale-out plane: run one configuration
-  /// (root, ctx, direction) exactly as a nested sub-query would — the root
-  /// context need not be empty and the root may be an object in the forward
-  /// direction. Identical to points_to/flows_to when rc is empty.
-  void run_config(pag::NodeId root, CtxId rc, Direction dir, QueryResult& out);
 
   /// How one traversal hop was justified, for witnesses.
   enum class Via : std::uint8_t {
@@ -441,29 +356,8 @@ class Solver {
   /// One query: the fixpoint loop around the walk<dir, on_new> at the root,
   /// deferred publication, counters and trace events. Pointer kinds pass
   /// (kBackward, kRecord) or (kForward, kPush).
-  void run_query(Direction dir, OnNew on_new, pag::NodeId root, CtxId rc,
+  void run_query(Direction dir, OnNew on_new, pag::NodeId root,
                  QueryResult& out);
-
-  // ---- partitioned execution (DESIGN.md §14) ------------------------------
-  bool partition_owns(pag::NodeId n) const {
-    return partition_ == nullptr || partition_->owner[n.value()] == partition_->local;
-  }
-  void record_escape(Key src, Key dst, Direction dir) {
-    partition_dirty_ = true;
-    escapes_.push_back(EscapeRecord{src, dst, dir, EscapeRecord::Kind::kUnion});
-  }
-  void record_request(Key cfg, Direction dir) {
-    partition_dirty_ = true;
-    escapes_.push_back(EscapeRecord{cfg, cfg, dir, EscapeRecord::Kind::kRequest});
-  }
-  /// Union the router-injected facts for (key, dir) into a fresh entry.
-  void seed_entry(MemoEntry& entry, Key key, Direction dir);
-
-  const PartitionView* partition_ = nullptr;
-  const SeedFacts* seeds_ = nullptr;
-  std::vector<EscapeRecord> escapes_;
-  bool partition_dirty_ = false;
-  std::uint64_t seeded_tuples_ = 0;
 
   // ---- shared, immutable/concurrent --------------------------------------
   const pag::Pag* pag_;  // never null; see rebind()

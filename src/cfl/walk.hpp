@@ -30,16 +30,6 @@ const Solver::ResultSet& Solver::walk(pag::NodeId root, CtxId rc) {
     return entry.set;
   }
 
-  if (entry.state == MemoEntry::State::kFresh) seed_entry(entry, key, D);
-  if (partition_ != nullptr && !partition_owns(root)) {
-    // Foreign-rooted sub-query: no local edges to walk. Serve the injected
-    // facts (already seeded above) and ask the router to task the owner.
-    record_request(key, D);
-    entry.tainted = false;
-    entry.state = MemoEntry::State::kDone;
-    return entry.set;
-  }
-
   entry.state = MemoEntry::State::kInProgress;
   if (++recursion_depth_ > options_.max_recursion_depth)
     out_of_budget(0, /*early=*/false);
@@ -61,10 +51,6 @@ const Solver::ResultSet& Solver::walk(pag::NodeId root, CtxId rc) {
   visited.clear();
   auto push = [&](NodeId n, CtxId cc, const PtPair& from, Via via) {
     if (!visited.insert(make_key(n, cc))) return;
-    if (partition_ != nullptr && !partition_owns(n)) {
-      record_escape(key, make_key(n, cc), D);
-      return;
-    }
     work.push_back(PtPair{n, cc});
     if (record) {
       const auto pred = witness_pred_.try_emplace(make_key(n, cc));

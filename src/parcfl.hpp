@@ -36,12 +36,10 @@
 #include "pag/collapse.hpp"       // IWYU pragma: export
 #include "pag/pag.hpp"            // IWYU pragma: export
 #include "pag/pag_io.hpp"         // IWYU pragma: export
-#include "pag/partition.hpp"      // IWYU pragma: export
 #include "pag/reduce.hpp"         // IWYU pragma: export
 #include "pag/validate.hpp"       // IWYU pragma: export
 #include "service/line_io.hpp"    // IWYU pragma: export
 #include "service/protocol.hpp"   // IWYU pragma: export
-#include "service/router.hpp"     // IWYU pragma: export
 #include "service/server.hpp"     // IWYU pragma: export
 #include "service/service.hpp"    // IWYU pragma: export
 #include "service/session.hpp"    // IWYU pragma: export

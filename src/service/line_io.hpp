@@ -1,8 +1,8 @@
 #pragma once
 // The one socket layer of the line protocol (DESIGN.md §7): a blocking,
 // newline-framed TCP connection shared by TcpServer's connection loop, the
-// router's worker pool, the load generator and the tests, plus the loopback
-// listener TcpServer accepts on. No other file makes socket calls.
+// load generator and the tests, plus the loopback listener TcpServer
+// accepts on. No other file makes socket calls.
 //
 // Frame-cap rule: every read names its cap, and a line longer than the cap
 // fails the read, so the caller drops the peer instead of buffering without
@@ -42,7 +42,7 @@ class LineConn {
   bool read_line(std::string& out, std::size_t max_line);
 
   /// One reply frame: the header line plus the payload lines a counted
-  /// header (`ok cont|metrics|slowlog ... <n>`) announces, none otherwise.
+  /// header (`ok metrics|slowlog <n>`) announces, none otherwise.
   bool read_frame(std::string& header, std::vector<std::string>& payload,
                   std::size_t max_line);
 

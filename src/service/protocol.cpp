@@ -91,38 +91,6 @@ std::size_t count_lines(const std::string& text) {
 
 }  // namespace
 
-std::string format_chain(std::span<const std::uint32_t> chain) {
-  if (chain.empty()) return "-";
-  std::string out;
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    if (i != 0) out += '.';
-    out += std::to_string(chain[i]);
-  }
-  return out;
-}
-
-bool parse_chain(std::string_view token, std::vector<std::uint32_t>& out,
-                 std::string& error) {
-  out.clear();
-  if (token == "-") return true;
-  if (token.empty()) return fail(error, "empty chain");
-  while (!token.empty()) {
-    const std::size_t dot = token.find('.');
-    const std::string_view site_token =
-        dot == std::string_view::npos ? token : token.substr(0, dot);
-    token.remove_prefix(dot == std::string_view::npos ? token.size() : dot + 1);
-    std::uint64_t site = 0;
-    if (site_token.empty() || !parse_u64(site_token, site) ||
-        site > 0xffffffffull)
-      return fail(error, "bad chain site");
-    if (out.size() == kMaxChainSites) return fail(error, "chain too deep");
-    out.push_back(static_cast<std::uint32_t>(site));
-    if (dot != std::string_view::npos && token.empty())
-      return fail(error, "bad chain site");  // trailing '.'
-  }
-  return true;
-}
-
 bool valid_tenant_name(std::string_view name) {
   if (name.empty() || name.size() > kMaxTenantName) return false;
   if (name == "." || name == "..") return false;
@@ -224,60 +192,6 @@ bool parse_request(std::string_view line, std::uint32_t node_count,
     out.tenant = std::string(tokens[1]);
     return true;
   }
-  if (verb == "part") {
-    if (tokens.size() > 2) return fail(error, "part takes at most an id");
-    out.verb = Verb::kPart;
-    if (tokens.size() == 2) {
-      std::uint64_t id = 0;
-      if (!parse_u64(tokens[1], id) || id > 0xffffffffull)
-        return fail(error, "bad partition id");
-      out.part_given = true;
-      out.part = static_cast<std::uint32_t>(id);
-    }
-    return true;
-  }
-  if (verb == "creset") {
-    if (tokens.size() != 1) return fail(error, "verb takes no arguments");
-    out.verb = Verb::kCReset;
-    return true;
-  }
-  if (verb == "cont" || verb == "cfact") {
-    const bool is_cont = verb == "cont";
-    out.verb = is_cont ? Verb::kCont : Verb::kCFact;
-    if (tokens.size() < (is_cont ? 4u : 5u))
-      return fail(error, is_cont
-                             ? "cont needs b|f, a node and a chain"
-                             : "cfact needs b|f, a node, a chain and a count");
-    if (tokens[1] == "b") {
-      out.dir = 0;
-    } else if (tokens[1] == "f") {
-      out.dir = 1;
-    } else {
-      return fail(error, "bad direction (want b or f)");
-    }
-    if (!parse_node(tokens[2], node_count, out.a, error)) return false;
-    if (!parse_chain(tokens[3], out.chain, error)) return false;
-    if (is_cont) return parse_options(tokens, 4, out, error);
-    std::uint64_t k = 0;
-    if (!parse_u64(tokens[4], k)) return fail(error, "bad cfact tuple count");
-    if (k > kMaxContTuples) return fail(error, "too many cfact tuples");
-    if (tokens.size() != 5 + k)
-      return fail(error, "cfact tuple count does not match line");
-    out.tuples.reserve(k);
-    for (std::uint64_t i = 0; i < k; ++i) {
-      const std::string_view token = tokens[5 + i];
-      const std::size_t colon = token.find(':');
-      if (colon == std::string_view::npos)
-        return fail(error, "cfact tuple needs <node>:<chain>");
-      WireTuple tuple;
-      if (!parse_node(token.substr(0, colon), node_count, tuple.node, error))
-        return false;
-      if (!parse_chain(token.substr(colon + 1), tuple.chain, error))
-        return false;
-      out.tuples.push_back(std::move(tuple));
-    }
-    return true;
-  }
   error = "unknown verb '" + std::string(verb) + "'";
   return false;
 }
@@ -374,22 +288,6 @@ std::string format_reply(const Reply& reply) {
     case Verb::kQuit:
       os << " bye";
       break;
-    case Verb::kPart:
-      os << " part " << reply.text;
-      break;
-    case Verb::kCont:
-      // Counted multi-line frame like metrics/slowlog: the header carries
-      // the task status, charge and payload line count.
-      os << " cont " << to_string(reply.query_status) << ' '
-         << reply.charged_steps << ' ' << count_lines(reply.text);
-      if (!reply.text.empty()) os << '\n' << reply.text;
-      break;
-    case Verb::kCFact:
-      os << " cfact " << reply.charged_steps;
-      break;
-    case Verb::kCReset:
-      os << " creset";
-      break;
   }
   return os.str();
 }
@@ -397,69 +295,11 @@ std::string format_reply(const Reply& reply) {
 std::uint64_t frame_payload_lines(std::string_view header) {
   const auto tokens = tokenize(header);
   if (tokens.size() < 3 || tokens[0] != "ok") return 0;
-  const bool counted = (tokens.size() == 3 && (tokens[1] == "metrics" ||
-                                               tokens[1] == "slowlog")) ||
-                       (tokens.size() == 5 && tokens[1] == "cont");
+  const bool counted = tokens.size() == 3 &&
+                       (tokens[1] == "metrics" || tokens[1] == "slowlog");
   std::uint64_t n = 0;
   if (!counted || !parse_u64(tokens.back(), n) || n > kMaxFrameLines) return 0;
   return n;
-}
-
-bool parse_cont_header(std::string_view header, cfl::QueryStatus& status,
-                       std::uint64_t& charged) {
-  const auto tokens = tokenize(header);
-  std::uint64_t lines = 0;
-  if (tokens.size() != 5 || tokens[0] != "ok" || tokens[1] != "cont" ||
-      !parse_u64(tokens[3], charged) || !parse_u64(tokens[4], lines) ||
-      lines > kMaxFrameLines)
-    return false;
-  for (const cfl::QueryStatus s :
-       {cfl::QueryStatus::kComplete, cfl::QueryStatus::kOutOfBudget,
-        cfl::QueryStatus::kEarlyTermination})
-    if (tokens[2] == to_string(s)) {
-      status = s;
-      return true;
-    }
-  return false;
-}
-
-std::string format_cont_payload(std::span<const ContRecord> records) {
-  std::ostringstream os;
-  const auto config = [&os](const WireTuple& t) {
-    os << ' ' << t.node.value() << ' ' << format_chain(t.chain);
-  };
-  for (const ContRecord& r : records) {
-    if (&r != records.data()) os << '\n';
-    if (r.kind == ContRecord::Kind::kTuple) {
-      os << 't';
-    } else {
-      os << (r.kind == ContRecord::Kind::kRequest ? "e r " : "e u ")
-         << (r.dir == 0 ? 'b' : 'f');
-    }
-    config(r.src);
-    if (r.kind != ContRecord::Kind::kTuple) config(r.dst);
-  }
-  return os.str();
-}
-
-bool parse_cont_record(std::string_view line, std::uint32_t node_count,
-                       ContRecord& out) {
-  out = ContRecord{};
-  const auto tokens = tokenize(line);
-  std::string error;
-  const auto config = [&](std::size_t at, WireTuple& t) {
-    return parse_node(tokens[at], node_count, t.node, error) &&
-           parse_chain(tokens[at + 1], t.chain, error);
-  };
-  if (tokens.size() == 3 && tokens[0] == "t") return config(1, out.src);
-  if (tokens.size() != 7 || tokens[0] != "e" ||
-      (tokens[1] != "u" && tokens[1] != "r") ||
-      (tokens[2] != "b" && tokens[2] != "f"))
-    return false;
-  out.kind = tokens[1] == "r" ? ContRecord::Kind::kRequest
-                              : ContRecord::Kind::kUnion;
-  out.dir = tokens[2] == "b" ? 0 : 1;
-  return config(3, out.src) && config(5, out.dst);
 }
 
 cfl::Solver::AliasAnswer alias_answer(std::span<const pag::NodeId> a,

@@ -1,7 +1,6 @@
 #include "service/server.hpp"
 
 #include <istream>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -13,13 +12,12 @@ namespace parcfl::service {
 
 namespace {
 
-/// Per-connection handler over a QueryService: a WireSession parses lines,
-/// serves the worker verbs locally and delegates the rest (worker.hpp).
+/// Per-connection handler over a QueryService (worker.hpp).
 TcpServer::HandlerFactory service_factory(QueryService& service) {
   return [&service]() -> TcpServer::LineHandler {
-    auto session = std::make_shared<WireSession>(service);
-    return [session](const std::string& line, std::string& reply_line) {
-      return session->handle(line, reply_line);
+    return [wire = WireSession(service)](const std::string& line,
+                                         std::string& reply_line) mutable {
+      return wire.handle(line, reply_line);
     };
   };
 }
@@ -29,11 +27,11 @@ TcpServer::HandlerFactory service_factory(QueryService& service) {
 std::uint64_t serve_stream(QueryService& service, std::istream& in,
                            std::ostream& out) {
   std::uint64_t handled = 0;
-  WireSession session(service);
+  WireSession wire(service);
   std::string line, reply;
   while (std::getline(in, line)) {
     ++handled;
-    const bool keep_open = session.handle(line, reply);
+    const bool keep_open = wire.handle(line, reply);
     out << reply << std::flush;
     if (!keep_open) break;
   }

@@ -21,8 +21,6 @@ namespace parcfl::service {
 /// EOF or a `quit` verb. Malformed lines get `err ...` replies and never
 /// abort the loop. Returns the number of lines handled. Safe to call from
 /// multiple threads with distinct streams (the service itself is concurrent).
-/// Each call owns one WireSession, so worker continuation state is per
-/// stream, exactly like a TCP connection.
 std::uint64_t serve_stream(QueryService& service, std::istream& in,
                            std::ostream& out);
 
@@ -40,7 +38,8 @@ class TcpServer {
 
   /// Serve a QueryService: each connection gets a WireSession over it.
   TcpServer(QueryService& service, std::uint16_t port, std::string* error);
-  /// Serve an arbitrary line handler (the router front-end uses this).
+  /// Serve an arbitrary line handler, e.g. one that times
+  /// WireSession::handle.
   TcpServer(HandlerFactory factory, std::uint16_t port, std::string* error);
   ~TcpServer();
 

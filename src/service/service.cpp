@@ -311,14 +311,6 @@ std::future<Reply> QueryService::submit(Request request) {
     case Verb::kQuit:
       promise.set_value(ready_reply(Reply::Status::kOk, request.verb));
       return future;
-    case Verb::kPart:
-    case Verb::kCont:
-    case Verb::kCFact:
-    case Verb::kCReset:
-      // Worker verbs are served by the wire layer (service/worker.cpp);
-      // nothing routes them here, but parsing stays total anyway.
-      promise.set_value(error_reply("worker verb outside the worker loop"));
-      return future;
     case Verb::kUpdate:
       // Falls through to the queue: the delta must be applied by the
       // collector thread between batches, never from a client thread.
@@ -531,16 +523,6 @@ void QueryService::execute_batch(std::vector<Pending> batch) {
         now - p.enqueued > std::chrono::milliseconds(deadline_ms)) {
       recorder_.record_shed_deadline();
       p.promise.set_value(ready_reply(Reply::Status::kShedDeadline, p.request.verb));
-      continue;
-    }
-    // The continuation plane is pointer-only: a partitioned worker's batch
-    // queries answer partition-local *pointer* reachability, and
-    // Solver::taint/depends refuse to run partitioned. Reject here, before
-    // the item reaches the engine.
-    if ((p.request.verb == Verb::kTaint || p.request.verb == Verb::kDepends) &&
-        session->partitioned()) {
-      p.promise.set_value(
-          error_reply("taint/depends unsupported on a partitioned worker"));
       continue;
     }
     if (!tenant.empty()) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <tuple>
@@ -16,20 +15,6 @@
 namespace parcfl::service {
 
 namespace {
-
-/// CPU time of the calling thread. The continuation busy counter uses it
-/// instead of wall time so occupancy stays exact on oversubscribed hosts —
-/// a preemption while batch_mu_ is held must not count as worker work.
-std::uint64_t thread_cpu_ns() {
-  timespec ts{};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0)
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec);
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Cap on distinct roots the reachability index ever covers per session.
 constexpr std::size_t kIndexMaxEntries = 4096;
@@ -80,6 +65,14 @@ pag::Delta serving_diff(const pag::Pag& old_pag, const pag::Pag& new_pag,
   return d;
 }
 
+/// The batch runner's engine options. Replies carry the object sets,
+/// whatever the caller configured.
+cfl::EngineOptions batch_engine_options(const cfl::EngineOptions& engine) {
+  cfl::EngineOptions out = engine;
+  out.collect_objects = true;
+  return out;
+}
+
 }  // namespace
 
 /// One immutable graph revision plus the two results derived from it after
@@ -104,42 +97,15 @@ struct Session::Revision {
   mutable std::shared_ptr<const cfl::CsIndex> index;
 };
 
-cfl::EngineOptions Session::engine_options(const Options& options) {
-  cfl::EngineOptions engine = options.engine;
-  // Replies carry the object sets, whatever the caller configured.
-  engine.collect_objects = true;
-  if (options.partition != nullptr) {
-    // Worker mode: every batch solver drops cross-partition pushes and
-    // publishes jmps only from fully partition-local computations. The map
-    // must cover the sub-PAG's (global) node id space.
-    partition_map_ = options.partition;
-    partition_id_ = options.partition_id;
-    PARCFL_CHECK_MSG(partition_map_->owner.size() == node_count(),
-                     "partition map does not cover the graph");
-    PARCFL_CHECK_MSG(partition_id_ < partition_map_->parts,
-                     "partition id out of range");
-    PARCFL_CHECK_MSG(!options.engine.solver.field_approximation,
-                     "field approximation is unsupported in partitioned mode");
-    partition_view_.owner = partition_map_->owner.data();
-    partition_view_.local = partition_id_;
-    engine.partition = &partition_view_;
-  }
-  return engine;
-}
-
 Session::Session(pag::Pag pag, Options options)
-    // Partitioned workers force the pre-solve pipeline off (Options doc):
-    // reduction is unsound on a sub-PAG and prefilter/index would answer
-    // from partition-local information.
-    : reduce_graph_(options.reduce_graph && options.partition == nullptr),
-      prefilter_enabled_(options.prefilter && options.partition == nullptr),
+    : reduce_graph_(options.reduce_graph),
+      prefilter_enabled_(options.prefilter),
       rev_(std::make_shared<const Revision>(std::move(pag), reduce_graph_)),
-      runner_(engine_options(options), contexts_, store_),
+      runner_(batch_engine_options(options.engine), contexts_, store_),
       // charge_jmp_costs makes budget consumption configuration-dependent,
       // so an index hit could complete a query a live solve would not — the
       // outcome-identity contract only holds with it off (the default).
-      index_enabled_(options.index && !options.engine.solver.charge_jmp_costs &&
-                     options.partition == nullptr),
+      index_enabled_(options.index && !options.engine.solver.charge_jmp_costs),
       index_hot_threshold_(std::max<std::uint32_t>(1, options.index_hot_threshold)),
       default_budget_(options.engine.solver.budget) {
   invalidate_options_.field_approximation =
@@ -407,105 +373,6 @@ Session::BatchResult Session::run_batch(std::span<const Item> items) {
   return result;
 }
 
-bool Session::intern_chain(std::span<const std::uint32_t> chain,
-                           cfl::CtxId* out, std::string* error) {
-  const std::uint32_t sites = live()->serving().call_site_count();
-  cfl::CtxId c = cfl::ContextTable::empty();
-  for (const std::uint32_t site : chain) {
-    if (site >= sites)
-      return fail(error, "call site out of range (graph has " +
-                             std::to_string(sites) + " sites)");
-    c = contexts_.push(c, pag::CallSiteId(site));
-    if (!c.valid()) return fail(error, "context chain too deep");
-  }
-  *out = c;
-  return true;
-}
-
-bool Session::run_continuation(const ContRequest& request,
-                               const cfl::SeedFacts& seeds, ContResult& out,
-                               std::string* error) {
-  out = ContResult{};
-  if (!partitioned()) return fail(error, "not a partitioned worker");
-  if (!request.node.valid() || request.node.value() >= node_count())
-    return fail(error, "node id out of range");
-  cfl::CtxId rc = cfl::ContextTable::empty();
-  if (!intern_chain(request.chain, &rc, error)) return false;
-
-  // Serialised with batches and updates: the continuation solver shares the
-  // graph, context table and jmp store with the batch plane.
-  std::lock_guard lock(batch_mu_);
-  const std::uint64_t busy_start = thread_cpu_ns();
-  const std::shared_ptr<const Revision> rev = live();
-  if (cont_solver_ == nullptr) {
-    const cfl::Mode mode = runner_.options().mode;
-    const bool sharing = mode == cfl::Mode::kDataSharing ||
-                         mode == cfl::Mode::kDataSharingScheduling;
-    cfl::SolverOptions solver_options = runner_.options().solver;
-    solver_options.data_sharing = sharing;
-    cont_solver_ = std::make_unique<cfl::Solver>(
-        rev->serving(), contexts_, sharing ? &store_ : nullptr, solver_options);
-    cont_solver_->set_partition(&partition_view_);
-  }
-  cont_solver_->rebind(rev->serving());
-  cont_solver_->set_seed_facts(&seeds);
-  cont_solver_->set_query_budget(request.budget);
-  const std::uint64_t charged_before = cont_solver_->counters().charged_steps;
-  cfl::QueryResult qr;
-  cont_solver_->run_config(request.node, rc, request.dir, qr);
-  out.charged_steps = cont_solver_->counters().charged_steps - charged_before;
-  cont_solver_->set_seed_facts(nullptr);
-  cont_solver_->set_query_budget(0);
-
-  // Results and escapes cross the wire as chains, not CtxIds (the peer's
-  // context table interns independently). for_each_site walks top-first;
-  // the wire format is bottom-first.
-  const auto config = [&](pag::NodeId node, cfl::CtxId ctx) {
-    WireTuple t{node, {}};
-    contexts_.for_each_site(
-        ctx, [&](pag::CallSiteId s) { t.chain.push_back(s.value()); });
-    std::reverse(t.chain.begin(), t.chain.end());
-    return t;
-  };
-  const auto packed = [&](std::uint64_t key) {  // (node << 32) | ctx
-    return config(pag::NodeId(static_cast<std::uint32_t>(key >> 32)),
-                  cfl::CtxId(static_cast<std::uint32_t>(key)));
-  };
-  out.status = qr.status;
-  std::vector<cfl::EscapeRecord> raw;
-  cont_solver_->take_escapes(raw);
-  out.records.reserve(qr.tuples.size() + raw.size());
-  for (const cfl::PtPair& t : qr.tuples)
-    out.records.push_back(
-        {ContRecord::Kind::kTuple, 0, config(t.node, t.ctx), {}});
-  for (const cfl::EscapeRecord& e : raw)
-    out.records.push_back(
-        {e.kind == cfl::EscapeRecord::Kind::kRequest ? ContRecord::Kind::kRequest
-                                                     : ContRecord::Kind::kUnion,
-         static_cast<std::uint8_t>(e.dir == cfl::Direction::kBackward ? 0 : 1),
-         packed(e.src), packed(e.dst)});
-  part_continuations_.fetch_add(1, std::memory_order_relaxed);
-  part_escapes_.fetch_add(raw.size(), std::memory_order_relaxed);
-  part_seeded_.fetch_add(cont_solver_->seeded_tuples(),
-                         std::memory_order_relaxed);
-  part_busy_ns_.fetch_add(thread_cpu_ns() - busy_start,
-                          std::memory_order_relaxed);
-  return true;
-}
-
-Session::PartitionInfo Session::partition_info() const {
-  PartitionInfo info;
-  info.enabled = partitioned();
-  if (!info.enabled) return info;
-  info.id = partition_id_;
-  info.parts = partition_map_->parts;
-  info.continuations = part_continuations_.load(std::memory_order_relaxed);
-  info.escapes = part_escapes_.load(std::memory_order_relaxed);
-  info.seeded_tuples = part_seeded_.load(std::memory_order_relaxed);
-  info.busy_ns = part_busy_ns_.load(std::memory_order_relaxed);
-  return info;
-}
-
 void Session::compactor_main() {
   for (;;) {
     std::vector<std::uint64_t> want;
@@ -610,11 +477,6 @@ void Session::note_hot(pag::NodeId var) {
 
 bool Session::update(const pag::Delta& delta, std::string* error,
                      UpdateStats* stats) {
-  // A worker's sub-PAG must stay in step with the router's partition map
-  // and with the other workers' sub-PAGs, and a delta applied here keeps
-  // neither (new nodes would outgrow the owner table).
-  if (partitioned())
-    return fail(error, "update unsupported on a partitioned worker");
   // Exclude query batches for the whole apply: the solver must never run
   // half against the old graph and half against the new one.
   std::lock_guard batch_lock(batch_mu_);

@@ -39,8 +39,8 @@
 //  * update() takes batch_mu_ too: the invalidate-then-publish runs strictly
 //    between batches, so no batch ever observes a half-applied delta.
 //  * rev_mu_ is held only to copy or replace the revision pointer.
-//    Validation reads (node_count, is_variable_node, revision, reduce_stats,
-//    intern_chain), resident_bytes and the prefilter probes each copy one
+//    Validation reads (node_count, is_variable_node, revision,
+//    reduce_stats), resident_bytes and the prefilter probes each copy one
 //    revision snapshot and never block behind a batch or an update.
 //  * pag_mu_ keeps save/load/spill out of update's invalidate + publish
 //    window, so stored state never mixes jmp entries of two revisions: they
@@ -76,9 +76,7 @@
 #include "cfl/invalidate.hpp"
 #include "pag/delta.hpp"
 #include "pag/pag.hpp"
-#include "pag/partition.hpp"
 #include "pag/reduce.hpp"
-#include "service/protocol.hpp"
 
 namespace parcfl::andersen {
 class Prefilter;
@@ -115,17 +113,6 @@ class Session {
     /// A root is mined at most once per session lifetime; only updates
     /// requeue the entries they dirty.
     std::uint32_t index_hot_threshold = 4;
-    /// Partitioned worker mode (DESIGN.md §14): when set, this session
-    /// serves partition `partition_id` of a sharded PAG. The graph passed to
-    /// the constructor must be that partition's sub-PAG (pag::make_sub_pag —
-    /// node ids are global, so the owner table indexes it directly). The
-    /// pre-solve pipeline is forced off: graph reduction is unsound on a
-    /// sub-PAG (a paren's match may live on another partition), and the
-    /// prefilter/index would answer from partition-local information. Batch
-    /// queries (`query`/`alias`) answer partition-local reachability only;
-    /// exact global answers flow through run_continuation and the router.
-    std::shared_ptr<const pag::PartitionMap> partition;
-    std::uint32_t partition_id = 0;
   };
 
   /// One query of a micro-batch.
@@ -166,61 +153,6 @@ class Session {
   /// Execute one micro-batch; item order is preserved in the result even
   /// when the DQ scheduler reorders execution. Thread-safe (serialised).
   BatchResult run_batch(std::span<const Item> items);
-
-  // ---- partitioned continuation plane (DESIGN.md §14) ---------------------
-
-  /// One continuation task: run configuration (node, chain) in `dir` with
-  /// the caller's accumulated facts seeded.
-  struct ContRequest {
-    pag::NodeId node = pag::NodeId::invalid();
-    cfl::Direction dir = cfl::Direction::kBackward;
-    std::span<const std::uint32_t> chain;  // bottom-first call-site ids
-    std::uint64_t budget = 0;              // 0 = engine default
-  };
-
-  /// Results and escapes cross the process boundary as chains, not CtxIds
-  /// (they index this session's private interning table), in wire order:
-  /// every result tuple, then every escape (protocol.hpp's `cont` payload).
-  struct ContResult {
-    cfl::QueryStatus status = cfl::QueryStatus::kComplete;
-    std::uint64_t charged_steps = 0;
-    std::vector<ContRecord> records;
-  };
-
-  bool partitioned() const { return partition_map_ != nullptr; }
-  std::uint32_t partition_id() const { return partition_id_; }
-  std::uint32_t partition_count() const {
-    return partition_map_ ? partition_map_->parts : 1;
-  }
-
-  /// Intern a wire chain into the session's context table, validating every
-  /// call site against the graph. Fails on out-of-range sites or depth
-  /// overflow; never crashes on hostile input.
-  bool intern_chain(std::span<const std::uint32_t> chain, cfl::CtxId* out,
-                    std::string* error);
-
-  /// Run one continuation task against this partition: seeds the solver with
-  /// `seeds` (the caller's accumulated cross-partition facts, keyed by this
-  /// session's interned CtxIds), runs the configuration, and returns result
-  /// tuples plus the escapes the router must chase. Serialised with batches
-  /// on the batch lock. Fails when the session is not partitioned.
-  bool run_continuation(const ContRequest& request, const cfl::SeedFacts& seeds,
-                        ContResult& out, std::string* error);
-
-  struct PartitionInfo {
-    bool enabled = false;
-    std::uint32_t id = 0, parts = 1;
-    std::uint64_t continuations = 0;  // run_continuation calls served
-    std::uint64_t escapes = 0;        // escape records returned, lifetime
-    std::uint64_t seeded_tuples = 0;  // injected facts consumed by tasks
-    /// Wall time spent inside the serialized continuation section (the
-    /// per-worker bottleneck resource). Benchmarks derive the fleet's
-    /// machine-independent makespan from it — max over workers — the same
-    /// way the engine benches report step-domain makespan, so scaling
-    /// numbers survive single-core CI hosts.
-    std::uint64_t busy_ns = 0;
-  };
-  PartitionInfo partition_info() const;
 
   /// Apply a PAG delta: build base + delta, evict the finished jmp entries
   /// whose recorded traversals the change could invalidate, carrying their
@@ -340,7 +272,6 @@ class Session {
  private:
   struct Revision;
 
-  cfl::EngineOptions engine_options(const Options& options);
   /// A snapshot of the live revision.
   std::shared_ptr<const Revision> live() const;
   /// A revision's slots, each read under the lock that guards it.
@@ -356,26 +287,13 @@ class Session {
   bool reduce_graph_ = false;
   bool prefilter_enabled_ = false;
   /// The live revision; replaced only by update() under batch_mu_, pag_mu_
-  /// and cx_mu_. Declared before runner_: engine_options() reads it.
+  /// and cx_mu_.
   mutable std::mutex rev_mu_;
   std::shared_ptr<const Revision> rev_;  // guarded by rev_mu_
   cfl::ContextTable contexts_;
   cfl::JmpStore store_;
   cfl::InvalidateOptions invalidate_options_;  // mirrors the solver config
-  /// Worker-mode partition state. Declared before runner_: engine_options()
-  /// publishes the view into the engine options while runner_ constructs.
-  std::shared_ptr<const pag::PartitionMap> partition_map_;
-  std::uint32_t partition_id_ = 0;
-  cfl::PartitionView partition_view_{};
   cfl::BatchRunner runner_;
-  /// Lazy dedicated solver for run_continuation (guarded by batch_mu_): the
-  /// BatchRunner's solvers stay on the batch path, the continuation path
-  /// keeps its own so the two never share per-query scratch.
-  std::unique_ptr<cfl::Solver> cont_solver_;
-  std::atomic<std::uint64_t> part_continuations_{0};
-  std::atomic<std::uint64_t> part_escapes_{0};
-  std::atomic<std::uint64_t> part_seeded_{0};
-  std::atomic<std::uint64_t> part_busy_ns_{0};
   mutable std::mutex batch_mu_;
   mutable std::shared_mutex pag_mu_;  // lock order: see the file comment
 

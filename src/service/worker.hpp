@@ -1,23 +1,10 @@
 #pragma once
-// Per-connection wire session (DESIGN.md §14). Every transport connection —
-// a serve_stream pipe or one TcpServer socket — owns a WireSession: it
-// parses lines, answers the worker verbs (part/cont/cfact/creset) against
-// the service's default session, and delegates everything else to
-// QueryService::call.
-//
-// The continuation state is *per connection* by design: the router checks a
-// worker connection out of its pool for one distributed query, seeds facts
-// with `cfact`, runs `cont` tasks, and `creset`s before returning the
-// connection — so concurrent distributed queries never see each other's
-// facts, and a dropped connection cannot leak stale facts into a later one.
+// The wire handler every transport connection runs — a serve_stream pipe or
+// one TcpServer socket: it parses a protocol line, hands the request to
+// QueryService::call and renders the reply frame. It keeps no state of its
+// own, so one handler may serve any number of lines in sequence.
 
-#include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
-
-#include "cfl/solver.hpp"
-#include "service/protocol.hpp"
 
 namespace parcfl::service {
 
@@ -32,23 +19,8 @@ class WireSession {
   /// `reply_line`, replacing its contents.
   bool handle(const std::string& line, std::string& reply_line);
 
-  /// Accumulated (deduplicated) seed facts on this connection.
-  std::uint64_t fact_total() const { return fact_total_; }
-
  private:
-  Reply handle_part(const Request& request);
-  Reply handle_cfact(const Request& request);
-  Reply handle_cont(const Request& request);
-  Reply handle_creset();
-
   QueryService& service_;
-  /// Cross-partition facts accumulated via cfact, keyed by this process's
-  /// interned CtxIds — chains are interned on arrival, ids never leave.
-  cfl::SeedFacts facts_;
-  /// Dedup: (config-key << 1 | dir) -> packed (node << 32 | ctx) tuples
-  /// already present, so repeated cfact sends stay union-idempotent.
-  std::unordered_map<std::uint64_t, std::unordered_set<std::uint64_t>> seen_;
-  std::uint64_t fact_total_ = 0;
 };
 
 }  // namespace parcfl::service

@@ -24,7 +24,6 @@
 #include "cfl/persist.hpp"
 #include "cfl/solver.hpp"
 #include "pag/pag_io.hpp"
-#include "pag/partition.hpp"
 #include "pag/reduce.hpp"
 #include "pag/validate.hpp"
 #include "service/protocol.hpp"
@@ -264,13 +263,6 @@ const char* const kSeedLines[] = {
     "@acme @other query 3",
     "@acme index",
     "index",
-    "part",
-    "part 1",
-    "cont b 17 -",
-    "cont f 17 3.4 budget 9",
-    "cfact b 17 - 1 3:-",
-    "cfact f 17 2.9 2 3:- 4:1.2",
-    "creset",
 };
 
 TEST_P(ServiceFuzzTest, MutatedRequestLinesParseOrFailWithMessage) {
@@ -308,26 +300,13 @@ TEST_P(ServiceFuzzTest, MutatedRequestLinesParseOrFailWithMessage) {
         if (request.verb == service::Verb::kQuery ||
             request.verb == service::Verb::kAlias ||
             request.verb == service::Verb::kTaint ||
-            request.verb == service::Verb::kDepends ||
-            request.verb == service::Verb::kCont ||
-            request.verb == service::Verb::kCFact) {
+            request.verb == service::Verb::kDepends) {
           EXPECT_LT(request.a.value(), 50u) << line;
         }
         if (request.verb == service::Verb::kAlias ||
             request.verb == service::Verb::kTaint ||
             request.verb == service::Verb::kDepends) {
           EXPECT_LT(request.b.value(), 50u) << line;
-        }
-        if (request.verb == service::Verb::kCont ||
-            request.verb == service::Verb::kCFact) {
-          // Accepted chains are always internable: depth-capped, and every
-          // tuple node in bounds.
-          EXPECT_LE(request.chain.size(), service::kMaxChainSites) << line;
-          EXPECT_LE(request.tuples.size(), service::kMaxContTuples) << line;
-          for (const service::WireTuple& t : request.tuples) {
-            EXPECT_LT(t.node.value(), 50u) << line;
-            EXPECT_LE(t.chain.size(), service::kMaxChainSites) << line;
-          }
         }
       } else {
         // Every route that sets a tenant (the @ prefix, open, close) must
@@ -360,70 +339,41 @@ TEST(ServiceFuzz, HostileObservabilityArgumentsAreTotal) {
   EXPECT_EQ(r.count, 18446744073709551615ull);
 }
 
-// Hostile continuation-protocol frames (ISSUE 9 satellite): cont/cfact/part
-// lines are spoken router-to-worker across trust boundaries, so truncations,
-// overflowing counts, over-deep chains, and malformed tuples must all die in
-// the parser with a message — the worker session must never see them.
+// The protocol has no partition verbs: `part`, `cont`, `cfact` and `creset`
+// are unknown verbs. Through the wire loop each gets an `err` reply, and
+// the stream goes on serving the lines after it.
 TEST(ServiceFuzz, HostileWorkerFramesAreTotal) {
-  service::Request r;
-  std::string error;
+  test::RandomPagConfig cfg;
+  cfg.seed = 9;
+  const auto pag = test::random_layered_pag(cfg);
+  const auto vars = test::all_variables(pag);
+  ASSERT_FALSE(vars.empty());
+  service::ServiceOptions options;
+  options.session.engine.threads = 2;
+  options.session.prefilter = false;
+  service::QueryService svc(pag, options);
 
-  const char* const hostile[] = {
-      "cont",                        // no direction
-      "cont b",                      // no node
-      "cont b 17",                   // no chain
-      "cont x 17 -",                 // bad direction
-      "cont b 99 -",                 // node out of range (bound is 50)
-      "cont b 17 1.2.",              // trailing dot
-      "cont b 17 .1",                // leading dot
-      "cont b 17 1..2",              // empty site
-      "cont b 17 1.x",               // non-numeric site
-      "cont b 17 -1",                // negative site
-      "cont b 17 - budget",          // option without value
-      "cont b 17 - budget x",        // non-numeric budget
-      "cont b 17 - frobnicate 3",    // unknown option
-      "cfact b 17 -",                // no count
-      "cfact b 17 - x",              // non-numeric count
-      "cfact b 17 - 2 3:-",          // count overshoots tuples
-      "cfact b 17 - 1 3:- 4:-",      // count undershoots tuples
-      "cfact b 17 - 1 nocolon",      // tuple without colon
-      "cfact b 17 - 1 99:-",         // tuple node out of range
-      "cfact b 17 - 1 3:1.2.",       // tuple chain trailing dot
-      "cfact b 17 - 513",            // k beyond kMaxContTuples
-      "cfact b 17 - 18446744073709551615",  // k overflow
-      "part x",                      // non-numeric partition id
-      "part 99999999999",            // partition id overflows u32
-      "part 1 2",                    // too many arguments
-      "creset 1",                    // creset is arity-0
+  const char* const removed[] = {
+      "part", "part 1", "cont b 17 -", "cfact b 17 - 1 3:-", "creset",
   };
-  for (const char* line : hostile) {
-    error.clear();
-    EXPECT_FALSE(service::parse_request(line, 50, r, error)) << line;
-    EXPECT_FALSE(error.empty()) << line;
+  std::string text;
+  for (const char* line : removed) text += std::string(line) + "\nping\n";
+  text += "query " + std::to_string(vars[0].value()) + "\nquit\n";
+  std::istringstream in(text);
+  std::ostringstream out;
+  EXPECT_EQ(service::serve_stream(svc, in, out), 2 * std::size(removed) + 2);
+
+  std::vector<std::string> lines;
+  std::istringstream replies(out.str());
+  for (std::string line; std::getline(replies, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2 * std::size(removed) + 2) << out.str();
+  for (std::size_t i = 0; i < std::size(removed); ++i) {
+    EXPECT_EQ(lines[2 * i].rfind("err ", 0), 0u) << removed[i];
+    EXPECT_EQ(lines[2 * i + 1], "ok pong") << removed[i];
   }
-
-  // A chain one site past the depth cap is rejected; at the cap it parses.
-  std::string deep = "cont b 17 0";
-  for (std::size_t i = 1; i < service::kMaxChainSites; ++i) deep += ".0";
-  ASSERT_TRUE(service::parse_request(deep, 50, r, error)) << error;
-  EXPECT_EQ(r.chain.size(), service::kMaxChainSites);
-  EXPECT_FALSE(service::parse_request(deep + ".0", 50, r, error));
-
-  // The budget option rides cont like it rides query.
-  ASSERT_TRUE(service::parse_request("cont f 3 1.2 budget 77", 50, r, error))
-      << error;
-  EXPECT_EQ(r.verb, service::Verb::kCont);
-  EXPECT_EQ(r.dir, 1);
-  EXPECT_EQ(r.budget, 77u);
-  ASSERT_EQ(r.chain.size(), 2u);
-  EXPECT_EQ(r.chain[0], 1u);
-  EXPECT_EQ(r.chain[1], 2u);
-
-  // Worker verbs refuse the tenant prefix: continuation state is bound to
-  // the connection's default session, not a routable tenant.
-  EXPECT_FALSE(service::parse_request("@acme cont b 17 -", 50, r, error));
-  EXPECT_FALSE(service::parse_request("@acme part", 50, r, error));
-  EXPECT_FALSE(service::parse_request("@acme creset", 50, r, error));
+  EXPECT_EQ(lines[lines.size() - 2].rfind("ok ", 0), 0u)
+      << lines[lines.size() - 2];
+  EXPECT_EQ(lines.back(), "ok bye");
 }
 
 // Hostile taint/depends frames (DESIGN.md §15): the flow verbs share the
@@ -478,8 +428,8 @@ TEST(ServiceFuzz, HostileFlowVerbFramesAreTotal) {
 }
 
 // Flow verbs against a live service: non-variable roots and sinks answer an
-// error (the grammar's roots are variables), and a partitioned worker
-// refuses the verbs outright — never a crash, and the session keeps serving.
+// error (the grammar's roots are variables) — never a crash, and the
+// session keeps serving.
 TEST(ServiceFuzz, FlowVerbsAgainstServiceAreTotal) {
   test::RandomPagConfig cfg;
   cfg.seed = 9;
@@ -513,28 +463,6 @@ TEST(ServiceFuzz, FlowVerbsAgainstServiceAreTotal) {
     EXPECT_EQ(flow(verb, vars[0], vars[1]).status,
               service::Reply::Status::kOk);
   }
-
-  // Partitioned worker: the flow verbs are rejected at dispatch (the
-  // sub-PAG cannot answer them), and pointer queries still work after.
-  PartitionOptions po;
-  po.parts = 2;
-  const auto map =
-      std::make_shared<const PartitionMap>(partition_pag(pag, po));
-  service::ServiceOptions wo;
-  wo.session.engine.threads = 2;
-  wo.session.partition = map;
-  wo.session.partition_id = 0;
-  service::QueryService worker(make_sub_pag(pag, *map, 0), wo);
-  service::Request t;
-  t.verb = service::Verb::kTaint;
-  t.a = vars[0];
-  t.b = vars[1];
-  EXPECT_EQ(worker.call(std::move(t)).status, service::Reply::Status::kError);
-  service::Request probe;
-  probe.verb = service::Verb::kQuery;
-  probe.a = vars[0];
-  EXPECT_EQ(worker.call(std::move(probe)).status,
-            service::Reply::Status::kOk);
 }
 
 // Hostile tenant names and fleet-verb shapes (ISSUE 7 satellite): names
@@ -693,9 +621,8 @@ TEST(ServiceFuzz, HugeSlowlogCountDoesNotAllocate) {
 }
 
 /// Consume one reply frame starting at `lines[i]`: a single line, except for
-/// `ok metrics <n>` / `ok slowlog <n>` / `ok cont <status> <charge> <n>`
-/// headers which announce n payload lines. Returns the index past the frame,
-/// or npos on a malformed frame.
+/// `ok metrics <n>` / `ok slowlog <n>` headers which announce n payload
+/// lines. Returns the index past the frame, or npos on a malformed frame.
 std::size_t consume_reply_frame(const std::vector<std::string>& lines,
                                 std::size_t i) {
   const std::string& head = lines[i];
@@ -710,14 +637,6 @@ std::size_t consume_reply_frame(const std::vector<std::string>& lines,
       if (*end != '\0') return std::string::npos;
     }
   }
-  if (head.rfind("ok cont ", 0) == 0) {
-    std::istringstream hs(head.substr(std::strlen("ok cont ")));
-    std::string status;
-    std::uint64_t charged = 0;
-    if (!(hs >> status >> charged >> payload)) return std::string::npos;
-    std::string extra;
-    if (hs >> extra) return std::string::npos;
-  }
   if (i + 1 + payload > lines.size()) return std::string::npos;  // truncated
   return i + 1 + payload;
 }
@@ -728,20 +647,16 @@ TEST_P(ServiceFuzzTest, GarbageStreamsGetErrorRepliesNeverCrashes) {
   const auto pag = test::random_layered_pag(cfg);
   const std::uint32_t nodes = pag.node_count();
 
-  // Serve as a partition worker so the stream exercises the continuation
-  // verbs for real: cont answers counted multi-line frames, cfact accumulates
-  // per-connection facts, and the garbage in between must corrupt neither.
-  PartitionOptions po;
-  po.parts = 2;
-  const auto map =
-      std::make_shared<const PartitionMap>(partition_pag(pag, po));
+  // Every query lands in the slow log, so `slowlog <n>` answers counted
+  // multi-line frames with payload, and the garbage in between must not
+  // corrupt them.
   service::ServiceOptions options;
   options.session.engine.mode = cfl::Mode::kDataSharing;
   options.session.engine.threads = 2;
-  options.session.partition = map;
-  options.session.partition_id = 0;
   options.max_linger = std::chrono::microseconds(50);
-  service::QueryService svc(make_sub_pag(pag, *map, 0), options);
+  options.slow_query_ms = 1e-6;
+  options.slow_log_capacity = 8;
+  service::QueryService svc(pag, options);
 
   support::Rng rng(GetParam() * 6700417 + 3);
   std::ostringstream request_text;
@@ -781,32 +696,13 @@ TEST_P(ServiceFuzzTest, GarbageStreamsGetErrorRepliesNeverCrashes) {
                                                          : rng.next_u64())
                      << "\n";
         break;
-      case 8:  // continuation-protocol frames, valid and hostile
-        switch (rng.below(6)) {
-          case 0:
-            request_text << "part\n";
-            break;
-          case 1:  // wrong partition id — refused, never rebinds
-            request_text << "part " << 1 + rng.below(4) << "\n";
-            break;
-          case 2:
-            request_text << "cont b " << rng.below(nodes) << " -\n";
-            break;
-          case 3:  // forward task under a random context chain and budget
-            request_text << "cont f " << rng.below(nodes) << " "
-                         << rng.below(9) << "." << rng.below(9) << " budget "
-                         << 1 + rng.below(1000) << "\n";
-            break;
-          case 4:
-            request_text << "cfact b " << rng.below(nodes) << " - 1 "
-                         << rng.below(nodes) << ":-\n";
-            break;
-          case 5:
-            request_text << "creset\n";
-            break;
-        }
+      case 8:  // counted frames: a metrics scrape or a bounded slowlog
+        if (rng.below(2) == 0)
+          request_text << "metrics\n";
+        else
+          request_text << "slowlog " << 1 + rng.below(8) << "\n";
         break;
-      case 9:  // flow verbs — refused on a partitioned worker, never fatal
+      case 9:  // flow verbs on arbitrary nodes: answered or refused
         request_text << (rng.below(2) == 0 ? "taint " : "depends ")
                      << rng.below(nodes + 5) << " " << rng.below(nodes + 5)
                      << "\n";

@@ -10,7 +10,7 @@
 //    warm start;
 //  * wire — serve_stream over string streams, loopback TCP, and the line
 //    layer every peer shares: pipelining, CRLF, the flood cutoff, counted
-//    frames, and the router's worker-reply cap.
+//    frames, and the reply-line cap.
 
 #include <gtest/gtest.h>
 
@@ -31,10 +31,8 @@
 #include "cfl/engine.hpp"
 #include "frontend/lower.hpp"
 #include "pag/collapse.hpp"
-#include "pag/partition.hpp"
 #include "service/line_io.hpp"
 #include "service/protocol.hpp"
-#include "service/router.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
 #include "service/session.hpp"
@@ -851,22 +849,19 @@ TEST(Wire, ReadFrameReturnsExactlyTheMetricsPayload) {
   acceptor.join();
 }
 
-// A worker whose `cont` reply carries a line past the router's reply cap is
-// a broken partition: the query fails as `err partition unavailable` (after
-// the one transparent retry) instead of hanging or buffering without bound.
-TEST(Wire, OverlongWorkerReplyFailsTheRoutedQuery) {
-  constexpr std::uint32_t kNodes = 4;
+// A counted frame whose payload line runs past the reader's cap fails
+// read_frame promptly: the reader drops the peer instead of buffering the
+// line without bound. The load generator reads `metrics` frames this way.
+TEST(Wire, ReadFrameFailsOnPayloadLinePastTheCap) {
   std::string error;
-  TcpServer worker(
+  TcpServer peer(
       [] {
         return [](const std::string& line, std::string& reply) {
-          if (line == "part") {
-            reply = "ok part 0 1 " + std::to_string(kNodes) + " 0\n";
-          } else if (line == "creset") {
-            reply = "ok creset\n";
-          } else if (line.rfind("cont ", 0) == 0) {
-            reply = "ok cont complete 1 1\nt " +
+          if (line == "metrics") {
+            reply = "ok metrics 2\nshort 1\n" +
                     std::string(kMaxReplyLine + 1, '7') + "\n";
+          } else if (line == "slowlog") {
+            reply = "ok slowlog 1\n{}\n";
           } else {
             reply = "err unexpected\n";
           }
@@ -874,31 +869,29 @@ TEST(Wire, OverlongWorkerReplyFailsTheRoutedQuery) {
         };
       },
       /*port=*/0, &error);
-  ASSERT_TRUE(worker.ok()) << error;
-  std::thread acceptor([&] { worker.serve(); });
+  ASSERT_TRUE(peer.ok()) << error;
+  std::thread acceptor([&] { peer.serve(); });
 
-  auto map = std::make_shared<pag::PartitionMap>();
-  map->parts = 1;
-  map->owner.assign(kNodes, 0);
-  RouterOptions ro;
-  ro.map = map;
-  ro.workers = {std::to_string(worker.port())};
-  {
-    RouterCore router(std::move(ro), &error);
-    ASSERT_TRUE(router.ok()) << error;
-    Request q;
-    q.verb = Verb::kQuery;
-    q.a = NodeId(0);
-    const auto start = std::chrono::steady_clock::now();
-    const Reply r = router.handle(q);
-    EXPECT_LT(std::chrono::steady_clock::now() - start,
-              std::chrono::seconds(10));
-    EXPECT_EQ(r.status, Reply::Status::kError);
-    EXPECT_EQ(r.text, "partition unavailable");
-    EXPECT_NE(router.stats_json().find("\"unavailable\":1"), std::string::npos)
-        << router.stats_json();
-  }
-  worker.shutdown();
+  LineConn conn;
+  ASSERT_TRUE(conn.connect(std::to_string(peer.port()), 20'000));
+  std::string header;
+  std::vector<std::string> payload;
+  // A frame within the cap reads whole.
+  ASSERT_TRUE(conn.send_all("slowlog\n"));
+  ASSERT_TRUE(conn.read_frame(header, payload, kMaxReplyLine));
+  EXPECT_EQ(header, "ok slowlog 1");
+  ASSERT_EQ(payload.size(), 1u);
+  EXPECT_EQ(payload[0], "{}");
+
+  ASSERT_TRUE(conn.send_all("metrics\n"));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(conn.read_frame(header, payload, kMaxReplyLine));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10))
+      << "the overlong line was buffered until the read timed out";
+  EXPECT_EQ(header, "ok metrics 2");
+
+  conn.close();
+  peer.shutdown();
   acceptor.join();
 }
 
