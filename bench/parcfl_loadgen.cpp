@@ -23,9 +23,6 @@
 //                  [--alias-every K] [--batch N] [--linger-us N]
 //                  [--queue N] [--out FILE] [--connect PORT]
 //                  [--scrape FILE] [--answers-out FILE]
-//                  [--tenants N] [--tenant-skew S] [--max-sessions N]
-//                  [--max-resident-mb N] [--spill-dir DIR]
-//                  [--tenants-out FILE]
 //
 // --connect PORT skips the in-process service and replays the request
 // sequence against a running `parcfl_serve` on 127.0.0.1:PORT over TCP
@@ -37,14 +34,6 @@
 // over the same graph compares two servers' answers.
 // --scrape FILE saves the service's Prometheus exposition after the warm
 // phase (in connect mode via the `metrics` wire verb).
-//
-// --tenants N switches on the mixed-tenant fleet mode (in-process only):
-// the base graph is written to disk once, N tenants `open` it, and every
-// request is assigned a tenant by a Zipf(S) draw — a few hot tenants, a
-// long cold tail, which under a small --max-sessions cap exercises the
-// LRU evict / mmap-reopen cycle under live traffic. Results (per-tenant
-// qps, fleet eviction/reopen counters, peak RSS, and a cold-solve vs
-// warm-mmap-reopen micro-measure) go to BENCH_tenants.json.
 
 #include <algorithm>
 #include <array>
@@ -52,9 +41,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cmath>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -62,7 +49,6 @@
 
 #include "andersen/prefilter.hpp"
 #include "bench_util.hpp"
-#include "pag/pag_io.hpp"
 #include "service/line_io.hpp"
 #include "service/service.hpp"
 #include "support/stats.hpp"
@@ -96,14 +82,6 @@ struct Config {
   bool reduce = true;     // serve the reduced graph (in-process mode)
   bool prefilter = true;  // Andersen prefilter short-circuit (in-process mode)
   bool index = true;      // background index compactor (in-process mode)
-
-  // Mixed-tenant fleet mode (0 = off).
-  unsigned tenants = 0;
-  double tenant_skew = 1.0;  // Zipf exponent of the tenant draw
-  std::size_t max_sessions = 2;
-  std::uint64_t max_resident_mb = 0;
-  std::string spill_dir = ".";
-  std::string tenants_out = "BENCH_tenants.json";
 };
 
 int usage() {
@@ -114,9 +92,7 @@ int usage() {
                "  [--batch N] [--linger-us N] [--queue N]\n"
                "  [--out FILE] [--connect PORT] [--scrape FILE]\n"
                "  [--answers-out FILE]\n"
-               "  [--no-reduce] [--no-prefilter] [--index] [--no-index]\n"
-               "  [--tenants N] [--tenant-skew S] [--max-sessions N]\n"
-               "  [--max-resident-mb N] [--spill-dir DIR] [--tenants-out F]\n");
+               "  [--no-reduce] [--no-prefilter] [--index] [--no-index]\n");
   return 2;
 }
 
@@ -342,213 +318,6 @@ bool dump_answers(const std::vector<service::Request>& requests,
   return true;
 }
 
-void write_scrape(const std::string& path, const std::string& exposition);
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Peak resident set in MiB from /proc/self/status (0 where unavailable).
-double peak_rss_mb() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0)
-      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
-  }
-  return 0.0;
-}
-
-/// Mixed-tenant fleet mode: N tenants over one shared base graph file, Zipf
-/// tenant draw per request, cold + warm phases, then a cold-solve vs
-/// warm-mmap-reopen micro-measure on a probe tenant.
-int run_tenant_mode(const Config& cfg, const bench::Workload& workload,
-                    std::vector<service::Request> requests) {
-  const std::string base_pag_path = cfg.spill_dir + "/loadgen_base.pag";
-  {
-    std::ofstream os(base_pag_path);
-    pag::write_pag(os, workload.pag);
-    if (!os) {
-      std::fprintf(stderr, "parcfl_loadgen: cannot write %s\n",
-                   base_pag_path.c_str());
-      return 1;
-    }
-  }
-
-  service::ServiceOptions options;
-  options.session.engine.threads = cfg.threads;
-  options.session.engine.solver = bench::solver_options();
-  options.session.engine.solver.tau_finished = 1;
-  options.session.engine.solver.tau_unfinished = static_cast<std::uint32_t>(
-      std::max<std::uint64_t>(1, options.session.engine.solver.budget / 8));
-  options.max_batch = cfg.batch;
-  options.max_linger = std::chrono::microseconds(cfg.linger_us);
-  options.max_queue = cfg.queue;
-  options.session.reduce_graph = cfg.reduce;
-  options.session.prefilter = cfg.prefilter;
-  options.session.index = cfg.index;
-  options.max_sessions = cfg.max_sessions;
-  options.max_resident_bytes = cfg.max_resident_mb * 1024ull * 1024ull;
-  options.spill_dir = cfg.spill_dir;
-  service::QueryService svc(workload.pag, options);
-
-  std::vector<std::string> names;
-  names.reserve(cfg.tenants);
-  for (unsigned t = 0; t < cfg.tenants; ++t) {
-    names.push_back("t" + std::to_string(t));
-    service::Request open;
-    open.verb = service::Verb::kOpen;
-    open.tenant = names.back();
-    open.path = base_pag_path;
-    const service::Reply r = svc.call(std::move(open));
-    if (r.status != service::Reply::Status::kOk) {
-      std::fprintf(stderr, "parcfl_loadgen: open %s failed: %s\n",
-                   names.back().c_str(), r.text.c_str());
-      return 1;
-    }
-  }
-
-  // Zipf(S) tenant draw, deterministic in the request index: weight of
-  // tenant k is 1/(k+1)^S, sampled through the CDF.
-  std::vector<double> cdf(cfg.tenants);
-  double total = 0.0;
-  for (unsigned t = 0; t < cfg.tenants; ++t) {
-    total += 1.0 / std::pow(static_cast<double>(t + 1), cfg.tenant_skew);
-    cdf[t] = total;
-  }
-  std::vector<std::uint32_t> tenant_of(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const double u =
-        static_cast<double>(splitmix64(i) >> 11) / 9007199254740992.0 * total;
-    tenant_of[i] = static_cast<std::uint32_t>(
-        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
-    if (tenant_of[i] >= cfg.tenants) tenant_of[i] = cfg.tenants - 1;
-    requests[i].tenant = names[tenant_of[i]];
-  }
-
-  struct TenantCount {
-    std::atomic<std::uint64_t> ok{0}, shed{0};
-  };
-  std::unique_ptr<TenantCount[]> per_tenant(new TenantCount[cfg.tenants]);
-  auto issue = [&](std::uint64_t i, bool& shed, bool& incomplete) {
-    const service::Reply r = svc.call(requests[i]);
-    shed = r.status != service::Reply::Status::kOk;
-    incomplete = !shed && r.query_status != cfl::QueryStatus::kComplete;
-    (shed ? per_tenant[tenant_of[i]].shed : per_tenant[tenant_of[i]].ok)
-        .fetch_add(1, std::memory_order_relaxed);
-  };
-  PhaseResult cold = run_phase(requests, cfg, issue);
-  PhaseResult warm = run_phase(requests, cfg, issue);
-
-  // Cold solve vs warm mmap reopen, measured at the session layer so the
-  // ratio isolates what the evict/spill/reopen cycle actually changes:
-  // re-running the traversals that mint the sharing state, versus mapping
-  // the spilled v3 image back in and answering from it. Graph parse and the
-  // service's per-query dispatch are paid identically on both sides of a
-  // real reopen, so they are excluded from both measurements.
-  std::vector<service::Session::Item> probe_items;
-  for (const service::Request& r : requests) {
-    if (r.verb != service::Verb::kQuery || !r.a.valid()) continue;
-    probe_items.push_back({r.a, 0});
-    if (probe_items.size() >= 512) break;
-  }
-  const std::string probe_state = cfg.spill_dir + "/loadgen_probe.state";
-  double cold_ms = 0.0, reopen_ms = 0.0;
-  {
-    pag::Pag probe_pag = workload.pag;
-    const auto t0 = Clock::now();
-    service::Session cold_session(std::move(probe_pag), options.session);
-    (void)cold_session.run_batch(probe_items);
-    cold_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                  .count();
-    bool wrote_pag = false;
-    std::string spill_error;
-    if (!cold_session.spill(probe_state, cfg.spill_dir + "/loadgen_probe.pag",
-                            &wrote_pag, &spill_error)) {
-      std::fprintf(stderr, "parcfl_loadgen: probe spill failed: %s\n",
-                   spill_error.c_str());
-      return 1;
-    }
-  }
-  {
-    pag::Pag probe_pag = workload.pag;
-    service::Session::Options reopen_opts = options.session;
-    reopen_opts.state_path = probe_state;
-    const auto t0 = Clock::now();
-    service::Session warm_session(std::move(probe_pag), reopen_opts);
-    (void)warm_session.run_batch(probe_items);
-    reopen_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                    .count();
-  }
-  const double reopen_speedup = reopen_ms > 0 ? cold_ms / reopen_ms : 0.0;
-
-  const service::ServiceStats stats = svc.stats();
-  std::fprintf(stderr, "parcfl_loadgen: fleet stats %s\n",
-               stats.to_json().c_str());
-  if (!cfg.scrape.empty()) write_scrape(cfg.scrape, svc.metrics_text());
-
-  std::FILE* f = std::fopen(cfg.tenants_out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "parcfl_loadgen: cannot write %s\n",
-                 cfg.tenants_out.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"context\": {%s, \"benchmark\": \"%s\", \"scale\": %.2f, "
-               "\"tenants\": %u, \"tenant_skew\": %.2f, \"max_sessions\": "
-               "%zu, \"max_resident_mb\": %llu, \"requests\": %llu, "
-               "\"clients\": %u, \"engine_threads\": %u},\n"
-               "  \"benchmarks\": [\n",
-               bench::json_context_stamp().c_str(), workload.name.c_str(),
-               cfg.scale, cfg.tenants, cfg.tenant_skew,
-               cfg.max_sessions,
-               static_cast<unsigned long long>(cfg.max_resident_mb),
-               static_cast<unsigned long long>(cfg.requests), cfg.clients,
-               cfg.threads);
-  emit_phase(f, "tenants_cold", cfg, cold, /*with_engine=*/false);
-  std::fprintf(f, ",\n");
-  emit_phase(f, "tenants_warm", cfg, warm, /*with_engine=*/false);
-  const double warm_wall = warm.wall_seconds > 0 ? warm.wall_seconds : 1.0;
-  for (unsigned t = 0; t < cfg.tenants; ++t) {
-    const std::uint64_t ok = per_tenant[t].ok.load();
-    const std::uint64_t shed = per_tenant[t].shed.load();
-    std::fprintf(f,
-                 ",\n    {\"name\": \"tenant/%s\", \"run_type\": "
-                 "\"aggregate\", \"ok\": %llu, \"shed\": %llu, "
-                 "\"warm_qps\": %.1f}",
-                 names[t].c_str(), static_cast<unsigned long long>(ok),
-                 static_cast<unsigned long long>(shed),
-                 static_cast<double>(ok) / 2.0 / warm_wall);
-    }
-  std::fprintf(f,
-               ",\n    {\"name\": \"fleet\", \"run_type\": \"aggregate\", "
-               "\"evictions\": %llu, \"reopens\": %llu, \"loads\": %llu, "
-               "\"resident\": %llu, \"resident_bytes\": %llu, "
-               "\"peak_rss_mb\": %.1f}",
-               static_cast<unsigned long long>(stats.session_evictions),
-               static_cast<unsigned long long>(stats.session_reopens),
-               static_cast<unsigned long long>(stats.tenant_loads),
-               static_cast<unsigned long long>(stats.resident_sessions),
-               static_cast<unsigned long long>(stats.resident_bytes),
-               peak_rss_mb());
-  std::fprintf(f,
-               ",\n    {\"name\": \"reopen_vs_cold\", \"run_type\": "
-               "\"aggregate\", \"cold_ms\": %.3f, \"reopen_ms\": %.3f, "
-               "\"speedup\": %.2f}\n  ]\n}\n",
-               cold_ms, reopen_ms, reopen_speedup);
-  std::fclose(f);
-  std::printf(
-      "wrote %s (%u tenants, %llu evictions, %llu reopens, reopen %.2fx "
-      "faster than cold)\n",
-      cfg.tenants_out.c_str(), cfg.tenants,
-      static_cast<unsigned long long>(stats.session_evictions),
-      static_cast<unsigned long long>(stats.session_reopens), reopen_speedup);
-  return 0;
-}
-
 void write_scrape(const std::string& path, const std::string& exposition) {
   if (path.empty()) return;
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -593,19 +362,7 @@ int main(int argc, char** argv) {
     else if (std::strcmp(arg, "--no-prefilter") == 0) cfg.prefilter = false;
     else if (std::strcmp(arg, "--index") == 0) cfg.index = true;
     else if (std::strcmp(arg, "--no-index") == 0) cfg.index = false;
-    else if (std::strcmp(arg, "--tenants") == 0 && (v = value())) cfg.tenants = static_cast<unsigned>(std::atol(v));
-    else if (std::strcmp(arg, "--tenant-skew") == 0 && (v = value())) cfg.tenant_skew = std::atof(v);
-    else if (std::strcmp(arg, "--max-sessions") == 0 && (v = value())) cfg.max_sessions = static_cast<std::size_t>(std::atol(v));
-    else if (std::strcmp(arg, "--max-resident-mb") == 0 && (v = value())) cfg.max_resident_mb = std::strtoull(v, nullptr, 10);
-    else if (std::strcmp(arg, "--spill-dir") == 0 && (v = value())) cfg.spill_dir = v;
-    else if (std::strcmp(arg, "--tenants-out") == 0 && (v = value())) cfg.tenants_out = v;
     else return usage();
-  }
-  if (cfg.tenants != 0 && cfg.connect_port >= 0) {
-    std::fprintf(stderr,
-                 "parcfl_loadgen: --tenants is in-process only (drop "
-                 "--connect)\n");
-    return 2;
   }
 
   const auto workload =
@@ -621,8 +378,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(cfg.requests), cfg.clients,
                cfg.rate > 0 ? (std::to_string(cfg.rate) + "/s").c_str()
                             : "unpaced");
-
-  if (cfg.tenants != 0) return run_tenant_mode(cfg, workload, requests);
 
   PhaseResult cold, warm;
   bool with_engine = false;

@@ -1,7 +1,8 @@
 // parcfl_serve — the resident demand-driven analysis server. Loads a PAG
 // once, keeps the jmp-edge sharing state warm across every query it ever
 // answers, and speaks the line protocol of service/protocol.hpp over TCP or
-// stdin/stdout.
+// stdin/stdout. One server serves one graph; run one per graph to serve
+// several.
 //
 //   parcfl_serve <file.pag> [options]
 //     --port N       listen on 127.0.0.1:N (0 = pick a free port); without
@@ -9,7 +10,7 @@
 //     --threads N    engine worker threads            (default 4)
 //     --mode M       seq|naive|d|dq                   (default dq)
 //     --state FILE   warm-start from FILE if present (missing file = cold);
-//                    `save FILE` requests snapshot back crash-safely
+//                    the warm state is saved back to FILE on exit
 //     --budget N     per-query step budget            (default 100000)
 //     --batch N      micro-batch size cap, query units (default 64)
 //     --linger-us N  micro-batch linger               (default 500)
@@ -22,17 +23,9 @@
 //     --index        enable the background index compactor (default)
 //     --no-index     disable it; hot queries always reach the solver
 //
-// Multi-tenant fleet (clients `open <name> <file.pag>` more graphs at
-// runtime; see README "Serving many tenants"):
-//     --max-sessions N    tenant sessions resident at once    (default 8)
-//     --max-resident-mb N byte cap over all resident sessions (default off)
-//     --spill-dir DIR     where evicted warm state spills     (default .)
-//     --tenant-queue N    per-tenant admission quota, units   (default off)
-//     --tenant-budget N   per-tenant step budget clamp        (default off)
-//
 // Graceful shutdown: SIGINT/SIGTERM stop the accept loop, half-close live
-// connections, drain in-flight batches, spill every dirty session, then
-// exit 0.
+// connections, drain in-flight batches, save the warm state to --state (when
+// set), then exit 0.
 //
 // Example session (see README "Running the server" / "Scraping metrics"):
 //   $ pag_tool gen avrora /tmp/avrora.pag 0.5
@@ -65,10 +58,7 @@ int usage() {
                "                    [--budget N] [--batch N] [--linger-us N]\n"
                "                    [--queue N] [--slow-ms F] [--trace 0|1|2]\n"
                "                    [--no-reduce] [--no-prefilter]\n"
-               "                    [--index] [--no-index]\n"
-               "                    [--max-sessions N] [--max-resident-mb N]\n"
-               "                    [--spill-dir DIR] [--tenant-queue N]\n"
-               "                    [--tenant-budget N]\n");
+               "                    [--index] [--no-index]\n");
   return 2;
 }
 
@@ -126,17 +116,6 @@ int main(int argc, char** argv) {
       options.session.index = true;
     } else if (std::strcmp(arg, "--no-index") == 0) {
       options.session.index = false;
-    } else if (std::strcmp(arg, "--max-sessions") == 0 && (v = value())) {
-      options.max_sessions = static_cast<std::size_t>(std::atol(v));
-    } else if (std::strcmp(arg, "--max-resident-mb") == 0 && (v = value())) {
-      options.max_resident_bytes =
-          std::strtoull(v, nullptr, 10) * 1024ull * 1024ull;
-    } else if (std::strcmp(arg, "--spill-dir") == 0 && (v = value())) {
-      options.spill_dir = v;
-    } else if (std::strcmp(arg, "--tenant-queue") == 0 && (v = value())) {
-      options.tenant_max_queue = static_cast<std::uint32_t>(std::atol(v));
-    } else if (std::strcmp(arg, "--tenant-budget") == 0 && (v = value())) {
-      options.tenant_step_budget = std::strtoull(v, nullptr, 10);
     } else {
       return usage();
     }
@@ -178,24 +157,23 @@ int main(int argc, char** argv) {
                options.session.prefilter ? "on" : "off",
                options.session.index ? "on" : "off");
 
-  // Spill every dirty session (named tenants as mmap-able v3 pairs, the
-  // default tenant to --state when set) so the next start reopens warm.
-  auto save_dirty_sessions = [&svc]() -> int {
+  // Save the warm state to --state so the next start warm-starts from it.
+  auto save_state = [&svc, &options]() -> int {
+    const std::string& path = options.session.state_path;
+    if (path.empty()) return 0;
     std::string save_error;
-    const std::size_t saved = svc.manager().save_dirty(&save_error);
-    if (!save_error.empty()) {
+    if (!svc.session().save(path, &save_error)) {
       std::fprintf(stderr, "parcfl_serve: shutdown save failed: %s\n",
                    save_error.c_str());
       return 1;
     }
-    if (saved != 0)
-      std::fprintf(stderr, "parcfl_serve: %zu session(s) saved\n", saved);
+    std::fprintf(stderr, "parcfl_serve: state saved to %s\n", path.c_str());
     return 0;
   };
 
   if (port < 0) {
     service::serve_stream(svc, std::cin, std::cout);
-    return save_dirty_sessions();
+    return save_state();
   }
 
   service::TcpServer server(svc, static_cast<std::uint16_t>(port), &error);
@@ -221,5 +199,5 @@ int main(int argc, char** argv) {
   ::kill(::getpid(), SIGTERM);
   watcher.join();
   server.shutdown();  // idempotent; covers the no-signal exit path
-  return save_dirty_sessions();
+  return save_state();
 }

@@ -36,9 +36,6 @@ bool parse_node(std::string_view token, std::uint32_t node_count,
     error = "bad node id";
     return false;
   }
-  // node_count is the *default* tenant's graph size; tenant-prefixed requests
-  // pass the no-check sentinel and are validated at dispatch instead (their
-  // graph may not even be resident yet). The id must still fit a NodeId.
   if (id >= node_count) {
     error = "node id out of range (graph has " + std::to_string(node_count) +
             " nodes)";
@@ -47,10 +44,6 @@ bool parse_node(std::string_view token, std::uint32_t node_count,
   out = pag::NodeId(static_cast<std::uint32_t>(id));
   return true;
 }
-
-/// Dispatch-time node check for tenant-prefixed requests: parse with this and
-/// the id only has to fit a NodeId (2^32-1 is the invalid sentinel).
-constexpr std::uint32_t kNoNodeCheck = 0xffffffffu;
 
 /// Parse trailing `budget <n>` / `deadline <ms>` option pairs.
 bool parse_options(const std::vector<std::string_view>& tokens, std::size_t from,
@@ -91,17 +84,6 @@ std::size_t count_lines(const std::string& text) {
 
 }  // namespace
 
-bool valid_tenant_name(std::string_view name) {
-  if (name.empty() || name.size() > kMaxTenantName) return false;
-  if (name == "." || name == "..") return false;
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
-}
-
 bool parse_request(std::string_view line, std::uint32_t node_count,
                    Request& out, std::string& error) {
   out = Request{};
@@ -110,26 +92,7 @@ bool parse_request(std::string_view line, std::uint32_t node_count,
   auto tokens = tokenize(line);
   if (tokens.empty()) return fail(error, "empty request");
 
-  // `@<tenant>` prefix routes the request at a named session. Its graph may
-  // be evicted right now, so node ids are checked at dispatch, not here.
-  if (tokens[0].front() == '@') {
-    const std::string_view name = tokens[0].substr(1);
-    if (!valid_tenant_name(name)) return fail(error, "bad tenant name");
-    out.tenant = std::string(name);
-    tokens.erase(tokens.begin());
-    if (tokens.empty()) return fail(error, "tenant prefix needs a verb");
-    if (tokens[0].front() == '@')
-      return fail(error, "duplicate tenant prefix");
-    node_count = kNoNodeCheck;
-  }
-
   const std::string_view verb = tokens[0];
-  const bool tenant_ok = verb == "query" || verb == "alias" ||
-                         verb == "taint" || verb == "depends" ||
-                         verb == "save" || verb == "load" ||
-                         verb == "update" || verb == "index";
-  if (!out.tenant.empty() && !tenant_ok)
-    return fail(error, "verb does not take a tenant prefix");
   if (verb == "query") {
     out.verb = Verb::kQuery;
     if (tokens.size() < 2) return fail(error, "query needs a node id");
@@ -175,21 +138,6 @@ bool parse_request(std::string_view line, std::uint32_t node_count,
                : verb == "load" ? Verb::kLoad
                                 : Verb::kUpdate;
     out.path = std::string(tokens[1]);
-    return true;
-  }
-  if (verb == "open") {
-    if (tokens.size() != 3) return fail(error, "open needs a name and a path");
-    if (!valid_tenant_name(tokens[1])) return fail(error, "bad tenant name");
-    out.verb = Verb::kOpen;
-    out.tenant = std::string(tokens[1]);
-    out.path = std::string(tokens[2]);
-    return true;
-  }
-  if (verb == "close") {
-    if (tokens.size() != 2) return fail(error, "close needs a name");
-    if (!valid_tenant_name(tokens[1])) return fail(error, "bad tenant name");
-    out.verb = Verb::kClose;
-    out.tenant = std::string(tokens[1]);
     return true;
   }
   error = "unknown verb '" + std::string(verb) + "'";
@@ -275,12 +223,6 @@ std::string format_reply(const Reply& reply) {
       break;
     case Verb::kIndex:
       os << " index " << reply.text;
-      break;
-    case Verb::kOpen:
-      os << " opened " << reply.text;
-      break;
-    case Verb::kClose:
-      os << " closed " << reply.text;
       break;
     case Verb::kPing:
       os << " pong";

@@ -17,8 +17,6 @@
 //   load <path>                                     live warm-state merge
 //   update <path>                                   apply a PAG delta file
 //   index                                           index-compaction JSON
-//   open <name> <path>                              register tenant <name>
-//   close <name>                                    save + drop tenant <name>
 //   ping                                            liveness probe
 //   quit                                            close this connection
 //
@@ -28,14 +26,9 @@
 // value may depend on <y> (Solver::depends, a backward walk). Both
 // arguments must be variable nodes.
 //
-// Multi-tenant addressing: any data-plane verb (query/alias/taint/depends/
-// save/load/update/index) may be prefixed with `@<tenant>`, e.g. `@acme query v17`. Bare verbs hit
-// the default tenant — the graph the server was started with — so every
-// pre-manager client keeps working unchanged. Tenant names are confined to
-// [A-Za-z0-9_.-], at most kMaxTenantName bytes, and never "." or ".." (the
-// name doubles as a spill-file stem, so it must not traverse paths). Node
-// ids in tenant-prefixed requests are range-checked at dispatch against the
-// target tenant's graph (which may be evicted at parse time), not here.
+// A server serves one graph, the one it was started with: every request
+// addresses it, and node ids are range-checked here against its node count.
+// Run one server per graph to serve several.
 //
 // `budget` caps the query's charged steps at min(budget, server budget);
 // `deadline` sheds the request if it is still queued that many milliseconds
@@ -49,7 +42,6 @@
 //   ok depends|independent|unknown <charged>         depends
 //   ok pong | ok saved <path> | ok loaded <path>     ping/save/load
 //   ok updated <summary>                             update
-//   ok opened <name> | ok closed <name>              open/close
 //   ok {...}                                         stats (one-line JSON)
 //   ok index {...}                                   index (one-line JSON)
 //   ok metrics <n>                                   + n payload lines
@@ -95,8 +87,6 @@ enum class Verb : std::uint8_t {
   kLoad,
   kUpdate,
   kIndex,
-  kOpen,
-  kClose,
   kPing,
   kQuit,
 };
@@ -108,16 +98,12 @@ struct Request {
   std::uint64_t budget = 0;       // 0 = server default
   std::uint64_t deadline_ms = 0;  // 0 = no deadline
   std::uint64_t count = 0;        // slowlog: max records (0 = all retained)
-  std::string path;               // save/load/update/open target
-  std::string tenant;             // "" = default tenant; open/close: the name
+  std::string path;               // save/load/update target
 };
 
 /// Longest request line the parser accepts; longer lines are rejected before
 /// tokenisation (wire robustness: a garbage megabyte costs O(1)).
 inline constexpr std::size_t kMaxRequestLine = 4096;
-
-/// Longest tenant name accepted by the wire and the manager.
-inline constexpr std::size_t kMaxTenantName = 64;
 
 /// Most payload lines a counted reply frame may announce.
 inline constexpr std::uint64_t kMaxFrameLines = std::uint64_t{1} << 22;
@@ -127,10 +113,6 @@ std::vector<std::string_view> tokenize(std::string_view line);
 
 /// Parse a decimal u64 token: digits only, no sign, no overflow.
 bool parse_u64(std::string_view token, std::uint64_t& out);
-
-/// True iff `name` is a legal tenant name: non-empty, ≤ kMaxTenantName bytes
-/// of [A-Za-z0-9_.-], and not "." or ".." (names become spill-file stems).
-bool valid_tenant_name(std::string_view name);
 
 /// Parse one request line. Node ids are bounds-checked against `node_count`.
 /// Returns false and fills `error` (never crashes) on malformed input.

@@ -19,8 +19,8 @@ Reply ready_reply(Reply::Status status, Verb verb, std::string text = {}) {
   return r;
 }
 
-/// One-line JSON for the `index` wire verb (a session-scoped slice of the
-/// `stats` csindex block — per-tenant, where `stats` is default-tenant only).
+/// One-line JSON for the `index` wire verb (the `stats` csindex block plus
+/// the compactor's build cost).
 std::string index_json(const Session::IndexInfo& info) {
   std::ostringstream os;
   os << "{\"enabled\":" << (info.enabled ? "true" : "false")
@@ -74,49 +74,26 @@ QueryService::QueryService(pag::Pag pag, const ServiceOptions& options)
                           "prefilter/solver path."),
           registry_.gauge("parcfl_index_entries",
                           "Entries frozen in the published index."),
+          registry_.gauge("parcfl_session_resident_bytes",
+                          "Session footprint: graphs, prefilter, index, jmp "
+                          "store, contexts and schedule plan."),
       },
-      manager_gauges_{
-          registry_.gauge("parcfl_sessions_open",
-                          "Registered tenants, including the default."),
-          registry_.gauge("parcfl_sessions_resident",
-                          "Tenant sessions currently in memory."),
-          registry_.gauge("parcfl_sessions_resident_bytes",
-                          "Summed resident session footprint."),
-          registry_.gauge("parcfl_session_loads",
-                          "First-time tenant graph loads."),
-          registry_.gauge("parcfl_session_reopens",
-                          "Evict-then-warm-reopen cycles."),
-          registry_.gauge("parcfl_session_evictions",
-                          "LRU session evictions to disk."),
-          registry_.gauge("parcfl_spill_stale_total",
-                          "Fingerprint-mismatched spill files unlinked at "
-                          "tenant load."),
-          registry_.gauge("parcfl_tenant_label_overflow",
-                          "Tenant label values collapsed onto the overflow "
-                          "series."),
-      },
-      manager_(manager_options_with_sink()),
-      default_session_(manager_.adopt("", std::move(pag))),
+      session_(std::move(pag), session_options_with_sink()),
       recorder_(registry_) {
   collector_ = std::thread([this] { collector_main(); });
 }
 
-/// The fleet options as configured, with the slow-query sink wired into the
-/// session template's engine when the threshold is armed. Called from the
-/// ctor init list: the sink only fires from batches, which run after
-/// construction completes.
-SessionManager::Options QueryService::manager_options_with_sink() {
-  SessionManager::Options m;
-  m.session = options_.session;
+/// The session options as configured, with the slow-query sink wired into
+/// the engine when the threshold is armed. Called from the ctor init list:
+/// the sink only fires from batches, which run after construction completes.
+Session::Options QueryService::session_options_with_sink() {
+  Session::Options o = options_.session;
   if (options_.slow_query_ms > 0.0) {
-    m.session.engine.slow_query_ms = options_.slow_query_ms;
-    m.session.engine.slow_query_sink =
+    o.engine.slow_query_ms = options_.slow_query_ms;
+    o.engine.slow_query_sink =
         [this](const cfl::SlowQueryRecord& record) { note_slow_query(record); };
   }
-  m.max_resident = options_.max_sessions;
-  m.max_resident_bytes = options_.max_resident_bytes;
-  m.spill_dir = options_.spill_dir;
-  return m;
+  return o;
 }
 
 void QueryService::note_slow_query(const cfl::SlowQueryRecord& record) {
@@ -161,7 +138,7 @@ std::string QueryService::slow_log_jsonl(std::size_t limit) const {
 }
 
 std::string QueryService::metrics_text() {
-  const Session& session = *default_session_;
+  const Session& session = session_;
   const support::QueryCounters totals = session.lifetime_totals();
   registry_.set_gauge(gauges_.jmp_entries,
                       static_cast<double>(session.store().entry_count()));
@@ -195,22 +172,8 @@ std::string QueryService::metrics_text() {
   registry_.set_gauge(gauges_.index_misses, static_cast<double>(index.misses));
   registry_.set_gauge(gauges_.index_entries,
                       static_cast<double>(index.entries));
-  const SessionManager::Counters fleet = manager_.counters();
-  registry_.set_gauge(manager_gauges_.open_tenants,
-                      static_cast<double>(fleet.open_tenants));
-  registry_.set_gauge(manager_gauges_.resident,
-                      static_cast<double>(fleet.resident));
-  registry_.set_gauge(manager_gauges_.resident_bytes,
-                      static_cast<double>(fleet.resident_bytes));
-  registry_.set_gauge(manager_gauges_.loads, static_cast<double>(fleet.loads));
-  registry_.set_gauge(manager_gauges_.reopens,
-                      static_cast<double>(fleet.reopens));
-  registry_.set_gauge(manager_gauges_.evictions,
-                      static_cast<double>(fleet.evictions));
-  registry_.set_gauge(manager_gauges_.stale_spills,
-                      static_cast<double>(fleet.stale_spills));
-  registry_.set_gauge(manager_gauges_.label_overflow,
-                      static_cast<double>(registry_.label_overflow_count()));
+  registry_.set_gauge(gauges_.resident_bytes,
+                      static_cast<double>(session.resident_bytes()));
   return registry_.render_prometheus();
 }
 
@@ -244,69 +207,23 @@ std::future<Reply> QueryService::submit(Request request) {
                       slow_log_jsonl(static_cast<std::size_t>(request.count))));
       return future;
     }
-    case Verb::kOpen: {
-      // Inline: registration is a probe + map insert, never a graph parse
-      // (the load is lazy — see SessionManager::open).
-      std::string error;
-      const bool ok = manager_.open(request.tenant, request.path, &error);
-      promise.set_value(ok ? ready_reply(Reply::Status::kOk, Verb::kOpen,
-                                         request.tenant)
-                           : error_reply(std::move(error)));
-      return future;
-    }
-    case Verb::kClose: {
-      // Inline on the client thread, which blocks while the tenant's
-      // in-flight batch (if any) drains — close-while-queried never yanks a
-      // session mid-batch; requests still queued answer "unknown tenant"
-      // when dispatched.
-      std::string error;
-      const bool ok = manager_.close(request.tenant, &error);
-      promise.set_value(ok ? ready_reply(Reply::Status::kOk, Verb::kClose,
-                                         request.tenant)
-                           : error_reply(std::move(error)));
-      return future;
-    }
     case Verb::kSave:
     case Verb::kLoad: {
       std::string error;
-      bool ok = false;
-      if (request.tenant.empty()) {
-        ok = request.verb == Verb::kSave
-                 ? default_session_->save(request.path, &error)
-                 : default_session_->load(request.path, &error);
-      } else {
-        SessionManager::Lease lease = manager_.acquire(request.tenant, &error);
-        if (lease)
-          ok = request.verb == Verb::kSave ? lease->save(request.path, &error)
-                                           : lease->load(request.path, &error);
-      }
+      const bool ok = request.verb == Verb::kSave
+                          ? session_.save(request.path, &error)
+                          : session_.load(request.path, &error);
       promise.set_value(ok ? ready_reply(Reply::Status::kOk, request.verb,
                                          request.path)
                            : error_reply(std::move(error)));
       return future;
     }
-    case Verb::kIndex: {
+    case Verb::kIndex:
       // Inline: index_info() takes only the compactor's leaf lock, never the
-      // graph lock, so it cannot stall behind a running batch. The
-      // tenant-prefixed form additionally pays manager_.acquire on this
-      // thread — like save/load, that can reopen an evicted tenant from
-      // disk, so only the default-session probe is stall-free.
-      std::string text;
-      if (request.tenant.empty()) {
-        text = index_json(default_session_->index_info());
-      } else {
-        std::string error;
-        SessionManager::Lease lease = manager_.acquire(request.tenant, &error);
-        if (!lease) {
-          promise.set_value(error_reply(std::move(error)));
-          return future;
-        }
-        text = index_json(lease->index_info());
-      }
-      promise.set_value(
-          ready_reply(Reply::Status::kOk, Verb::kIndex, std::move(text)));
+      // graph lock, so it cannot stall behind a running batch.
+      promise.set_value(ready_reply(Reply::Status::kOk, Verb::kIndex,
+                                    index_json(session_.index_info())));
       return future;
-    }
     case Verb::kPing:
     case Verb::kQuit:
       promise.set_value(ready_reply(Reply::Status::kOk, request.verb));
@@ -314,35 +231,21 @@ std::future<Reply> QueryService::submit(Request request) {
     case Verb::kUpdate:
       // Falls through to the queue: the delta must be applied by the
       // collector thread between batches, never from a client thread.
-      if (!request.tenant.empty() && !manager_.known(request.tenant)) {
-        promise.set_value(
-            error_reply("unknown tenant '" + request.tenant + "'"));
-        return future;
-      }
       break;
     case Verb::kQuery:
     case Verb::kAlias:
     case Verb::kTaint:
     case Verb::kDepends:
-      if (request.tenant.empty()) {
-        // The wire parser only bounds-checks ids; points_to is defined on
-        // variable nodes — and so are both ends of alias/taint/depends — so
-        // reject anything else here rather than tripping the solver's
-        // precondition check mid-batch. is_variable_node reads one graph
-        // revision, and stays valid across updates (node ids are never
-        // removed, kinds never change).
-        if (!default_session_->is_variable_node(request.a) ||
-            (request.verb != Verb::kQuery &&
-             !default_session_->is_variable_node(request.b))) {
-          promise.set_value(error_reply("not a variable node"));
-          return future;
-        }
-      } else if (!manager_.known(request.tenant)) {
-        // Node validation for tenant requests waits for dispatch (the graph
-        // may not even be resident yet); the tenant's existence is checkable
-        // now, so unknown names fail fast instead of riding the queue.
-        promise.set_value(
-            error_reply("unknown tenant '" + request.tenant + "'"));
+      // The wire parser only bounds-checks ids; points_to is defined on
+      // variable nodes — and so are both ends of alias/taint/depends — so
+      // reject anything else here rather than tripping the solver's
+      // precondition check mid-batch. is_variable_node reads one graph
+      // revision, and stays valid across updates (node ids are never
+      // removed, kinds never change).
+      if (!session_.is_variable_node(request.a) ||
+          (request.verb != Verb::kQuery &&
+           !session_.is_variable_node(request.b))) {
+        promise.set_value(error_reply("not a variable node"));
         return future;
       }
       break;
@@ -351,39 +254,18 @@ std::future<Reply> QueryService::submit(Request request) {
   const std::uint32_t units = units_of(request);
   {
     std::lock_guard lock(mu_);
-    bool shed = stop_ || queued_units_ + units > options_.max_queue;
-    std::uint32_t tenant_queued = 0;
-    if (!shed && options_.tenant_max_queue != 0) {
-      // Per-tenant quota: one tenant flooding the queue sheds its own
-      // traffic while everyone else keeps being admitted.
-      const auto it = tenant_queued_units_.find(request.tenant);
-      if (it != tenant_queued_units_.end()) tenant_queued = it->second;
-      shed = tenant_queued + units > options_.tenant_max_queue;
-    }
-    if (shed) {
+    if (stop_ || queued_units_ + units > options_.max_queue) {
       // Shed at admission: an overloaded server answers cheaply and
       // immediately rather than queueing work it cannot serve in time.
       recorder_.record_shed_overload();
-      recorder_.record_tenant_shed(tenant_label(request.tenant));
       promise.set_value(ready_reply(Reply::Status::kShedOverload, request.verb));
       return future;
     }
     queued_units_ += units;
-    if (options_.tenant_max_queue != 0)
-      tenant_queued_units_[request.tenant] = tenant_queued + units;
     queue_.push_back(Pending{std::move(request), Clock::now(), std::move(promise)});
   }
   cv_.notify_one();
   return future;
-}
-
-void QueryService::release_tenant_units(const std::string& tenant,
-                                        std::uint32_t units) {
-  if (options_.tenant_max_queue == 0) return;
-  const auto it = tenant_queued_units_.find(tenant);
-  if (it == tenant_queued_units_.end()) return;
-  it->second = it->second > units ? it->second - units : 0;
-  if (it->second == 0) tenant_queued_units_.erase(it);
 }
 
 void QueryService::collector_main() {
@@ -419,37 +301,16 @@ void QueryService::collector_main() {
 
       // An update gets a batch of its own: everything queued before it runs
       // (and completes) first, and queries queued after it only run against
-      // the fully-applied delta. A batch also never crosses a tenant
-      // boundary — every item runs against one session. The queue front
-      // fixes the batch's tenant; later same-tenant queries are gathered
-      // from anywhere ahead of the first update, hopping over other
-      // tenants' entries. Per-tenant FIFO order is preserved, and
-      // cross-tenant order carries no semantics (every tenant is its own
-      // graph) — without the hop, Zipf-interleaved tenants fragment
-      // micro-batches down to near size one.
-      if (queue_.front().request.verb == Verb::kUpdate) {
-        is_update = true;
-        const std::uint32_t units = units_of(queue_.front().request);
-        batch_units += units;
-        release_tenant_units(queue_.front().request.tenant, units);
+      // the fully-applied delta. A query batch is the queue prefix before
+      // the first update, up to max_batch units.
+      is_update = queue_.front().request.verb == Verb::kUpdate;
+      do {
+        batch_units += units_of(queue_.front().request);
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
-      } else {
-        const std::string batch_tenant = queue_.front().request.tenant;
-        for (auto it = queue_.begin();
-             it != queue_.end() && batch_units < options_.max_batch;) {
-          if (it->request.verb == Verb::kUpdate) break;  // ordering barrier
-          if (it->request.tenant != batch_tenant) {
-            ++it;
-            continue;
-          }
-          const std::uint32_t units = units_of(it->request);
-          batch_units += units;
-          release_tenant_units(batch_tenant, units);
-          batch.push_back(std::move(*it));
-          it = queue_.erase(it);
-        }
-      }
+      } while (!is_update && !queue_.empty() &&
+               batch_units < options_.max_batch &&
+               queue_.front().request.verb != Verb::kUpdate);
       queued_units_ -= batch_units;
     }
     if (is_update)
@@ -460,21 +321,9 @@ void QueryService::collector_main() {
 }
 
 void QueryService::execute_update(Pending pending) {
-  Session* session = default_session_.get();
-  SessionManager::Lease lease;
-  if (!pending.request.tenant.empty()) {
-    std::string acquire_error;
-    lease = manager_.acquire(pending.request.tenant, &acquire_error);
-    if (!lease) {
-      recorder_.record_update(/*ok=*/false);
-      pending.promise.set_value(error_reply(std::move(acquire_error)));
-      return;
-    }
-    session = lease.get();
-  }
   std::string error;
   Session::UpdateStats stats;
-  if (!session->update_from_file(pending.request.path, &error, &stats)) {
+  if (!session_.update_from_file(pending.request.path, &error, &stats)) {
     recorder_.record_update(/*ok=*/false);
     pending.promise.set_value(error_reply(std::move(error)));
     return;
@@ -493,25 +342,6 @@ void QueryService::execute_update(Pending pending) {
 }
 
 void QueryService::execute_batch(std::vector<Pending> batch) {
-  // One tenant per batch (the collector never crosses a boundary). Named
-  // tenants run under a lease: the session is resident — loaded or warm-
-  // reopened right here if it was evicted — and stays pinned until every
-  // reply below is set.
-  const std::string tenant = batch.front().request.tenant;
-  Session* session = default_session_.get();
-  SessionManager::Lease lease;
-  if (!tenant.empty()) {
-    std::string acquire_error;
-    lease = manager_.acquire(tenant, &acquire_error);
-    if (!lease) {
-      // Closed between admission and dispatch, or the (re)load failed.
-      for (Pending& p : batch)
-        p.promise.set_value(error_reply(acquire_error));
-      return;
-    }
-    session = lease.get();
-  }
-
   // Deadline shedding happens at dispatch: a request that waited past its
   // deadline is answered with `shed deadline` and costs no traversal.
   const auto now = Clock::now();
@@ -525,34 +355,12 @@ void QueryService::execute_batch(std::vector<Pending> batch) {
       p.promise.set_value(ready_reply(Reply::Status::kShedDeadline, p.request.verb));
       continue;
     }
-    if (!tenant.empty()) {
-      // Tenant requests skip node validation at parse (the graph need not be
-      // resident then); do it now against the leased session.
-      const std::uint32_t n = session->node_count();
-      bool bad = p.request.a.value() >= n ||
-                 !session->is_variable_node(p.request.a);
-      if (p.request.verb != Verb::kQuery)
-        bad = bad || p.request.b.value() >= n ||
-              !session->is_variable_node(p.request.b);
-      if (bad) {
-        p.promise.set_value(error_reply("not a variable node"));
-        continue;
-      }
-      if (options_.tenant_step_budget != 0) {
-        // Per-tenant work cap: a tenant may lower its own budget further,
-        // never raise it past the clamp.
-        p.request.budget = p.request.budget == 0
-                               ? options_.tenant_step_budget
-                               : std::min(p.request.budget,
-                                          options_.tenant_step_budget);
-      }
-    }
     // Alias pair the prefilter proves disjoint: answer at dispatch, spend no
     // solver time. Safe here because updates run serialized on this same
     // collector thread, so the revision the prefilter was checked against is
     // the revision the batch would have run on.
     if (p.request.verb == Verb::kAlias &&
-        session->prefilter_no_alias(p.request.a, p.request.b)) {
+        session_.prefilter_no_alias(p.request.a, p.request.b)) {
       Reply r;
       r.status = Reply::Status::kOk;
       r.verb = Verb::kAlias;
@@ -562,7 +370,6 @@ void QueryService::execute_batch(std::vector<Pending> batch) {
       const double latency_ms =
           std::chrono::duration<double, std::milli>(now - p.enqueued).count();
       recorder_.record_request(latency_ms, StatsRecorder::Served::kAlias);
-      recorder_.record_tenant_request(tenant_label(tenant), latency_ms);
       p.promise.set_value(std::move(r));
       continue;
     }
@@ -584,7 +391,7 @@ void QueryService::execute_batch(std::vector<Pending> batch) {
   }
   recorder_.record_batch(items.size());
 
-  Session::BatchResult result = session->run_batch(items);
+  Session::BatchResult result = session_.run_batch(items);
 
   const auto done = Clock::now();
   std::size_t next_item = 0;
@@ -628,7 +435,6 @@ void QueryService::execute_batch(std::vector<Pending> batch) {
       r.query_status = a.status == cfl::QueryStatus::kComplete ? b.status : a.status;
       recorder_.record_request(latency_ms, StatsRecorder::Served::kAlias);
     }
-    recorder_.record_tenant_request(tenant_label(tenant), latency_ms);
     p.promise.set_value(std::move(r));
   }
 }
@@ -636,15 +442,15 @@ void QueryService::execute_batch(std::vector<Pending> batch) {
 ServiceStats QueryService::stats() const {
   ServiceStats out;
   recorder_.snapshot(out);
-  out.engine = default_session_->lifetime_totals();
-  out.jmp_entries = default_session_->store().entry_count();
-  out.jmp_store_bytes = default_session_->store().memory_bytes();
-  out.context_count = default_session_->context_count();
-  out.pag_revision = default_session_->revision();
-  out.prefilter_ready = default_session_->prefilter_ready();
+  out.engine = session_.lifetime_totals();
+  out.jmp_entries = session_.store().entry_count();
+  out.jmp_store_bytes = session_.store().memory_bytes();
+  out.context_count = session_.context_count();
+  out.pag_revision = session_.revision();
+  out.prefilter_ready = session_.prefilter_ready();
   out.prefilter_building_revision =
-      out.prefilter_ready ? 0 : default_session_->revision();
-  const Session::IndexInfo index = default_session_->index_info();
+      out.prefilter_ready ? 0 : session_.revision();
+  const Session::IndexInfo index = session_.index_info();
   out.index_enabled = index.enabled;
   out.index_entries = index.entries;
   out.index_targets = index.targets;
@@ -655,15 +461,7 @@ ServiceStats QueryService::stats() const {
   out.index_pending = index.pending;
   out.index_memory_bytes = index.memory_bytes;
   out.index_revision = index.revision;
-  const SessionManager::Counters fleet = manager_.counters();
-  out.open_tenants = fleet.open_tenants;
-  out.resident_sessions = fleet.resident;
-  out.resident_bytes = fleet.resident_bytes;
-  out.tenant_loads = fleet.loads;
-  out.session_reopens = fleet.reopens;
-  out.session_evictions = fleet.evictions;
-  out.stale_spills = fleet.stale_spills;
-  out.label_overflow = registry_.label_overflow_count();
+  out.resident_bytes = session_.resident_bytes();
   return out;
 }
 

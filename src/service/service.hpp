@@ -20,34 +20,21 @@
 // collector as a batch of its own — strictly between query batches — which
 // is what guarantees no in-flight batch observes a half-applied delta.
 //
-// Multi-tenancy (DESIGN.md §12): the service owns a SessionManager instead
-// of one Session. The graph passed to the constructor becomes the *default
-// tenant* — a pinned session every bare (unprefixed) request hits, so the
-// single-tenant wire protocol and performance are unchanged. `open`/`close`
-// register and drop named tenants; `@<tenant>`-prefixed requests ride the
-// same queue and the collector forms per-tenant micro-batches (a batch takes
-// the maximal same-tenant prefix of the queue — jmp sharing only helps
-// within one graph). The tenant's session is leased for exactly the batch's
-// duration, so LRU eviction can never unmap a graph mid-batch. Per-tenant
-// admission (tenant_max_queue) and step-budget clamping (tenant_step_budget)
-// keep one noisy tenant from starving the fleet, and the recorder's
-// tenant-labeled metric families attribute traffic per tenant under a
-// bounded label budget.
+// One graph per service: the jmp shortcuts the paper shares never cross
+// graphs, so the service owns exactly one Session, built from the graph
+// passed to the constructor. Serve several graphs by running one server per
+// graph.
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "service/manager.hpp"
 #include "service/protocol.hpp"
 #include "service/session.hpp"
 #include "service/stats.hpp"
@@ -71,23 +58,6 @@ struct ServiceOptions {
   double slow_query_ms = 0.0;
   /// Retained slow-query records (oldest evicted first).
   std::size_t slow_log_capacity = 64;
-
-  // ---- session fleet (multi-tenant; see SessionManager) -------------------
-  /// Evictable tenant sessions allowed resident at once (the pinned default
-  /// tenant is extra).
-  std::size_t max_sessions = 8;
-  /// Byte cap over every resident session's footprint, default tenant
-  /// included. 0 = unbounded.
-  std::uint64_t max_resident_bytes = 0;
-  /// Where evicted tenants spill warm state (and drifted graphs).
-  std::string spill_dir = ".";
-  /// Per-tenant admission quota in query units (0 = only the global
-  /// max_queue applies). A tenant at its quota sheds its *own* traffic while
-  /// the rest of the fleet keeps being admitted.
-  std::uint32_t tenant_max_queue = 0;
-  /// Clamp on any tenant-prefixed request's step budget (0 = server
-  /// default). Bare default-tenant requests are never clamped.
-  std::uint64_t tenant_step_budget = 0;
 };
 
 class QueryService {
@@ -124,14 +94,11 @@ class QueryService {
 
   /// Safe to call from any client thread, including concurrently with an
   /// update (reads one snapshot of the session's graph revision).
-  std::uint32_t node_count() const { return default_session_->node_count(); }
+  std::uint32_t node_count() const { return session_.node_count(); }
   /// Single-threaded callers only; valid until the next update.
-  const pag::Pag& pag() const { return default_session_->pag(); }
-  /// The default tenant's session (the graph passed to the constructor).
-  Session& session() { return *default_session_; }
-  /// The tenant fleet — parcfl_serve uses it to spill dirty sessions on
-  /// graceful shutdown; tests inspect its counters.
-  SessionManager& manager() { return manager_; }
+  const pag::Pag& pag() const { return session_.pag(); }
+  /// The session serving the graph passed to the constructor.
+  Session& session() { return session_; }
 
   /// Wire-layer hook: a malformed line never reaches submit() but still
   /// counts toward observability.
@@ -145,20 +112,12 @@ class QueryService {
   };
 
   void collector_main();
-  /// Return `units` of `tenant`'s admission quota as its requests leave the
-  /// queue. Caller holds mu_.
-  void release_tenant_units(const std::string& tenant, std::uint32_t units);
   void execute_batch(std::vector<Pending> batch);
   void execute_update(Pending pending);
   void note_slow_query(const cfl::SlowQueryRecord& record);
-  SessionManager::Options manager_options_with_sink();
+  Session::Options session_options_with_sink();
   static std::uint32_t units_of(const Request& request) {
     return request.verb == Verb::kAlias ? 2 : 1;
-  }
-  /// The metric label a request's tenant renders as ("" → "default").
-  static std::string_view tenant_label(const std::string& tenant) {
-    return tenant.empty() ? std::string_view("default")
-                          : std::string_view(tenant);
   }
 
   ServiceOptions options_;
@@ -172,19 +131,10 @@ class QueryService {
         pag_revision, charged_steps, traversed_steps, saved_steps,
         jmp_lookups, jmps_taken, queries, early_terminations,
         prefilter_hits, prefilter_misses, prefilter_ready,
-        index_hits, index_misses, index_entries;
+        index_hits, index_misses, index_entries, resident_bytes;
   };
   EngineGauges gauges_;
-  /// Fleet-plane gauges, refreshed from the manager at scrape time.
-  struct ManagerGauges {
-    obs::MetricsRegistry::MetricId open_tenants, resident, resident_bytes,
-        loads, reopens, evictions, stale_spills, label_overflow;
-  };
-  ManagerGauges manager_gauges_;
-  SessionManager manager_;
-  /// The pinned default tenant (manager name "" — unaddressable from the
-  /// wire, whose tenant names are non-empty by grammar).
-  std::shared_ptr<Session> default_session_;
+  Session session_;
   StatsRecorder recorder_;
 
   mutable std::mutex slow_mu_;
@@ -194,9 +144,6 @@ class QueryService {
   std::condition_variable cv_;
   std::deque<Pending> queue_;
   std::uint32_t queued_units_ = 0;
-  /// Per-tenant admitted units (tenant_max_queue quota); entries erased when
-  /// they drain to zero so closed tenants do not accumulate.
-  std::map<std::string, std::uint32_t> tenant_queued_units_;
   bool stop_ = false;
 
   std::thread collector_;

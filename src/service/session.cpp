@@ -127,7 +127,7 @@ Session::Session(pag::Pag pag, Options options)
         std::fprintf(stderr, "parcfl-service: ignoring warm-start state %s: %s\n",
                      options.state_path.c_str(), error.c_str());
       // The spill's advisory hot section re-seeds the compactor queue, so a
-      // reopened tenant regains its index without re-mining the stream.
+      // reopened session regains its index without re-mining the stream.
       if (index_enabled_ && !hot.empty()) {
         for (const std::uint64_t k : hot) {
           if (cx_queued_.size() >= kIndexMaxEntries) break;

@@ -188,7 +188,8 @@ class Session {
 
   /// Approximate resident footprint: the live revision's graphs, prefilter
   /// and index, the jmp store, context table and the batch runner's schedule
-  /// plan. What the manager's max_resident_bytes cap meters.
+  /// plan. The service reports it as `resident_bytes` in `stats` and as the
+  /// parcfl_session_resident_bytes gauge in `metrics`.
   std::uint64_t resident_bytes() const;
   /// Schedule plans the batch runner has built (one per graph revision that
   /// served a ParCFL_DQ batch).

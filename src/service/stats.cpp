@@ -21,11 +21,6 @@ double percentile(const std::vector<float>& sorted, double p) {
   return sorted[idx];
 }
 
-/// Distinct tenant label values in the per-tenant metric families; past it,
-/// new tenants collapse onto the shared tenant="overflow" series (see
-/// MetricsRegistry label families).
-constexpr std::uint32_t kTenantLabelCapacity = 16;
-
 }  // namespace
 
 StatsRecorder::StatsRecorder(obs::MetricsRegistry& registry)
@@ -69,31 +64,7 @@ StatsRecorder::StatsRecorder(obs::MetricsRegistry& registry)
                                       "Largest micro-batch in query units.")),
       max_latency_gauge_(registry.gauge(
           "parcfl_max_request_latency_ms",
-          "Highest request latency observed, milliseconds.")),
-      tenant_requests_family_(registry.counter_family(
-          "parcfl_tenant_requests_total", "Requests answered, per tenant.",
-          "tenant", kTenantLabelCapacity)),
-      tenant_latency_family_(registry.histogram_family(
-          "parcfl_tenant_request_latency_ms",
-          "Request latency in milliseconds, per tenant.", "tenant",
-          kTenantLabelCapacity,
-          {0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000})),
-      tenant_shed_family_(registry.counter_family(
-          "parcfl_tenant_shed_total",
-          "Requests shed at admission (global or per-tenant quota), per "
-          "tenant.",
-          "tenant", kTenantLabelCapacity)) {}
-
-void StatsRecorder::record_tenant_request(std::string_view tenant,
-                                          double latency_ms) {
-  registry_.add(registry_.labeled(tenant_requests_family_, tenant));
-  registry_.observe(registry_.labeled(tenant_latency_family_, tenant),
-                    latency_ms);
-}
-
-void StatsRecorder::record_tenant_shed(std::string_view tenant) {
-  registry_.add(registry_.labeled(tenant_shed_family_, tenant));
-}
+          "Highest request latency observed, milliseconds.")) {}
 
 void StatsRecorder::record_request(double latency_ms, Served served) {
   switch (served) {
@@ -222,13 +193,7 @@ std::string ServiceStats::to_json() const {
      << ",\"traversed\":" << engine.traversed_steps
      << ",\"saved\":" << engine.saved_steps << "}"
      << ",\"contexts\":" << context_count
-     << ",\"sessions\":{\"open\":" << open_tenants
-     << ",\"resident\":" << resident_sessions
-     << ",\"resident_bytes\":" << resident_bytes
-     << ",\"loads\":" << tenant_loads << ",\"reopens\":" << session_reopens
-     << ",\"evictions\":" << session_evictions
-     << ",\"stale_spills\":" << stale_spills
-     << ",\"label_overflow\":" << label_overflow << "}}";
+     << ",\"resident_bytes\":" << resident_bytes << "}";
   return os.str();
 }
 

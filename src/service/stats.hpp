@@ -70,15 +70,7 @@ struct ServiceStats {
   std::uint64_t index_memory_bytes = 0;
   std::uint64_t index_revision = 0;    // graph revision the index covers
 
-  // Session fleet (the multi-tenant manager; zero in single-tenant use).
-  std::uint64_t open_tenants = 0;      // registered tenants (incl. default)
-  std::uint64_t resident_sessions = 0; // sessions currently in memory
-  std::uint64_t resident_bytes = 0;    // summed resident footprint samples
-  std::uint64_t tenant_loads = 0;      // first-time graph loads
-  std::uint64_t session_reopens = 0;   // evict → warm-reopen cycles
-  std::uint64_t session_evictions = 0;
-  std::uint64_t stale_spills = 0;      // mismatched spill files unlinked
-  std::uint64_t label_overflow = 0;    // tenant label values past capacity
+  std::uint64_t resident_bytes = 0;    // Session::resident_bytes()
 
   /// Share of prefilter consultations (per-query pts_empty probes plus
   /// per-pair no_alias probes) that short-circuited solver work entirely.
@@ -129,12 +121,6 @@ class StatsRecorder {
   enum class Served : std::uint8_t { kQuery, kAlias, kTaint, kDepends };
 
   void record_request(double latency_ms, Served served);
-  /// Per-tenant view of record_request: bumps the tenant-labeled request
-  /// counter and latency histogram. `tenant` is the display label — the
-  /// service passes "default" for bare (unprefixed) requests.
-  void record_tenant_request(std::string_view tenant, double latency_ms);
-  /// Per-tenant shed (admission quota or global queue) counter.
-  void record_tenant_shed(std::string_view tenant);
   void record_batch(std::uint64_t query_units);
   void record_shed_overload() { registry_.add(shed_overload_); }
   void record_shed_deadline() { registry_.add(shed_deadline_); }
@@ -165,9 +151,6 @@ class StatsRecorder {
   obs::MetricsRegistry::MetricId latency_hist_;
   obs::MetricsRegistry::MetricId max_batch_gauge_;
   obs::MetricsRegistry::MetricId max_latency_gauge_;
-  obs::MetricsRegistry::FamilyId tenant_requests_family_;
-  obs::MetricsRegistry::FamilyId tenant_latency_family_;
-  obs::MetricsRegistry::FamilyId tenant_shed_family_;
 
   mutable std::mutex mu_;            // guards the latency window only
   std::vector<float> latencies_ms_;  // ring buffer of recent samples

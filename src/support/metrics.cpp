@@ -41,21 +41,6 @@ std::string format_double(double v) {
   return buf;
 }
 
-/// Prometheus label-value escaping: backslash, double quote, newline.
-std::string escape_label_value(std::string_view v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 /// Per-thread map of (registry → claimed slot). One instance per thread; the
@@ -93,10 +78,6 @@ MetricsRegistry::~MetricsRegistry() {
 
 MetricsRegistry::MetricId MetricsRegistry::register_metric(Descriptor d) {
   std::lock_guard lock(reg_mu_);
-  return register_locked(std::move(d));
-}
-
-MetricsRegistry::MetricId MetricsRegistry::register_locked(Descriptor d) {
   const std::uint32_t id = metric_count_.load(std::memory_order_relaxed);
   PARCFL_CHECK_MSG(id < kMaxMetrics, "metrics registry full");
   if (d.kind == Kind::kGauge) {
@@ -146,105 +127,6 @@ MetricsRegistry::MetricId MetricsRegistry::histogram(
   d.cell_count = static_cast<std::uint32_t>(bounds.size()) + 2;
   d.bounds = std::move(bounds);
   return register_metric(std::move(d));
-}
-
-MetricsRegistry::FamilyId MetricsRegistry::register_family(Family f) {
-  std::lock_guard lock(reg_mu_);
-  PARCFL_CHECK_MSG(family_count_ < kMaxFamilies, "metric families exhausted");
-  PARCFL_CHECK_MSG(f.capacity > 0, "family capacity must be positive");
-  if (!has_overflow_counter_) {
-    Descriptor warn;
-    warn.name = "parcfl_label_overflow_total";
-    warn.help = "Label values collapsed onto an overflow series";
-    warn.kind = Kind::kCounter;
-    warn.cell_count = 1;
-    overflow_counter_ = register_locked(std::move(warn));
-    has_overflow_counter_ = true;
-  }
-  const FamilyId fid = family_count_;
-  // Pre-register the shared overflow series so labeled() can always degrade
-  // to it — cardinality pressure must never turn into a registration abort.
-  Descriptor overflow;
-  overflow.name = f.name;
-  overflow.help = f.help;
-  overflow.kind = f.kind;
-  overflow.bounds = f.bounds;
-  overflow.cell_count =
-      f.kind == Kind::kHistogram
-          ? static_cast<std::uint32_t>(f.bounds.size()) + 2
-          : 1;
-  overflow.family = fid;
-  overflow.labels = f.label_key + "=\"" + kOverflowLabelValue + "\"";
-  f.overflow_id = register_locked(std::move(overflow));
-  families_[fid] = std::move(f);
-  family_count_ = fid + 1;
-  return fid;
-}
-
-MetricsRegistry::FamilyId MetricsRegistry::counter_family(
-    std::string name, std::string help, std::string label_key,
-    std::uint32_t capacity) {
-  Family f;
-  f.name = std::move(name);
-  f.help = std::move(help);
-  f.label_key = std::move(label_key);
-  f.kind = Kind::kCounter;
-  f.capacity = capacity;
-  return register_family(std::move(f));
-}
-
-MetricsRegistry::FamilyId MetricsRegistry::histogram_family(
-    std::string name, std::string help, std::string label_key,
-    std::uint32_t capacity, std::vector<double> bounds) {
-  for (std::size_t i = 1; i < bounds.size(); ++i)
-    PARCFL_CHECK_MSG(bounds[i - 1] < bounds[i],
-                     "histogram bounds must be ascending");
-  Family f;
-  f.name = std::move(name);
-  f.help = std::move(help);
-  f.label_key = std::move(label_key);
-  f.kind = Kind::kHistogram;
-  f.capacity = capacity;
-  f.bounds = std::move(bounds);
-  return register_family(std::move(f));
-}
-
-MetricsRegistry::MetricId MetricsRegistry::labeled(FamilyId family,
-                                                   std::string_view value) {
-  std::lock_guard lock(reg_mu_);
-  Family& f = families_[family];
-  for (std::size_t i = 0; i < f.values.size(); ++i)
-    if (f.values[i] == value) return f.ids[i];
-  if (f.values.size() >= f.capacity) {
-    // Budget spent: every new value shares the overflow series. The add() is
-    // lock-free, so doing it under reg_mu_ is harmless.
-    add(overflow_counter_);
-    return f.overflow_id;
-  }
-  Descriptor d;
-  d.name = f.name;
-  d.help = f.help;
-  d.kind = f.kind;
-  d.bounds = f.bounds;
-  d.cell_count = f.kind == Kind::kHistogram
-                     ? static_cast<std::uint32_t>(f.bounds.size()) + 2
-                     : 1;
-  d.family = family;
-  d.labels = f.label_key + "=\"" + escape_label_value(value) + "\"";
-  const MetricId id = register_locked(std::move(d));
-  f.values.emplace_back(value);
-  f.ids.push_back(id);
-  return id;
-}
-
-std::uint64_t MetricsRegistry::label_overflow_count() const {
-  MetricId id;
-  {
-    std::lock_guard lock(reg_mu_);
-    if (!has_overflow_counter_) return 0;
-    id = overflow_counter_;
-  }
-  return counter_value(id);
 }
 
 std::uint32_t MetricsRegistry::slot_for_thread() const {
@@ -372,41 +254,28 @@ void MetricsRegistry::render_series(std::string& out, std::uint32_t id) const {
   char line[256];
   switch (d.kind) {
     case Kind::kCounter:
-      if (d.labels.empty()) {
-        std::snprintf(line, sizeof line, "%s %" PRIu64 "\n", d.name.c_str(),
-                      counter_value(id));
-      } else {
-        std::snprintf(line, sizeof line, "%s{%s} %" PRIu64 "\n",
-                      d.name.c_str(), d.labels.c_str(), counter_value(id));
-      }
+      std::snprintf(line, sizeof line, "%s %" PRIu64 "\n", d.name.c_str(),
+                    counter_value(id));
       out += line;
       break;
     case Kind::kGauge:
-      out += d.name;
-      if (!d.labels.empty()) out += "{" + d.labels + "}";
-      out += " " + format_double(gauge_value(id)) + "\n";
+      out += d.name + " " + format_double(gauge_value(id)) + "\n";
       break;
     case Kind::kHistogram: {
       const HistogramSnapshot snap = histogram_value(id);
-      // `le` composes after any family label: name_bucket{tenant="x",le="1"}.
-      const std::string prefix = d.labels.empty() ? "" : d.labels + ",";
       std::uint64_t cumulative = 0;
       for (std::size_t b = 0; b < snap.buckets.size(); ++b) {
         cumulative += snap.buckets[b];
         const std::string le = b < snap.bounds.size()
                                    ? format_double(snap.bounds[b])
                                    : std::string("+Inf");
-        std::snprintf(line, sizeof line,
-                      "%s_bucket{%sle=\"%s\"} %" PRIu64 "\n", d.name.c_str(),
-                      prefix.c_str(), le.c_str(), cumulative);
+        std::snprintf(line, sizeof line, "%s_bucket{le=\"%s\"} %" PRIu64 "\n",
+                      d.name.c_str(), le.c_str(), cumulative);
         out += line;
       }
-      out += d.name + "_sum";
-      if (!d.labels.empty()) out += "{" + d.labels + "}";
-      out += " " + format_double(snap.sum) + "\n";
-      out += d.name + "_count";
-      if (!d.labels.empty()) out += "{" + d.labels + "}";
-      std::snprintf(line, sizeof line, " %" PRIu64 "\n", snap.count);
+      out += d.name + "_sum " + format_double(snap.sum) + "\n";
+      std::snprintf(line, sizeof line, "%s_count %" PRIu64 "\n",
+                    d.name.c_str(), snap.count);
       out += line;
       break;
     }
@@ -423,21 +292,10 @@ std::string MetricsRegistry::render_prometheus() const {
   const char* type_name[] = {"counter", "gauge", "histogram"};
   for (std::uint32_t id = 0; id < n; ++id) {
     const Descriptor& d = descriptors_[id];
-    // Family members render grouped below so all series of one name share a
-    // single HELP/TYPE block (the exposition-format grouping rule).
-    if (d.family != kNoFamily) continue;
     out += "# HELP " + d.name + " " + d.help + "\n";
     out += "# TYPE " + d.name + " " +
            type_name[static_cast<std::size_t>(d.kind)] + "\n";
     render_series(out, id);
-  }
-  for (std::uint32_t fid = 0; fid < family_count_; ++fid) {
-    const Family& f = families_[fid];
-    out += "# HELP " + f.name + " " + f.help + "\n";
-    out += "# TYPE " + f.name + " " +
-           type_name[static_cast<std::size_t>(f.kind)] + "\n";
-    for (MetricId id : f.ids) render_series(out, id);
-    render_series(out, f.overflow_id);
   }
   if (!out.empty() && out.back() == '\n') out.pop_back();
   return out;

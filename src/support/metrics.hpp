@@ -25,14 +25,6 @@
 // Registration (counter()/gauge()/histogram()) takes a mutex and is expected
 // at setup time; ids are stable for the registry's lifetime. The registry
 // must outlive every thread that writes to it through add()/observe().
-//
-// Label families (counter_family()/histogram_family() + labeled()) add one
-// bounded label dimension: a family is a metric name plus a single label key
-// and a fixed budget of distinct label values. labeled() interns a value into
-// its own series on first sight; once the budget is spent, every new value
-// maps onto a shared `<key>="overflow"` series and bumps
-// parcfl_label_overflow_total — cardinality pressure degrades the labels, it
-// never aborts the process and never drops an increment.
 
 #include <array>
 #include <atomic>
@@ -40,7 +32,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace parcfl::obs {
@@ -50,18 +41,12 @@ struct TlsRegistrySlots;
 class MetricsRegistry {
  public:
   using MetricId = std::uint32_t;
-  using FamilyId = std::uint32_t;
 
   /// Per-thread slab size in 8-byte cells; registration fails (hard check)
-  /// past this many counter/histogram cells. 1024 cells = 8 KiB per slot —
-  /// sized so per-tenant label families (capacity × buckets cells each) fit
-  /// alongside the unlabeled service metrics.
+  /// past this many counter/histogram cells. 1024 cells = 8 KiB per slot.
   static constexpr std::size_t kMaxCells = 1024;
   static constexpr std::size_t kMaxMetrics = 320;
   static constexpr std::size_t kMaxGauges = 64;
-  static constexpr std::size_t kMaxFamilies = 16;
-  /// The label value every past-capacity series collapses onto.
-  static constexpr const char* kOverflowLabelValue = "overflow";
   /// Claimable per-thread slots; beyond this, threads share slots by hash.
   static constexpr std::size_t kMaxThreads = 64;
 
@@ -78,24 +63,6 @@ class MetricsRegistry {
   /// implicit +Inf bucket is appended.
   MetricId histogram(std::string name, std::string help,
                      std::vector<double> bounds);
-
-  // ---- label families (one bounded label dimension) -----------------------
-  /// Register a counter family: one metric name, one label key, at most
-  /// `capacity` distinct label values (the shared overflow series is extra
-  /// and pre-registered here so later labeled() calls cannot fail).
-  FamilyId counter_family(std::string name, std::string help,
-                          std::string label_key, std::uint32_t capacity);
-  FamilyId histogram_family(std::string name, std::string help,
-                            std::string label_key, std::uint32_t capacity,
-                            std::vector<double> bounds);
-  /// Intern `label_value` into `family` and return its series id. Takes the
-  /// registration mutex on a miss; hits are a short linear scan under the
-  /// same mutex (families are scrape-plane, not solver-hot-path). Past
-  /// capacity: returns the overflow series and bumps the overflow counter.
-  MetricId labeled(FamilyId family, std::string_view label_value);
-  /// How many labeled() calls landed on an overflow series (also exported as
-  /// parcfl_label_overflow_total).
-  std::uint64_t label_overflow_count() const;
 
   // ---- write path (lock-free) ---------------------------------------------
   void add(MetricId id, std::uint64_t delta = 1);
@@ -125,8 +92,6 @@ class MetricsRegistry {
 
   enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
 
-  static constexpr std::uint32_t kNoFamily = ~std::uint32_t{0};
-
   struct Descriptor {
     std::string name;
     std::string help;
@@ -134,24 +99,6 @@ class MetricsRegistry {
     std::uint32_t cell_base = 0;   // into slabs (counter/histogram) or gauges_
     std::uint32_t cell_count = 0;  // histogram: bounds + overflow + sum cell
     std::vector<double> bounds;
-    /// Owning family, or kNoFamily. Family members render grouped under one
-    /// HELP/TYPE block instead of inline in registration order.
-    std::uint32_t family = kNoFamily;
-    /// Rendered inside `{}` (e.g. `tenant="acme"`); empty for plain metrics.
-    std::string labels;
-  };
-
-  struct Family {
-    std::string name;
-    std::string help;
-    std::string label_key;
-    Kind kind = Kind::kCounter;
-    std::uint32_t capacity = 0;
-    std::vector<double> bounds;
-    /// Interned values in first-sight order; ids parallel `values`.
-    std::vector<std::string> values;
-    std::vector<MetricId> ids;
-    MetricId overflow_id = 0;
   };
 
   struct alignas(64) Slab {
@@ -159,8 +106,6 @@ class MetricsRegistry {
   };
 
   MetricId register_metric(Descriptor d);
-  MetricId register_locked(Descriptor d);
-  FamilyId register_family(Family f);
   void render_series(std::string& out, std::uint32_t id) const;
   std::uint32_t slot_for_thread() const;
   void release_slot(std::uint32_t slot) const;
@@ -174,12 +119,6 @@ class MetricsRegistry {
   std::atomic<std::uint32_t> metric_count_{0};
   std::uint32_t cells_used_ = 0;   // under reg_mu_
   std::uint32_t gauges_used_ = 0;  // under reg_mu_
-
-  std::array<Family, kMaxFamilies> families_;  // under reg_mu_
-  std::uint32_t family_count_ = 0;             // under reg_mu_
-  /// Lazily registered with the first family; counts overflow-bucket hits.
-  MetricId overflow_counter_ = 0;
-  bool has_overflow_counter_ = false;
 
   std::unique_ptr<Slab[]> slabs_;  // kMaxThreads, zero-initialised
   mutable std::atomic<std::uint64_t> slot_mask_{0};

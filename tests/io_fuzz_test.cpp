@@ -237,7 +237,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IoFuzzTest, ::testing::Range<std::uint64_t>(1, 2
 
 class ServiceFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-/// Valid request lines to mutate (node bound passed to the parser is 50).
+/// Request lines to mutate (node bound passed to the parser is 50). The
+/// `@<name>` prefix and the `open`/`close` verbs are no longer part of the
+/// protocol; they stay here as hostile seeds that must fail with a message.
 const char* const kSeedLines[] = {
     "query 17",
     "query v17 budget 5 deadline 9",
@@ -293,25 +295,17 @@ TEST_P(ServiceFuzzTest, MutatedRequestLinesParseOrFailWithMessage) {
     const bool ok = service::parse_request(line, /*node_count=*/50, request,
                                            error);
     if (ok) {
-      // A parse must yield a well-typed request: node ids in bounds. A
-      // tenant-prefixed query defers the node check to dispatch (the graph
-      // may be evicted), so only the bare form promises the bound here.
-      if (request.tenant.empty()) {
-        if (request.verb == service::Verb::kQuery ||
-            request.verb == service::Verb::kAlias ||
-            request.verb == service::Verb::kTaint ||
-            request.verb == service::Verb::kDepends) {
-          EXPECT_LT(request.a.value(), 50u) << line;
-        }
-        if (request.verb == service::Verb::kAlias ||
-            request.verb == service::Verb::kTaint ||
-            request.verb == service::Verb::kDepends) {
-          EXPECT_LT(request.b.value(), 50u) << line;
-        }
-      } else {
-        // Every route that sets a tenant (the @ prefix, open, close) must
-        // have validated the name — spill-file stems come from it.
-        EXPECT_TRUE(service::valid_tenant_name(request.tenant)) << line;
+      // A parse must yield a well-typed request: node ids in bounds.
+      if (request.verb == service::Verb::kQuery ||
+          request.verb == service::Verb::kAlias ||
+          request.verb == service::Verb::kTaint ||
+          request.verb == service::Verb::kDepends) {
+        EXPECT_LT(request.a.value(), 50u) << line;
+      }
+      if (request.verb == service::Verb::kAlias ||
+          request.verb == service::Verb::kTaint ||
+          request.verb == service::Verb::kDepends) {
+        EXPECT_LT(request.b.value(), 50u) << line;
       }
     } else {
       EXPECT_FALSE(error.empty()) << line;
@@ -337,11 +331,16 @@ TEST(ServiceFuzz, HostileObservabilityArgumentsAreTotal) {
       << error;
   EXPECT_EQ(r.verb, service::Verb::kSlowLog);
   EXPECT_EQ(r.count, 18446744073709551615ull);
+  // index is arity-0 too.
+  ASSERT_TRUE(service::parse_request("index", 50, r, error)) << error;
+  EXPECT_EQ(r.verb, service::Verb::kIndex);
+  EXPECT_FALSE(service::parse_request("index 3", 50, r, error));
 }
 
-// The protocol has no partition verbs: `part`, `cont`, `cfact` and `creset`
-// are unknown verbs. Through the wire loop each gets an `err` reply, and
-// the stream goes on serving the lines after it.
+// The protocol has no partition verbs (`part`, `cont`, `cfact`, `creset`),
+// no `open`/`close` verbs and no `@<name>` prefix: a server serves one graph.
+// Through the wire loop each removed form gets an `err` reply, and the
+// stream goes on serving the lines after it.
 TEST(ServiceFuzz, HostileWorkerFramesAreTotal) {
   test::RandomPagConfig cfg;
   cfg.seed = 9;
@@ -355,6 +354,7 @@ TEST(ServiceFuzz, HostileWorkerFramesAreTotal) {
 
   const char* const removed[] = {
       "part", "part 1", "cont b 17 -", "cfact b 17 - 1 3:-", "creset",
+      "open a g.pag", "close a", "@acme query 1", "@acme update d.delta",
   };
   std::string text;
   for (const char* line : removed) text += std::string(line) + "\nping\n";
@@ -379,8 +379,7 @@ TEST(ServiceFuzz, HostileWorkerFramesAreTotal) {
 // Hostile taint/depends frames (DESIGN.md §15): the flow verbs share the
 // two-node shape with alias, so truncations, non-numeric ids, out-of-range
 // nodes, and malformed option tails must all die in the parser with a
-// message; well-formed frames parse with both ids bound (tenant-prefixed
-// forms defer the bound to dispatch like every routed verb).
+// message; well-formed frames parse with both ids bound.
 TEST(ServiceFuzz, HostileFlowVerbFramesAreTotal) {
   service::Request r;
   std::string error;
@@ -400,8 +399,6 @@ TEST(ServiceFuzz, HostileFlowVerbFramesAreTotal) {
              v + " 3 4 budget x",      // non-numeric budget
              v + " 3 4 frobnicate 1",  // unknown option
              v + " v 4",               // bare variable prefix
-             "@acme " + v + " 3",      // truncated under a tenant prefix
-             "@ " + v + " 3 4",        // empty tenant name
          }) {
       error.clear();
       EXPECT_FALSE(service::parse_request(line, 50, r, error)) << line;
@@ -418,13 +415,6 @@ TEST(ServiceFuzz, HostileFlowVerbFramesAreTotal) {
   EXPECT_EQ(r.budget, 9u);
   ASSERT_TRUE(service::parse_request("depends 3 44", 50, r, error)) << error;
   EXPECT_EQ(r.verb, service::Verb::kDepends);
-  // Tenant-prefixed: ids the default graph would reject still parse (the
-  // target graph's bound is checked at dispatch).
-  ASSERT_TRUE(
-      service::parse_request("@acme taint 4000000000 2", 50, r, error))
-      << error;
-  EXPECT_EQ(r.tenant, "acme");
-  EXPECT_EQ(r.a.value(), 4000000000u);
 }
 
 // Flow verbs against a live service: non-variable roots and sinks answer an
@@ -463,137 +453,6 @@ TEST(ServiceFuzz, FlowVerbsAgainstServiceAreTotal) {
     EXPECT_EQ(flow(verb, vars[0], vars[1]).status,
               service::Reply::Status::kOk);
   }
-}
-
-// Hostile tenant names and fleet-verb shapes (ISSUE 7 satellite): names
-// become spill-file stems, so traversal characters, control bytes, and the
-// dot-dirs must be rejected at the parser, and the @ prefix must only attach
-// to the verbs that can route to a tenant.
-TEST(ServiceFuzz, HostileTenantNamesAndFleetVerbsAreTotal) {
-  service::Request r;
-  std::string error;
-
-  // Path traversal, separators, spaces, control bytes, empty, oversized.
-  for (const char* open : {
-           "open .. /tmp/g.pag",
-           "open . /tmp/g.pag",
-           "open ../../etc/passwd /tmp/g.pag",
-           "open a/b /tmp/g.pag",
-           "open a\tb /tmp/g.pag",
-           "open \x01evil /tmp/g.pag",
-           "open  /tmp/g.pag",      // name missing (double space collapses)
-           "open acme",             // path missing
-           "open acme /g.pag junk"  // trailing garbage
-       }) {
-    EXPECT_FALSE(service::parse_request(open, 50, r, error)) << open;
-    EXPECT_FALSE(error.empty()) << open;
-  }
-  const std::string oversized(service::kMaxTenantName + 1, 'a');
-  EXPECT_FALSE(
-      service::parse_request("open " + oversized + " /tmp/g.pag", 50, r,
-                             error));
-  EXPECT_FALSE(service::parse_request("close " + oversized, 50, r, error));
-  EXPECT_FALSE(service::parse_request("@" + oversized + " query 1", 50, r,
-                                      error));
-  // Exactly at the cap is legal.
-  const std::string max_name(service::kMaxTenantName, 'a');
-  ASSERT_TRUE(
-      service::parse_request("close " + max_name, 50, r, error))
-      << error;
-  EXPECT_EQ(r.tenant, max_name);
-
-  // The @ prefix: needs a name, needs a verb, and only routes data-plane
-  // verbs — control-plane and fleet verbs refuse it.
-  EXPECT_FALSE(service::parse_request("@ query 1", 50, r, error));
-  EXPECT_FALSE(service::parse_request("@..", 50, r, error));
-  EXPECT_FALSE(service::parse_request("@acme", 50, r, error));
-  EXPECT_FALSE(service::parse_request("@a cme query 1", 50, r, error));
-  EXPECT_FALSE(service::parse_request("@acme stats", 50, r, error));
-  EXPECT_FALSE(service::parse_request("@acme metrics", 50, r, error));
-  EXPECT_FALSE(service::parse_request("@acme open b /tmp/g.pag", 50, r,
-                                      error));
-  EXPECT_FALSE(service::parse_request("@acme close b", 50, r, error));
-  EXPECT_FALSE(service::parse_request("@acme quit", 50, r, error));
-
-  // Well-formed tenant requests parse, with node checks deferred: an id the
-  // default graph would reject rides through to dispatch-time validation.
-  ASSERT_TRUE(service::parse_request("@acme query 4000000000", 50, r, error))
-      << error;
-  EXPECT_EQ(r.tenant, "acme");
-  EXPECT_EQ(r.a.value(), 4000000000u);
-  ASSERT_TRUE(service::parse_request("open t.0-b_c /tmp/g.pag", 50, r, error))
-      << error;
-  EXPECT_EQ(r.tenant, "t.0-b_c");
-  EXPECT_EQ(r.path, "/tmp/g.pag");
-}
-
-// Malformed @-prefix remainders (PR 8 satellite): a prefix followed by only
-// whitespace, or by a second @-token, must parse to a protocol error — the
-// second prefix in particular must never silently reroute or be read as a
-// verb.
-TEST(ServiceFuzz, MalformedTenantPrefixRemaindersAreTotal) {
-  service::Request r;
-  std::string error;
-  for (const char* line : {
-           "@acme ",          // whitespace-only remainder
-           "@acme \t \t  ",   //
-           "@acme @acme query 1",  // duplicated prefix, same name
-           "@acme @other query 1", // duplicated prefix, different name
-           "@acme @ query 1",      //
-           "@a @b @c query 1",     //
-           "@acme @query 1",       // verb position holds another prefix
-       }) {
-    error.clear();
-    EXPECT_FALSE(service::parse_request(line, 50, r, error)) << line;
-    EXPECT_FALSE(error.empty()) << line;
-  }
-  EXPECT_FALSE(service::parse_request("@acme @other query 1", 50, r, error));
-  EXPECT_EQ(error, "duplicate tenant prefix");
-
-  // `index` rides the prefix like any data-plane verb, and is arity-0.
-  ASSERT_TRUE(service::parse_request("@acme index", 50, r, error)) << error;
-  EXPECT_EQ(r.verb, service::Verb::kIndex);
-  EXPECT_EQ(r.tenant, "acme");
-  ASSERT_TRUE(service::parse_request("index", 50, r, error)) << error;
-  EXPECT_EQ(r.verb, service::Verb::kIndex);
-  EXPECT_TRUE(r.tenant.empty());
-  EXPECT_FALSE(service::parse_request("index 3", 50, r, error));
-  EXPECT_FALSE(service::parse_request("@acme index 3", 50, r, error));
-}
-
-// Fleet verbs against a live service: open-nonexistent-path answers an
-// error (not a crash, not a registration), close-unknown errors, and a
-// hostile name that sneaks past the wire (empty = the pinned default
-// tenant's manager name) stays unaddressable.
-TEST(ServiceFuzz, FleetVerbsAgainstServiceAreTotal) {
-  test::RandomPagConfig cfg;
-  cfg.seed = 11;
-  auto pag = test::random_layered_pag(cfg);
-  service::ServiceOptions options;
-  options.session.engine.threads = 2;
-  options.session.prefilter = false;
-  service::QueryService svc(std::move(pag), options);
-
-  service::Request open;
-  open.verb = service::Verb::kOpen;
-  open.tenant = "ghost";
-  open.path = "/nonexistent/graph.pag";
-  EXPECT_EQ(svc.call(std::move(open)).status,
-            service::Reply::Status::kError);
-  EXPECT_FALSE(svc.manager().known("ghost"));
-
-  service::Request close;
-  close.verb = service::Verb::kClose;
-  close.tenant = "never-opened";
-  EXPECT_EQ(svc.call(std::move(close)).status,
-            service::Reply::Status::kError);
-
-  // The default tenant is adopted under "" — pinned, not closable even if a
-  // crafted Request bypasses the parser's name validation.
-  service::Request close_default;
-  close_default.verb = service::Verb::kClose;
-  EXPECT_EQ(svc.call(std::move(close_default)).status,
-            service::Reply::Status::kError);
 }
 
 // A u64-max slowlog count is a request for "everything", not an allocation
@@ -817,7 +676,7 @@ void expect_usable(const pag::Pag& pag, const std::vector<NodeId>& vars,
 }
 
 // Mutated images go through the file-level loader — the open / fstat / mmap
-// path that warm start and tenant reopen both use — in every load mode,
+// path that warm start and session reopen both use — in every load mode,
 // including a 0-byte file. The same bytes must get the same verdict and the
 // same entries whichever way they are read.
 TEST_P(StateFuzzTest, MutatedStateFilesNeverCrashTheLoader) {

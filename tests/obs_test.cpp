@@ -260,72 +260,6 @@ TEST(Metrics, ScrapeWhileWritingIsSafeAndMonotone) {
   EXPECT_EQ(reg.gauge_value(g), static_cast<double>(kWriters - 1));
 }
 
-// ---- label families ---------------------------------------------------------
-
-// The cardinality guard (ISSUE 7 satellite): a family holds exactly
-// `capacity` distinct label values; the value past the boundary degrades to
-// the shared overflow series and bumps the warning counter — increments are
-// never dropped and registration never aborts.
-TEST(Metrics, LabelFamilyCardinalityBoundary) {
-  MetricsRegistry reg;
-  const auto fam =
-      reg.counter_family("fam_requests_total", "Per-tenant requests.",
-                         "tenant", 2);
-
-  // Up to capacity: every value gets its own series, re-interning is stable.
-  const auto a = reg.labeled(fam, "alpha");
-  const auto b = reg.labeled(fam, "beta");  // the capacity-th value fits
-  EXPECT_NE(a, b);
-  EXPECT_EQ(reg.labeled(fam, "alpha"), a);
-  EXPECT_EQ(reg.label_overflow_count(), 0u);
-
-  // Past capacity: both new values collapse onto one overflow series.
-  const auto c = reg.labeled(fam, "gamma");
-  const auto d = reg.labeled(fam, "delta");
-  EXPECT_EQ(c, d);
-  EXPECT_NE(c, a);
-  EXPECT_NE(c, b);
-  EXPECT_EQ(reg.label_overflow_count(), 2u);
-
-  // Nothing is dropped: adds to interned and overflowed series all land.
-  reg.add(a, 3);
-  reg.add(b, 5);
-  reg.add(c, 7);
-  reg.add(d, 11);  // same series as c
-  EXPECT_EQ(reg.counter_value(a), 3u);
-  EXPECT_EQ(reg.counter_value(b), 5u);
-  EXPECT_EQ(reg.counter_value(c), 18u);
-
-  // Known values keep resolving to their own series after overflow began.
-  EXPECT_EQ(reg.labeled(fam, "beta"), b);
-  EXPECT_EQ(reg.label_overflow_count(), 2u);
-
-  const std::string text = reg.render_prometheus();
-  EXPECT_NE(text.find("fam_requests_total{tenant=\"alpha\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("fam_requests_total{tenant=\"overflow\"} 18"),
-            std::string::npos);
-  EXPECT_NE(text.find("parcfl_label_overflow_total 2"), std::string::npos);
-}
-
-TEST(Metrics, HistogramFamilyOverflowStillObserves) {
-  MetricsRegistry reg;
-  const auto fam = reg.histogram_family("fam_latency_ms", "Latency.",
-                                        "tenant", 1, {1.0, 10.0});
-  const auto a = reg.labeled(fam, "only");
-  const auto spill = reg.labeled(fam, "extra");  // past capacity
-  EXPECT_NE(a, spill);
-  reg.observe(a, 0.5);
-  reg.observe(spill, 99.0);
-  reg.observe(reg.labeled(fam, "another"), 2.0);  // same overflow series
-  EXPECT_EQ(reg.histogram_value(a).count, 1u);
-  EXPECT_EQ(reg.histogram_value(spill).count, 2u);
-  EXPECT_EQ(reg.label_overflow_count(), 2u);
-  EXPECT_NE(reg.render_prometheus().find(
-                "fam_latency_ms_bucket{tenant=\"overflow\",le=\"+Inf\"} 2"),
-            std::string::npos);
-}
-
 // ---- TraceRing --------------------------------------------------------------
 
 TEST(Trace, EmitsInOrder) {

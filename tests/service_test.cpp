@@ -4,13 +4,13 @@
 //    formatting;
 //  * Session — warm-state reuse (the ISSUE acceptance bar: a repeated batch
 //    traverses >= 2x fewer steps than the cold run), request-order routing
-//    through the DQ scheduler, per-item budgets;
-//  * QueryService — micro-batch coalescing, admission control (overload and
-//    deadline sheds), multi-client concurrency (the tsan target), save/load
-//    warm start;
-//  * wire — serve_stream over string streams, loopback TCP, and the line
-//    layer every peer shares: pipelining, CRLF, the flood cutoff, counted
-//    frames, and the reply-line cap.
+//    through the DQ scheduler, per-item budgets, the resident-bytes meter;
+//  * QueryService — micro-batch coalescing and composition around updates,
+//    admission control (overload and deadline sheds), multi-client
+//    concurrency (the tsan target), save/load warm start;
+//  * wire — serve_stream over string streams, loopback TCP, graceful
+//    teardown, and the line layer every peer shares: pipelining, CRLF, the
+//    flood cutoff, counted frames, and the reply-line cap.
 
 #include <gtest/gtest.h>
 
@@ -28,9 +28,11 @@
 #include <thread>
 #include <vector>
 
+#include "andersen/prefilter.hpp"
 #include "cfl/engine.hpp"
 #include "frontend/lower.hpp"
 #include "pag/collapse.hpp"
+#include "pag/delta.hpp"
 #include "service/line_io.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
@@ -261,6 +263,28 @@ TEST(Session, PerItemBudgetCapsWork) {
   EXPECT_EQ(r2.items[0].objects, full.items[costly].objects);
 }
 
+/// The resident-bytes meter counts what a session holds: the live
+/// revision's prefilter and index beside its graph.
+TEST(Session, ResidentBytesMeterPrefilterAndIndex) {
+  const auto w = container_workload();
+  Session::Options o = session_options(2);
+  o.reduce_graph = false;
+  o.prefilter = true;
+  o.index = true;
+  Session session(w.pag, o);
+  for (std::size_t i = 0; i < 4 && i < w.queries.size(); ++i)
+    session.note_hot(w.queries[i]);
+  ASSERT_TRUE(session.wait_for_prefilter());
+  ASSERT_TRUE(session.wait_for_index());
+  const auto prefilter = session.prefilter_snapshot();
+  ASSERT_NE(prefilter, nullptr);
+  const Session::IndexInfo index = session.index_info();
+  ASSERT_GT(index.entries, 0u);
+  EXPECT_GE(session.resident_bytes(), session.pag().memory_bytes() +
+                                          prefilter->memory_bytes() +
+                                          index.memory_bytes);
+}
+
 // ---- QueryService ----------------------------------------------------------
 
 ServiceOptions service_options(unsigned threads) {
@@ -313,6 +337,53 @@ TEST(QueryService, FullBatchDispatchesBeforeLingerExpires) {
   for (auto& f : futures)  // would hang ~30s if the size trigger were broken
     EXPECT_EQ(f.get().status, Reply::Status::kOk);
   EXPECT_EQ(svc.stats().batches, 1u);
+}
+
+// Batch composition: a batch is the queue prefix before the first `update`;
+// the update runs alone, and what was queued after it forms the next batch.
+// `record_batch` counts items, so the alias pair counts two.
+TEST(QueryService, UpdateSplitsQueuedRequestsIntoTwoBatches) {
+  const auto w = container_workload();
+  ServiceOptions o = service_options(2);
+  o.session.prefilter = false;  // the alias pair must reach the solver
+  o.max_linger = std::chrono::milliseconds(200);
+  QueryService svc(w.pag, o);
+
+  pag::Delta delta(w.pag);
+  delta.add_edge(pag::EdgeKind::kAssignLocal, w.queries[0], w.queries[1]);
+  const std::string delta_path =
+      testing::TempDir() + "service_test_batches.delta";
+  {
+    std::ofstream out(delta_path);
+    pag::write_delta(out, delta);
+  }
+  Request alias;
+  alias.verb = Verb::kAlias;
+  alias.a = w.queries[2];
+  alias.b = w.queries[3];
+  Request update;
+  update.verb = Verb::kUpdate;
+  update.path = delta_path;
+
+  std::vector<std::future<Reply>> futures;
+  futures.push_back(svc.submit(query_request(w.queries[0])));
+  futures.push_back(svc.submit(query_request(w.queries[1])));
+  futures.push_back(svc.submit(alias));
+  futures.push_back(svc.submit(update));
+  futures.push_back(svc.submit(query_request(w.queries[4])));
+  std::vector<Reply> replies;
+  for (auto& f : futures) replies.push_back(f.get());
+  for (const Reply& r : replies)
+    EXPECT_EQ(r.status, Reply::Status::kOk) << r.text;
+  const std::string update_line = format_reply(replies[3]);
+  EXPECT_EQ(update_line.rfind("ok updated ", 0), 0u) << update_line;
+  EXPECT_NE(update_line.find(" rev 1 "), std::string::npos) << update_line;
+
+  const auto s = svc.stats();
+  EXPECT_EQ(s.batches, 2u);
+  EXPECT_DOUBLE_EQ(s.mean_batch_size, 2.5);  // (4 + 1) / 2
+  EXPECT_EQ(s.max_batch_size, 4u);
+  EXPECT_EQ(s.updates_applied, 1u);
 }
 
 TEST(QueryService, OverloadShedsInsteadOfQueueingUnboundedly) {
@@ -548,6 +619,31 @@ std::size_t thread_count() {
 // Connection churn must not grow the process: the server joins a finished
 // connection's thread while it keeps serving, so the stack is released (or
 // reused) instead of held until shutdown.
+TEST(Wire, GracefulTeardownWithConnectedClient) {
+  const auto w = container_workload();
+  QueryService svc(w.pag, service_options(2));
+  std::string error;
+  TcpServer server(svc, 0, &error);
+  ASSERT_TRUE(server.ok()) << error;
+  std::thread serving([&] { server.serve(); });
+
+  // Connect, complete one request, then stay connected and idle.
+  // No receive timeout: a read that returns must have seen data or EOF.
+  LineConn conn;
+  ASSERT_TRUE(conn.connect(std::to_string(server.port()), /*deadline_ms=*/0));
+  ASSERT_TRUE(conn.send_all(
+      "query " + std::to_string(w.queries.front().value()) + "\n"));
+  std::string reply;
+  ASSERT_TRUE(conn.read_line(reply, kMaxReplyLine));  // got the reply
+
+  // Shutdown with the client still connected must not hang: the handler
+  // blocked in recv is half-closed, drains, and joins.
+  server.shutdown();
+  serving.join();
+  // The client observes EOF.
+  EXPECT_FALSE(conn.read_line(reply, kMaxReplyLine));
+}
+
 TEST(Wire, TcpServerJoinsFinishedConnectionsWhileServing) {
   std::string error;
   TcpServer server(
@@ -685,6 +781,23 @@ TEST(QueryService, MetricsTextIsValidPrometheus) {
   EXPECT_NE(text.find("parcfl_engine_traversed_steps"), std::string::npos);
   EXPECT_NE(text.find("parcfl_request_latency_ms_bucket{le=\"+Inf\"}"),
             std::string::npos);
+}
+
+// The session's footprint is visible from the wire: `stats` carries it as a
+// top-level field and the scrape as a gauge.
+TEST(QueryService, StatsAndMetricsReportResidentBytes) {
+  const auto w = container_workload();
+  QueryService svc(w.pag, service_options(2));
+  ASSERT_EQ(svc.call(query_request(w.queries[0])).status, Reply::Status::kOk);
+
+  const ServiceStats s = svc.stats();
+  EXPECT_GT(s.resident_bytes, 0u);
+  EXPECT_GE(s.resident_bytes, svc.pag().memory_bytes());
+  EXPECT_NE(s.to_json().find(",\"resident_bytes\":"), std::string::npos);
+  const std::string text = svc.metrics_text();
+  EXPECT_NE(text.find("\nparcfl_session_resident_bytes "), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("tenant"), std::string::npos) << text;
 }
 
 // ---- the line layer (service/line_io.hpp) ----------------------------------
