@@ -81,7 +81,7 @@ struct Config {
   long connect_port = -1;
   bool reduce = true;     // serve the reduced graph (in-process mode)
   bool prefilter = true;  // Andersen prefilter short-circuit (in-process mode)
-  bool index = true;      // background index compactor (in-process mode)
+  bool index = true;      // passive reachability index (in-process mode)
 };
 
 int usage() {
@@ -516,10 +516,19 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
-  std::printf("wrote %s (cold %llu steps, warm %llu steps, ratio %.2fx)\n",
-              cfg.out.c_str(),
-              static_cast<unsigned long long>(cold.delta.traversed_steps),
-              static_cast<unsigned long long>(warm.delta.traversed_steps),
-              step_ratio);
+  // Connect mode sees no engine counters; print step figures only when the
+  // phases measured them, as the JSON does. When the index answers the whole
+  // warm phase, it walks no step and the ratio is unbounded.
+  if (!with_engine)
+    std::printf("wrote %s\n", cfg.out.c_str());
+  else if (warm.delta.traversed_steps == 0)
+    std::printf("wrote %s (cold %llu steps, warm 0 steps)\n", cfg.out.c_str(),
+                static_cast<unsigned long long>(cold.delta.traversed_steps));
+  else
+    std::printf("wrote %s (cold %llu steps, warm %llu steps, ratio %.2fx)\n",
+                cfg.out.c_str(),
+                static_cast<unsigned long long>(cold.delta.traversed_steps),
+                static_cast<unsigned long long>(warm.delta.traversed_steps),
+                step_ratio);
   return 0;
 }

@@ -20,8 +20,9 @@
 //                    queries then carry their trace in `slowlog` replies
 //     --no-reduce    serve the faithful graph instead of the reduced one
 //     --no-prefilter disable the background Andersen prefilter
-//     --index        enable the background index compactor (default)
-//     --no-index     disable it; hot queries always reach the solver
+//     --index        record complete answers in the reachability index
+//                    and answer repeats at 0 steps (default)
+//     --no-index     disable it; repeat queries always reach the solver
 //
 // Graceful shutdown: SIGINT/SIGTERM stop the accept loop, half-close live
 // connections, drain in-flight batches, save the warm state to --state (when

@@ -91,11 +91,13 @@ struct V3Header {
   std::uint64_t unf_count;
   std::uint64_t target_count;
   std::uint64_t total_size;  // whole file, header included
-  std::uint32_t flags;       // bit 0: trailing hot-key section present
-  std::uint32_t hot_count;   // advisory CsIndex keys after the target section
+  std::uint32_t flags;       // bit 0: trailing legacy hot section present
+  std::uint32_t hot_count;   // u64 words in the legacy hot section
 };
 static_assert(sizeof(V3Header) == 72);
 
+/// Set only by earlier builds, which wrote index root keys after the target
+/// section; the loader validates and skips that section.
 constexpr std::uint32_t kV3FlagHotKeys = 1u;
 
 struct V3Ctx {
@@ -141,8 +143,7 @@ void append_raw(std::string& out, const T* data, std::size_t n) {
 bool save_sharing_state_file_v3(const std::string& path, const pag::Pag& pag,
                                 const ContextTable& contexts,
                                 const JmpStore& store, std::string* error,
-                                std::int64_t revision_override,
-                                std::span<const std::uint64_t> hot_keys) {
+                                std::int64_t revision_override) {
   // Snapshot the store into plain vectors (one epoch-pinned pass), then sort
   // by key so equal state always produces byte-identical files.
   struct FinSnap {
@@ -191,12 +192,9 @@ bool save_sharing_state_file_v3(const std::string& path, const pag::Pag& pag,
   h.fin_count = fins.size();
   h.unf_count = unfs.size();
   h.target_count = target_count;
-  h.flags = hot_keys.empty() ? 0 : kV3FlagHotKeys;
-  h.hot_count = static_cast<std::uint32_t>(hot_keys.size());
   h.total_size = sizeof(V3Header) + (ctx_count - 1) * sizeof(V3Ctx) +
                  fins.size() * sizeof(V3Fin) + unfs.size() * sizeof(V3Unf) +
-                 target_count * sizeof(V3Target) +
-                 hot_keys.size() * sizeof(std::uint64_t);
+                 target_count * sizeof(V3Target);
 
   std::string out;
   out.reserve(h.total_size);
@@ -210,16 +208,13 @@ bool save_sharing_state_file_v3(const std::string& path, const pag::Pag& pag,
   append_raw(out, unfs.data(), unfs.size());
   for (const FinSnap& snap : fins)
     append_raw(out, snap.targets.data(), snap.targets.size());
-  append_raw(out, hot_keys.data(), hot_keys.size());
   return write_file_atomic(path, out, error);
 }
 
 bool load_sharing_state_v3(const char* data, std::size_t size,
                            const pag::Pag& pag, ContextTable& contexts,
-                           JmpStore& store, std::string* error,
-                           std::vector<std::uint64_t>* hot_out, bool* stale) {
+                           JmpStore& store, std::string* error, bool* stale) {
   if (stale != nullptr) *stale = false;
-  if (hot_out != nullptr) hot_out->clear();
   if (size < sizeof(V3Header)) return fail(error, "truncated v3 header");
   V3Header h;
   std::memcpy(&h, data, sizeof h);
@@ -259,16 +254,8 @@ bool load_sharing_state_v3(const char* data, std::size_t size,
   const char* fin_base = ctx_base + ctx_n * sizeof(V3Ctx);
   const char* unf_base = fin_base + h.fin_count * sizeof(V3Fin);
   const char* tgt_base = unf_base + h.unf_count * sizeof(V3Unf);
-  const char* hot_base = tgt_base + h.target_count * sizeof(V3Target);
-
-  // The hot section is advisory (queue seeds, re-validated by the index
-  // builder), so it is copied out as-is — before the store mutations below,
-  // which cannot fail after validation anyway.
-  if (hot_out != nullptr && h.hot_count != 0) {
-    hot_out->resize(h.hot_count);
-    std::memcpy(hot_out->data(), hot_base,
-                h.hot_count * sizeof(std::uint64_t));
-  }
+  // A legacy hot section, if any, is the tail after the targets: the tiling
+  // check above covers it, and nothing reads it.
 
   // Contexts, parents-before-children by construction (id order). A fresh
   // receiving table reproduces the file ids exactly — the identity remap that
@@ -348,14 +335,13 @@ namespace {
 
 bool load_v3_stream(const std::string& path, const pag::Pag& pag,
                     ContextTable& contexts, JmpStore& store,
-                    std::string* error, std::vector<std::uint64_t>* hot_out,
-                    bool* stale) {
+                    std::string* error, bool* stale) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return fail(error, "cannot open " + path);
   std::string buf((std::istreambuf_iterator<char>(in)),
                   std::istreambuf_iterator<char>());
   return load_sharing_state_v3(buf.data(), buf.size(), pag, contexts, store,
-                               error, hot_out, stale);
+                               error, stale);
 }
 
 }  // namespace
@@ -363,21 +349,20 @@ bool load_v3_stream(const std::string& path, const pag::Pag& pag,
 bool load_sharing_state_file_v3(const std::string& path, const pag::Pag& pag,
                                 ContextTable& contexts, JmpStore& store,
                                 StateLoadMode mode, std::string* error,
-                                std::vector<std::uint64_t>* hot_out,
                                 bool* stale) {
   if (mode != StateLoadMode::kStream) {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
       if (mode == StateLoadMode::kMmap)
         return fail(error, "cannot open " + path + ": " + std::strerror(errno));
-      return load_v3_stream(path, pag, contexts, store, error, hot_out, stale);
+      return load_v3_stream(path, pag, contexts, store, error, stale);
     }
     struct stat st = {};
     if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
       ::close(fd);
       if (mode == StateLoadMode::kMmap)
         return fail(error, "cannot stat " + path);
-      return load_v3_stream(path, pag, contexts, store, error, hot_out, stale);
+      return load_v3_stream(path, pag, contexts, store, error, stale);
     }
     const auto map_size = static_cast<std::size_t>(st.st_size);
     void* map = ::mmap(nullptr, map_size, PROT_READ, MAP_PRIVATE, fd, 0);
@@ -385,15 +370,15 @@ bool load_sharing_state_file_v3(const std::string& path, const pag::Pag& pag,
     if (map == MAP_FAILED) {
       if (mode == StateLoadMode::kMmap)
         return fail(error, "mmap of " + path + " failed: " + std::strerror(errno));
-      return load_v3_stream(path, pag, contexts, store, error, hot_out, stale);
+      return load_v3_stream(path, pag, contexts, store, error, stale);
     }
     const bool ok =
         load_sharing_state_v3(static_cast<const char*>(map), map_size, pag,
-                              contexts, store, error, hot_out, stale);
+                              contexts, store, error, stale);
     ::munmap(map, map_size);
     return ok;
   }
-  return load_v3_stream(path, pag, contexts, store, error, hot_out, stale);
+  return load_v3_stream(path, pag, contexts, store, error, stale);
 }
 
 }  // namespace parcfl::cfl

@@ -15,13 +15,15 @@
 //   [fin: fin_count × {u64 key, u64 target_begin, u32 cost, u32 target_len}]
 //   [unf: unf_count × {u64 key, u32 s, u32 pad}]
 //   [targets: target_count × {u32 node, u32 ctx, u32 steps}]
-//   [hot: hot_count × u64 CsIndex key]         (present iff flags bit 0)
+//   [hot: hot_count × u64]                     (present iff flags bit 0)
 //
 // Section strides are 8-byte multiples except the target array (12B =
-// sizeof(JmpTarget)); the trailing hot section is advisory (the compactor's
-// hot-region queue — see DESIGN.md §13) and 8-byte-strided, tolerating the
-// unaligned start. Entries are key-sorted at save time, so equal state
-// produces byte-identical files.
+// sizeof(JmpTarget)). Entries are key-sorted at save time, so equal state
+// produces byte-identical files. The trailing hot section is legacy: earlier
+// builds wrote index root keys there to re-seed a background index builder
+// after reopen. This build writes flags = 0 and hot_count = 0; the loader
+// still validates a flagged section (count bounded, file tiled exactly) and
+// skips it, so spills written by those builds still load.
 //
 // The header carries the graph guard: node and edge count, fingerprint and
 // the delta epoch (Pag::revision() at save time). A session that applied
@@ -44,9 +46,7 @@
 // translation. A non-empty receiving table takes the per-target remap.
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "cfl/context.hpp"
 #include "cfl/jmp_store.hpp"
@@ -87,32 +87,23 @@ enum class StateLoadMode { kAuto, kMmap, kStream };
 /// manager's evict path spills an updated graph *and* its state together, and
 /// stamps the pair as epoch 0 so a reopen — which reads the spilled graph
 /// back at epoch 0 — accepts the state it was saved with.
-///
-/// `hot_keys` (CsIndex keys, (node << 32) | ctx) are appended as a trailing
-/// advisory section and the header's hot flag is set: the reachability index
-/// itself is rebuilt, never spilled (DESIGN.md §13), but the hot-region queue
-/// that seeds it survives the evict/reopen cycle through this section. The
-/// header grew from 64 to 72 bytes for the flag + count; old 64-byte-header
-/// files fail the exact-tiling check and reject gracefully (cold start) — no
-/// version bump needed because no v3 spill predates a running fleet.
-bool save_sharing_state_file_v3(
-    const std::string& path, const pag::Pag& pag, const ContextTable& contexts,
-    const JmpStore& store, std::string* error = nullptr,
-    std::int64_t revision_override = -1,
-    std::span<const std::uint64_t> hot_keys = {});
+bool save_sharing_state_file_v3(const std::string& path, const pag::Pag& pag,
+                                const ContextTable& contexts,
+                                const JmpStore& store,
+                                std::string* error = nullptr,
+                                std::int64_t revision_override = -1);
 
 /// Parse a v3 image already in memory (mapped or buffered) and merge it
 /// into possibly non-empty contexts/store. Validates fingerprint, revision,
 /// every count and every id before use; returns false and fills *error on
-/// malformed input or a graph mismatch. `hot_out`, when non-null, receives
-/// the advisory hot-key section (empty if the file has none). `stale`, when
-/// non-null, is set to true exactly when the input is a well-formed image for
-/// a *different* graph or delta epoch — the session manager unlinks such
-/// spills instead of letting them shadow future saves.
+/// malformed input or a graph mismatch. A legacy hot section is validated
+/// and skipped. `stale`, when non-null, is set to true exactly when the input
+/// is a well-formed image for a *different* graph or delta epoch — the
+/// session manager unlinks such spills instead of letting them shadow future
+/// saves.
 bool load_sharing_state_v3(const char* data, std::size_t size,
                            const pag::Pag& pag, ContextTable& contexts,
                            JmpStore& store, std::string* error = nullptr,
-                           std::vector<std::uint64_t>* hot_out = nullptr,
                            bool* stale = nullptr);
 
 /// Read `path` (per `mode`) and load_sharing_state_v3 from it. A missing,
@@ -121,7 +112,6 @@ bool load_sharing_state_file_v3(const std::string& path, const pag::Pag& pag,
                                 ContextTable& contexts, JmpStore& store,
                                 StateLoadMode mode = StateLoadMode::kAuto,
                                 std::string* error = nullptr,
-                                std::vector<std::uint64_t>* hot_out = nullptr,
                                 bool* stale = nullptr);
 
 }  // namespace parcfl::cfl

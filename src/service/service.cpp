@@ -19,8 +19,7 @@ Reply ready_reply(Reply::Status status, Verb verb, std::string text = {}) {
   return r;
 }
 
-/// One-line JSON for the `index` wire verb (the `stats` csindex block plus
-/// the compactor's build cost).
+/// One-line JSON for the `index` wire verb (the `stats` csindex block).
 std::string index_json(const Session::IndexInfo& info) {
   std::ostringstream os;
   os << "{\"enabled\":" << (info.enabled ? "true" : "false")
@@ -28,8 +27,6 @@ std::string index_json(const Session::IndexInfo& info) {
      << ",\"hits\":" << info.hits << ",\"misses\":" << info.misses
      << ",\"builds\":" << info.builds
      << ",\"invalidated\":" << info.invalidated
-     << ",\"pending\":" << info.pending
-     << ",\"build_charged_steps\":" << info.build_charged_steps
      << ",\"memory_bytes\":" << info.memory_bytes
      << ",\"revision\":" << info.revision << "}";
   return os.str();
@@ -73,7 +70,7 @@ QueryService::QueryService(pag::Pag pag, const ServiceOptions& options)
                           "Index consultations that fell through to the "
                           "prefilter/solver path."),
           registry_.gauge("parcfl_index_entries",
-                          "Entries frozen in the published index."),
+                          "Roots recorded in the reachability index."),
           registry_.gauge("parcfl_session_resident_bytes",
                           "Session footprint: graphs, prefilter, index, jmp "
                           "store, contexts and schedule plan."),
@@ -219,8 +216,8 @@ std::future<Reply> QueryService::submit(Request request) {
       return future;
     }
     case Verb::kIndex:
-      // Inline: index_info() takes only the compactor's leaf lock, never the
-      // graph lock, so it cannot stall behind a running batch.
+      // Inline: index_info() takes only the index's leaf lock, never the
+      // batch lock, so it cannot stall behind a running batch.
       promise.set_value(ready_reply(Reply::Status::kOk, Verb::kIndex,
                                     index_json(session_.index_info())));
       return future;
@@ -458,7 +455,6 @@ ServiceStats QueryService::stats() const {
   out.index_misses = index.misses;
   out.index_builds = index.builds;
   out.index_invalidated = index.invalidated;
-  out.index_pending = index.pending;
   out.index_memory_bytes = index.memory_bytes;
   out.index_revision = index.revision;
   out.resident_bytes = session_.resident_bytes();

@@ -16,7 +16,7 @@ namespace parcfl::service {
 
 namespace {
 
-/// Cap on distinct roots the reachability index ever covers per session.
+/// Cap on the roots the reachability index holds at once.
 constexpr std::size_t kIndexMaxEntries = 4096;
 
 bool fail(std::string* error, std::string msg) {
@@ -75,8 +75,8 @@ cfl::EngineOptions batch_engine_options(const cfl::EngineOptions& engine) {
 
 }  // namespace
 
-/// One immutable graph revision plus the two results derived from it after
-/// it is published (session.hpp).
+/// One immutable graph revision plus the prefilter derived from it after it
+/// is published (session.hpp).
 struct Session::Revision {
   Revision(pag::Pag graph, bool reduce) : base(std::move(graph)) {
     if (reduce) reduced = pag::reduce_unmatched_parens(base, &reduce_stats);
@@ -91,10 +91,6 @@ struct Session::Revision {
   /// it, and again once update() retires the revision. Guarded by
   /// Session::pf_mu_.
   mutable std::shared_ptr<const andersen::Prefilter> prefilter;
-  /// Reachability index over serving(). update() moves the previous
-  /// revision's index in, pruned, and the compactor replaces it with merged
-  /// builds while this revision is live. Guarded by Session::cx_mu_.
-  mutable std::shared_ptr<const cfl::CsIndex> index;
 };
 
 Session::Session(pag::Pag pag, Options options)
@@ -103,14 +99,13 @@ Session::Session(pag::Pag pag, Options options)
       rev_(std::make_shared<const Revision>(std::move(pag), reduce_graph_)),
       runner_(batch_engine_options(options.engine), contexts_, store_),
       // charge_jmp_costs makes budget consumption configuration-dependent,
-      // so an index hit could complete a query a live solve would not — the
-      // outcome-identity contract only holds with it off (the default).
+      // so a recorded cost would not bound what a later solve charges; the
+      // budget gate only holds with it off (the default).
       index_enabled_(options.index && !options.engine.solver.charge_jmp_costs),
-      index_hot_threshold_(std::max<std::uint32_t>(1, options.index_hot_threshold)),
-      default_budget_(options.engine.solver.budget) {
+      default_budget_(options.engine.solver.budget),
+      index_(kIndexMaxEntries, rev_->serving().revision()) {
   invalidate_options_.field_approximation =
       options.engine.solver.field_approximation;
-  cx_solver_options_ = options.engine.solver;
   if (!options.state_path.empty()) {
     std::ifstream probe(options.state_path);
     if (probe) {
@@ -120,21 +115,11 @@ Session::Session(pag::Pag pag, Options options)
       // The auto loader takes the mmap fast path — the reopen latency the
       // session manager's evict cycle depends on.
       std::string error;
-      std::vector<std::uint64_t> hot;
       if (!cfl::load_sharing_state_file_v3(
               options.state_path, live()->serving(), contexts_, store_,
-              cfl::StateLoadMode::kAuto, &error, &hot, &warm_stale_))
+              cfl::StateLoadMode::kAuto, &error, &warm_stale_))
         std::fprintf(stderr, "parcfl-service: ignoring warm-start state %s: %s\n",
                      options.state_path.c_str(), error.c_str());
-      // The spill's advisory hot section re-seeds the compactor queue, so a
-      // reopened session regains its index without re-mining the stream.
-      if (index_enabled_ && !hot.empty()) {
-        for (const std::uint64_t k : hot) {
-          if (cx_queued_.size() >= kIndexMaxEntries) break;
-          if (cx_queued_.insert(k).second) cx_queue_.push_back(k);
-        }
-        cx_dirty_ = !cx_queue_.empty();
-      }
     }
   }
   if (prefilter_enabled_) {
@@ -142,22 +127,9 @@ Session::Session(pag::Pag pag, Options options)
     pf_dirty_ = true;
     prefilter_thread_ = std::thread([this] { prefilter_main(); });
   }
-  if (index_enabled_)
-    compactor_thread_ = std::thread([this] { compactor_main(); });
 }
 
 Session::~Session() {
-  if (compactor_thread_.joinable()) {
-    {
-      std::lock_guard lock(cx_mu_);
-      cx_stop_ = true;
-    }
-    // Aborts a mid-flight build between solves — eviction of a hot session
-    // must not wait out a full compaction pass.
-    cx_cancel_.store(true, std::memory_order_relaxed);
-    cx_cv_.notify_all();
-    compactor_thread_.join();
-  }
   if (prefilter_thread_.joinable()) {
     {
       std::lock_guard lock(pf_mu_);
@@ -205,12 +177,6 @@ std::shared_ptr<const andersen::Prefilter> Session::prefilter_of(
     const Revision& rev) const {
   std::lock_guard lock(pf_mu_);
   return rev.prefilter;
-}
-
-std::shared_ptr<const cfl::CsIndex> Session::index_of(
-    const Revision& rev) const {
-  std::lock_guard lock(cx_mu_);
-  return rev.index;
 }
 
 bool Session::prefilter_no_alias(pag::NodeId a, pag::NodeId b) const {
@@ -266,14 +232,12 @@ Session::BatchResult Session::run_batch(std::span<const Item> items) {
 
   BatchResult result;
   result.items.resize(items.size());
-  bool mined = false;
   {
     std::lock_guard lock(batch_mu_);
-    // Only update() replaces the revision, and it takes batch_mu_ first. The
-    // snapshot gives the batch its graph, prefilter and index, all of one
-    // revision.
+    // Only update() replaces the revision and prunes the index, and it takes
+    // batch_mu_ first. The snapshot gives the batch its graph and prefilter,
+    // both of one revision, and the index answers for that revision too.
     const std::shared_ptr<const Revision> rev = live();
-    const auto index = index_enabled_ ? index_of(*rev) : nullptr;
     const auto prefilter = prefilter_enabled_ ? prefilter_of(*rev) : nullptr;
     // Solver-free answers first: an index hit, then a provably-empty
     // points-to set. Both planes cover points-to answers only; taint and
@@ -283,22 +247,19 @@ Session::BatchResult Session::run_batch(std::span<const Item> items) {
       const Item& item = items[i];
       if (item.kind == cfl::QueryKind::kPointsTo) {
         if (index_enabled_) {
-          const cfl::CsIndex::Entry* entry =
-              index != nullptr ? index->find(cfl::CsIndex::key(item.var))
-                               : nullptr;
+          const cfl::CsIndex::Entry* entry = index_.find(item.var);
           // Serve a hit only when the request's effective budget covers the
-          // recorded solve cost: a smaller budget would not have completed,
-          // and outcome identity with index-off is the contract.
+          // recorded solve cost; a tighter budget goes to the solver.
           const std::uint64_t effective =
               item.budget == 0 ? default_budget_
                                : std::min(item.budget, default_budget_);
           if (entry != nullptr && entry->cost <= effective) {
-            const auto run = index->targets(*entry);
+            const auto run = index_.targets(*entry);
             result.items[i].objects.assign(run.begin(), run.end());
-            cx_hits_.fetch_add(1, std::memory_order_relaxed);
+            index_hits_.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
-          cx_misses_.fetch_add(1, std::memory_order_relaxed);
+          index_misses_.fetch_add(1, std::memory_order_relaxed);
         }
         if (prefilter_enabled_) {
           // Andersen's context-insensitive pts(v) is a superset of every CFL
@@ -329,150 +290,42 @@ Session::BatchResult Session::run_batch(std::span<const Item> items) {
                      : std::span<const std::uint64_t>(),
           any_nonpointer ? std::span<const cfl::QueryKind>(kinds)
                          : std::span<const cfl::QueryKind>());
-      // Route scheduled outcomes back to input positions.
+      // Route scheduled outcomes back to input positions, recording every
+      // complete points-to answer in the index.
+      std::lock_guard index_lock(index_mu_);
       for (std::size_t i = 0; i < er.outcomes.size(); ++i) {
-        ItemResult& item = result.items[positions[er.source_index[i]]];
+        const std::size_t q = er.source_index[i];
+        ItemResult& item = result.items[positions[q]];
         item.status = er.outcomes[i].status;
         item.charged_steps = er.outcomes[i].charged_steps;
         item.objects = std::move(er.objects[i]);
+        if (index_enabled_ && kinds[q] == cfl::QueryKind::kPointsTo &&
+            item.status == cfl::QueryStatus::kComplete &&
+            index_.record(queries[q], item.objects, item.charged_steps))
+          ++index_recorded_;
       }
       result.delta.merge(er.totals);
       result.wall_seconds = er.wall_seconds;
     }
-
-    // Hot mining: the threshold counts solver-served *batches* a root
-    // appeared in, so distinct roots are counted once per batch — a batch
-    // repeating one root index_hot_threshold_ times must not promote it in
-    // one shot. cx_queued_ membership is permanent, so a root is mined at
-    // most once per session lifetime.
-    if (index_enabled_ && !queries.empty()) {
-      // Only pointer queries mine: a taint/depends root's answer set is not
-      // what the index stores for that key.
-      std::vector<pag::NodeId> roots;
-      roots.reserve(queries.size());
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        if (kinds[i] == cfl::QueryKind::kPointsTo) roots.push_back(queries[i]);
-      }
-      std::sort(roots.begin(), roots.end());
-      roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
-      std::lock_guard cx_lock(cx_mu_);
-      for (const pag::NodeId v : roots) {
-        const std::uint64_t k = cfl::CsIndex::key(v);
-        if (cx_queued_.count(k) != 0) continue;
-        if (++cx_counts_[v.value()] < index_hot_threshold_) continue;
-        if (cx_queued_.size() >= kIndexMaxEntries) continue;
-        cx_queued_.insert(k);
-        cx_queue_.push_back(k);
-        cx_counts_.erase(v.value());
-        cx_dirty_ = true;
-        mined = true;
-      }
-    }
   }
-  if (mined) cx_cv_.notify_all();
   return result;
-}
-
-void Session::compactor_main() {
-  for (;;) {
-    std::vector<std::uint64_t> want;
-    std::shared_ptr<const Revision> rev;
-    {
-      std::unique_lock lock(cx_mu_);
-      cx_cv_.wait(lock, [&] { return cx_stop_ || cx_dirty_; });
-      if (cx_stop_) return;
-      cx_dirty_ = false;
-      cx_building_ = true;
-      want = std::move(cx_queue_);
-      cx_queue_.clear();
-      // update() prunes the index into its successor and publishes that
-      // revision in one cx_mu_ section, so the live revision's index and
-      // the queue agree here.
-      rev = live();
-    }
-    // The queue is the delta — fresh hot roots plus the entries an update
-    // dropped. Only those are cold-solved; the pass merges them into the
-    // published index, whose other entries are still exact.
-    std::sort(want.begin(), want.end());
-    want.erase(std::unique(want.begin(), want.end()), want.end());
-    if (want.size() > kIndexMaxEntries) want.resize(kIndexMaxEntries);
-
-    // The build holds no session lock, so batches and updates proceed while
-    // it runs on the bound revision.
-    std::unique_ptr<const cfl::CsIndex> built;
-    if (!want.empty())
-      built = cfl::build_csindex(rev->serving(), want, cx_solver_options_,
-                                 &cx_cancel_);
-
-    {
-      std::lock_guard lock(cx_mu_);
-      cx_building_ = false;
-      if (cx_stop_) return;
-      if (built != nullptr && rev == live()) {
-        // The bound revision is still live: merge into its index. The held
-        // pointer keeps the revision alive, so its address is not reused.
-        if (rev->index != nullptr)
-          built = rev->index->merged(*built, kIndexMaxEntries);
-        rev->index = std::move(built);
-        ++cx_builds_;
-      } else if (!want.empty()) {
-        // Cancelled, or an update landed mid-build: the answers are for a
-        // retired revision. Discard and re-queue — the update already moved
-        // the pruned index into its successor.
-        cx_queue_.insert(cx_queue_.end(), want.begin(), want.end());
-        cx_dirty_ = true;
-      }
-    }
-    cx_cv_.notify_all();
-  }
 }
 
 Session::IndexInfo Session::index_info() const {
   IndexInfo info;
   info.enabled = index_enabled_;
   if (!index_enabled_) return info;
-  info.hits = cx_hits_.load(std::memory_order_relaxed);
-  info.misses = cx_misses_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard lock(cx_mu_);
-    info.builds = cx_builds_;
-    info.invalidated = cx_invalidated_;
-    info.pending = cx_queue_.size();
-  }
-  const std::shared_ptr<const cfl::CsIndex> current = index_of(*live());
-  if (current != nullptr) {
-    const cfl::CsIndexStats s = current->stats();
-    info.entries = s.entries;
-    info.targets = s.targets;
-    info.build_charged_steps = s.build_charged_steps;
-    info.memory_bytes = s.memory_bytes;
-    info.revision = s.revision;
-  }
+  info.hits = index_hits_.load(std::memory_order_relaxed);
+  info.misses = index_misses_.load(std::memory_order_relaxed);
+  std::lock_guard lock(index_mu_);
+  const cfl::CsIndexStats s = index_.stats();
+  info.entries = s.entries;
+  info.targets = s.targets;
+  info.memory_bytes = s.memory_bytes;
+  info.revision = s.revision;
+  info.builds = index_recorded_;
+  info.invalidated = index_invalidated_;
   return info;
-}
-
-bool Session::wait_for_index() {
-  if (!index_enabled_) return false;
-  std::unique_lock lock(cx_mu_);
-  cx_cv_.wait(lock, [&] {
-    return cx_stop_ || (!cx_dirty_ && cx_queue_.empty() && !cx_building_);
-  });
-  return !cx_stop_;
-}
-
-void Session::note_hot(pag::NodeId var) {
-  if (!index_enabled_) return;
-  bool notify = false;
-  {
-    std::lock_guard lock(cx_mu_);
-    const std::uint64_t k = cfl::CsIndex::key(var);
-    if (cx_queued_.size() < kIndexMaxEntries && cx_queued_.insert(k).second) {
-      cx_queue_.push_back(k);
-      cx_dirty_ = true;
-      notify = true;
-    }
-  }
-  if (notify) cx_cv_.notify_all();
 }
 
 bool Session::update(const pag::Delta& delta, std::string* error,
@@ -499,45 +352,28 @@ bool Session::update(const pag::Delta& delta, std::string* error,
 
   // The cone's backward plane, read by the index prune below.
   std::vector<std::uint8_t> cone;
-  bool requeued = false;
   {
     // Keep save/load/spill out of the invalidate + publish window only.
     std::unique_lock pag_lock(pag_mu_);
     out.invalidate = cfl::invalidate_sharing_state(
         old->serving(), next->serving(), served, contexts_, store_,
         invalidate_options_, index_enabled_ ? &cone : nullptr);
-    // The index moves to the next revision and that revision is published
-    // in one cx_mu_ section: a compactor pass bound to the old revision
-    // finds it retired, and one that binds the next finds its index there.
-    std::lock_guard cx_lock(cx_mu_);
-    if (old->index != nullptr) {
+    if (index_enabled_) {
       // Drop exactly the entries the jmp eviction above evicts for a
       // finished backward entry on the same root: the root is marked in the
-      // cone's backward plane, or lies beyond the graphs' node range.
-      // Restamp the survivors to the new revision and re-queue the dropped
-      // keys for compaction.
-      std::vector<std::uint64_t> dirty;  // key-sorted, as entries() is
-      for (const cfl::CsIndex::Entry& e : old->index->entries()) {
-        const std::uint32_t root = cfl::CsIndex::key_node(e.key).value();
-        if (root >= cone.size() || cone[root] != 0) dirty.push_back(e.key);
-      }
-      cx_invalidated_ += dirty.size();
-      next->index = old->index->without(dirty, out.revision);
-      if (!dirty.empty()) {
-        cx_queue_.insert(cx_queue_.end(), dirty.begin(), dirty.end());
-        cx_dirty_ = true;
-        requeued = true;
-      }
+      // cone's backward plane, or lies beyond the graphs' node range. The
+      // survivors answer for the next revision.
+      std::lock_guard index_lock(index_mu_);
+      index_invalidated_ += index_.prune(cone, out.revision);
     }
     std::lock_guard rev_lock(rev_mu_);
     rev_ = next;
   }
-  if (requeued) cx_cv_.notify_all();
 
   if (prefilter_enabled_) {
     // The next revision's prefilter slot starts empty, so batches solve
     // until the rebuild fills it. The retired revision drops its rows, the
-    // session's largest structure: a compactor pass may still hold it.
+    // session's largest structure: the prefilter thread may still hold it.
     {
       std::lock_guard pf_lock(pf_mu_);
       old->prefilter = nullptr;
@@ -589,21 +425,8 @@ bool Session::load(const std::string& path, std::string* error) {
 bool Session::spill(const std::string& state_path,
                     const std::string& spill_pag_path, bool* wrote_pag,
                     std::string* error) {
-  // The index itself is rebuilt, never spilled; what survives eviction is
-  // the hot-region set (published entries + still-queued roots), written as
-  // the v3 advisory hot section so reopen re-seeds the compactor.
-  std::vector<std::uint64_t> hot;
-  if (index_enabled_) {
-    const std::shared_ptr<const Revision> rev = live();
-    std::lock_guard cx_lock(cx_mu_);
-    if (rev->index != nullptr)
-      for (const cfl::CsIndex::Entry& e : rev->index->entries())
-        hot.push_back(e.key);
-    hot.insert(hot.end(), cx_queue_.begin(), cx_queue_.end());
-    std::sort(hot.begin(), hot.end());
-    hot.erase(std::unique(hot.begin(), hot.end()), hot.end());
-    if (hot.size() > kIndexMaxEntries) hot.resize(kIndexMaxEntries);
-  }
+  // The index is derived state and is not spilled: a reopened session
+  // records answers again as its warm solver completes them.
   std::shared_lock lock(pag_mu_);
   const std::shared_ptr<const Revision> rev = live();
   if (wrote_pag != nullptr) *wrote_pag = false;
@@ -620,7 +443,7 @@ bool Session::spill(const std::string& state_path,
     revision_override = 0;
   }
   return cfl::save_sharing_state_file_v3(state_path, rev->serving(), contexts_,
-                                         store_, error, revision_override, hot);
+                                         store_, error, revision_override);
 }
 
 std::uint64_t Session::resident_bytes() const {
@@ -631,7 +454,8 @@ std::uint64_t Session::resident_bytes() const {
   if (rev->reduced) total += rev->reduced->memory_bytes();
   if (const auto prefilter = prefilter_of(*rev))
     total += prefilter->memory_bytes();
-  if (const auto index = index_of(*rev)) total += index->stats().memory_bytes;
+  std::lock_guard lock(index_mu_);
+  total += index_.stats().memory_bytes;
   return total;
 }
 

@@ -8,10 +8,12 @@
 // The graph is one immutable Revision (base graph, serving graph, reduce
 // stats) behind a shared_ptr: update() builds the next one and swaps the
 // pointer, and a retired revision is freed with its last holder. Each
-// revision also carries two slots filled after it is published: the
-// Andersen prefilter and the reachability index solved on its serving
-// graph. One revision snapshot thus gives a batch a graph, prefilter and
-// index that agree by construction.
+// revision also carries a slot filled after it is published: the Andersen
+// prefilter solved on its serving graph. One revision snapshot thus gives a
+// batch a graph and a prefilter that agree by construction. The passive
+// reachability index (cfl/csindex.hpp) lives on the session itself: only
+// run_batch and update() write it, both under batch_mu_, and update()
+// prunes and restamps it before publishing the next revision.
 //
 // Pre-solve pipeline (DESIGN.md §11), both stages on by default:
 //  * Graph reduction — the session serves the *reduced* graph
@@ -36,6 +38,7 @@
 //    *within* a batch across the configured worker threads). It takes one
 //    revision snapshot and answers every item from it: index hit, then
 //    provably-empty points-to set, then the solver on its serving graph.
+//    After the solve it records the complete points-to answers in the index.
 //  * update() takes batch_mu_ too: the invalidate-then-publish runs strictly
 //    between batches, so no batch ever observes a half-applied delta.
 //  * rev_mu_ is held only to copy or replace the revision pointer.
@@ -51,13 +54,13 @@
 //    any session lock and fills the bound revision's slot if that revision
 //    is still its work order; update() empties the slot of the revision it
 //    retires, so only the live revision holds a prefilter.
-//  * cx_mu_ guards every revision's index slot and the compactor's queue and
-//    counters. update() moves the pruned index into the next revision and
-//    publishes that revision inside one cx_mu_ section. A compactor pass
-//    binds the live revision, builds without any session lock, and merges
-//    into that revision's slot only if it is still live.
-//  * Lock order: batch_mu_ → pag_mu_ → cx_mu_ → pf_mu_ → rev_mu_. A thread
-//    may skip any of them but never takes one that precedes a lock it holds.
+//  * index_mu_ guards the index table and its counters against readers
+//    outside a batch (index_info, resident_bytes): run_batch and update()
+//    take it only to write, inside batch_mu_, and run_batch probes the
+//    table under batch_mu_ alone.
+//  * Lock order: batch_mu_ → pag_mu_ → index_mu_ → pf_mu_ → rev_mu_. A
+//    thread may skip any of them but never takes one that precedes a lock
+//    it holds.
 
 #include <atomic>
 #include <condition_variable>
@@ -68,10 +71,9 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "cfl/csindex.hpp"
 #include "cfl/engine.hpp"
 #include "cfl/invalidate.hpp"
 #include "pag/delta.hpp"
@@ -80,10 +82,6 @@
 
 namespace parcfl::andersen {
 class Prefilter;
-}
-
-namespace parcfl::cfl {
-class CsIndex;
 }
 
 namespace parcfl::service {
@@ -102,17 +100,12 @@ class Session {
     /// Solve the Andersen prefilter in the background and short-circuit
     /// provably-empty queries / provably-no alias pairs.
     bool prefilter = true;
-    /// Mine hot query roots into the compact reachability index
-    /// (cfl/csindex.hpp) and answer covered queries at 0 charged steps.
+    /// Record the solver's complete points-to answers in the reachability
+    /// index (cfl/csindex.hpp) and answer repeats at 0 charged steps.
     /// Forced off when charge_jmp_costs is set: under that (diagnostic)
-    /// configuration budget consumption is configuration-dependent, so an
-    /// index hit could complete a query a live solve would not.
+    /// configuration budget consumption is configuration-dependent, so a
+    /// recorded cost says nothing about what a later solve would charge.
     bool index = true;
-    /// Solver-served batches a root must appear in (counted once per batch,
-    /// however often the batch repeats it) before the compactor queues it.
-    /// A root is mined at most once per session lifetime; only updates
-    /// requeue the entries they dirty.
-    std::uint32_t index_hot_threshold = 4;
   };
 
   /// One query of a micro-batch.
@@ -120,9 +113,9 @@ class Session {
     pag::NodeId var;
     std::uint64_t budget = 0;  // 0 = engine default
     /// Which walk answers the item (DESIGN.md §15). Non-pointer kinds
-    /// bypass the reachability index and hot mining — both planes cache
-    /// points-to answers only — and `var` must be a variable node for every
-    /// kind (Solver::taint/depends check it).
+    /// bypass the reachability index, which holds points-to answers only,
+    /// and `var` must be a variable node for every kind
+    /// (Solver::taint/depends check it).
     cfl::QueryKind kind = cfl::QueryKind::kPointsTo;
   };
 
@@ -186,8 +179,8 @@ class Session {
   bool spill(const std::string& state_path, const std::string& spill_pag_path,
              bool* wrote_pag, std::string* error);
 
-  /// Approximate resident footprint: the live revision's graphs, prefilter
-  /// and index, the jmp store, context table and the batch runner's schedule
+  /// Approximate resident footprint: the live revision's graphs and
+  /// prefilter, the index, the jmp store, context table and the batch runner's schedule
   /// plan. The service reports it as `resident_bytes` in `stats` and as the
   /// parcfl_session_resident_bytes gauge in `metrics`.
   std::uint64_t resident_bytes() const;
@@ -233,24 +226,19 @@ class Session {
     bool enabled = false;
     std::uint64_t entries = 0, targets = 0;
     std::uint64_t hits = 0, misses = 0;
-    std::uint64_t builds = 0;       // compactor passes published
+    std::uint64_t builds = 0;       // complete answers recorded, lifetime
     std::uint64_t invalidated = 0;  // entries dropped by updates, lifetime
-    std::uint64_t pending = 0;      // hot keys queued for the next pass
-    std::uint64_t build_charged_steps = 0;
     std::uint64_t memory_bytes = 0;
     std::uint32_t revision = 0;  // graph revision the index answers for
   };
   /// Snapshot of the index plane; `enabled` false when the index is off.
+  /// Never waits on a batch.
   IndexInfo index_info() const;
   /// True when the index is live on this session.
   bool index_enabled() const { return index_enabled_; }
-  /// Block until the compactor has drained its queue (tests, benches).
-  /// Returns false immediately when the index is disabled, or when the
-  /// session is shutting down.
-  bool wait_for_index();
-  /// Force-queue a root for compaction regardless of the hot threshold
-  /// (tests, benches — the serving path mines organically).
-  void note_hot(pag::NodeId var);
+  /// run_batch fills the index before it returns, so there is nothing to
+  /// wait for: returns index_enabled() at once.
+  bool wait_for_index() const { return index_enabled_; }
   /// True when warm-start found a state file that is a well-formed image for
   /// a *different* graph or epoch (the manager unlinks such stale spills).
   bool warm_start_stale() const { return warm_stale_; }
@@ -278,17 +266,13 @@ class Session {
   /// A revision's slots, each read under the lock that guards it.
   std::shared_ptr<const andersen::Prefilter> prefilter_of(
       const Revision& rev) const;
-  std::shared_ptr<const cfl::CsIndex> index_of(const Revision& rev) const;
   /// Background build loop: wait for a dirty revision, solve it, publish.
   void prefilter_main();
-  /// Background compaction loop: wait for queued hot roots, build them on the
-  /// live revision, merge into its index unless an update intervened.
-  void compactor_main();
 
   bool reduce_graph_ = false;
   bool prefilter_enabled_ = false;
   /// The live revision; replaced only by update() under batch_mu_, pag_mu_
-  /// and cx_mu_.
+  /// and index_mu_.
   mutable std::mutex rev_mu_;
   std::shared_ptr<const Revision> rev_;  // guarded by rev_mu_
   cfl::ContextTable contexts_;
@@ -318,31 +302,17 @@ class Session {
   bool pf_paused_ = false;  // guarded by pf_mu_
   std::thread prefilter_thread_;
 
-  // ---- reachability index / compactor state -------------------------------
+  // ---- reachability index ------------------------------------------------
   bool index_enabled_ = false;
-  std::uint32_t index_hot_threshold_ = 4;
   std::uint64_t default_budget_ = 0;  // engine solver budget (hit gating)
-  cfl::SolverOptions cx_solver_options_;  // for the compactor's cold solves
-  /// Guards every revision's index slot, the queue and the counters.
-  mutable std::mutex cx_mu_;
-  std::condition_variable cx_cv_;
-  std::vector<std::uint64_t> cx_queue_;  // hot keys awaiting compaction
-  /// Miss counts per root until the hot threshold promotes them.
-  std::unordered_map<std::uint32_t, std::uint32_t> cx_counts_;
-  /// Every key ever queued (queued, published, or attempted-and-skipped):
-  /// membership stops the miss path from re-mining a root the compactor
-  /// already decided about, so an unindexable root cannot loop.
-  std::unordered_set<std::uint64_t> cx_queued_;
-  bool cx_dirty_ = false;
-  bool cx_stop_ = false;
-  bool cx_building_ = false;
-  /// Set only at shutdown: aborts a mid-flight build between solves.
-  std::atomic<bool> cx_cancel_{false};
-  mutable std::atomic<std::uint64_t> cx_hits_{0};
-  mutable std::atomic<std::uint64_t> cx_misses_{0};
-  std::uint64_t cx_builds_ = 0;       // guarded by cx_mu_
-  std::uint64_t cx_invalidated_ = 0;  // guarded by cx_mu_
-  std::thread compactor_thread_;
+  /// Written by run_batch and update() under batch_mu_ and index_mu_; read
+  /// by run_batch under batch_mu_, by everyone else under index_mu_.
+  mutable std::mutex index_mu_;
+  cfl::CsIndex index_;
+  mutable std::atomic<std::uint64_t> index_hits_{0};
+  mutable std::atomic<std::uint64_t> index_misses_{0};
+  std::uint64_t index_recorded_ = 0;     // guarded by index_mu_
+  std::uint64_t index_invalidated_ = 0;  // guarded by index_mu_
   bool warm_stale_ = false;  // set once in the constructor, then read-only
 };
 

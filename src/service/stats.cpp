@@ -186,7 +186,6 @@ std::string ServiceStats::to_json() const {
      << ",\"hit_ratio\":" << index_hit_ratio()
      << ",\"builds\":" << index_builds
      << ",\"invalidated\":" << index_invalidated
-     << ",\"pending\":" << index_pending
      << ",\"memory_bytes\":" << index_memory_bytes
      << ",\"revision\":" << index_revision << "}"
      << ",\"steps\":{\"charged\":" << engine.charged_steps

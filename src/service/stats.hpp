@@ -58,15 +58,14 @@ struct ServiceStats {
   /// stale hit-rate mid-rebuild reads as live signal (PR 8 bugfix).
   std::uint64_t prefilter_building_revision = 0;
 
-  // Compact reachability index (the background compactor; DESIGN.md §13).
+  // Passive reachability index (DESIGN.md §13).
   bool index_enabled = false;
-  std::uint64_t index_entries = 0;     // (node, ctx) keys frozen in the index
+  std::uint64_t index_entries = 0;     // roots recorded in the index
   std::uint64_t index_targets = 0;     // summed points-to targets stored
   std::uint64_t index_hits = 0;        // queries served at 0 charged steps
   std::uint64_t index_misses = 0;      // index consulted, fell through
-  std::uint64_t index_builds = 0;      // published compactor passes
+  std::uint64_t index_builds = 0;      // complete answers recorded
   std::uint64_t index_invalidated = 0; // entries dropped by update cones
-  std::uint64_t index_pending = 0;     // hot keys queued for the next pass
   std::uint64_t index_memory_bytes = 0;
   std::uint64_t index_revision = 0;    // graph revision the index covers
 

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <vector>
 
 #include "cfl/persist.hpp"
 #include "cfl/solver.hpp"
@@ -160,7 +162,7 @@ TEST(Persist, RejectsWrongGraph) {
   std::string error;
   bool stale = false;
   EXPECT_FALSE(load_sharing_state_v3(image.data(), image.size(), w2.pag, c2,
-                                     s2, &error, nullptr, &stale));
+                                     s2, &error, &stale));
   EXPECT_NE(error.find("different PAG"), std::string::npos);
   EXPECT_TRUE(stale);
   EXPECT_EQ(s2.entry_count(), 0u);
@@ -262,6 +264,84 @@ TEST(Persist, EmptyFinishedTargetListRoundTrips) {
   for (std::uint32_t i = 0; i < 5; ++i)
     (void)busy.push(ContextTable::empty(), pag::CallSiteId(1000 + i));
   check(busy, CtxId(6));
+}
+
+// Earlier builds appended a flagged hot section (u64 index root keys) after
+// the target section. This build never writes one but must still load such a
+// spill: the section is bounds-checked, tiled and skipped. The image is
+// assembled byte by byte in the 72-byte-header layout those builds wrote.
+TEST(Persist, LegacyHotSectionIsValidatedAndSkipped) {
+  const auto w = heapy_workload();
+  ASSERT_GT(w.pag.node_count(), 2u);
+  const std::uint64_t key =
+      JmpStore::key(Direction::kBackward, NodeId(1), ContextTable::empty());
+  // Up to three words of hot section, each an index root key (node << 32).
+  const std::vector<std::uint64_t> hot = {
+      std::uint64_t{1} << 32, std::uint64_t{2} << 32, std::uint64_t{3} << 32};
+  const auto put = [](std::string& bytes, std::size_t at, auto value) {
+    std::memcpy(bytes.data() + at, &value, sizeof value);
+  };
+  // One finished entry (cost 5) with one target (node 2, 3 steps), then
+  // `hot_words` words of hot section under the given flags and count.
+  const auto image = [&](std::uint32_t flags, std::uint32_t hot_count,
+                         std::size_t hot_words) {
+    std::string bytes(72 + 24 + 12, '\0');
+    std::memcpy(bytes.data(), kStateV3Magic, sizeof kStateV3Magic);
+    put(bytes, 8, w.pag.node_count());
+    put(bytes, 12, w.pag.edge_count());
+    put(bytes, 16, pag_fingerprint(w.pag));
+    put(bytes, 24, w.pag.revision());
+    put(bytes, 28, std::uint32_t{1});  // contexts: the empty one only
+    put(bytes, 32, std::uint64_t{1});  // finished entries
+    put(bytes, 40, std::uint64_t{0});  // unfinished entries
+    put(bytes, 48, std::uint64_t{1});  // targets
+    put(bytes, 64, flags);
+    put(bytes, 68, hot_count);
+    put(bytes, 72, key);                // fin: key
+    put(bytes, 80, std::uint64_t{0});   //      target_begin
+    put(bytes, 88, std::uint32_t{5});   //      cost
+    put(bytes, 92, std::uint32_t{1});   //      target_len
+    put(bytes, 96, std::uint32_t{2});   // target: node
+    put(bytes, 100, std::uint32_t{0});  //         ctx
+    put(bytes, 104, std::uint32_t{3});  //         steps
+    bytes.append(reinterpret_cast<const char*>(hot.data()),
+                 hot_words * sizeof(std::uint64_t));
+    put(bytes, 56, std::uint64_t{bytes.size()});  // total size
+    return bytes;
+  };
+
+  ContextTable contexts;
+  JmpStore store;
+  std::string error;
+  ASSERT_TRUE(load_image(image(1, 2, 2), w.pag, contexts, store, &error))
+      << error;
+  ASSERT_EQ(store.entry_count(), 1u);
+  {
+    const auto guard = store.pin();
+    JmpStore::Lookup hit;
+    ASSERT_TRUE(store.lookup(key, hit));
+    ASSERT_NE(hit.finished, nullptr);
+    EXPECT_EQ(hit.finished->cost, 5u);
+    ASSERT_EQ(hit.finished->targets.size(), 1u);
+    EXPECT_EQ(hit.finished->targets[0].node, NodeId(2));
+    EXPECT_EQ(hit.finished->targets[0].steps, 3u);
+  }
+  // Re-saving writes the same image without the section, flag or count.
+  EXPECT_EQ(save_image(w.pag, contexts, store), image(0, 0, 0));
+
+  const std::pair<std::string, const char*> rejects[] = {
+      {image(0, 2, 2), "without hot flag"},  // count but no flag
+      {image(1, 3, 2), "tile"},              // count past the section
+      {image(1, 2, 3), "tile"},              // section past the count
+      {image(3, 2, 2), "unknown v3 flags"},
+  };
+  for (const auto& [bytes, why] : rejects) {
+    ContextTable c;
+    JmpStore s;
+    EXPECT_FALSE(load_image(bytes, w.pag, c, s, &error)) << why;
+    EXPECT_NE(error.find(why), std::string::npos) << error;
+    EXPECT_EQ(s.entry_count(), 0u);
+  }
 }
 
 }  // namespace

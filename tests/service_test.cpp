@@ -264,7 +264,7 @@ TEST(Session, PerItemBudgetCapsWork) {
 }
 
 /// The resident-bytes meter counts what a session holds: the live
-/// revision's prefilter and index beside its graph.
+/// revision's prefilter and the answers the index recorded, beside its graph.
 TEST(Session, ResidentBytesMeterPrefilterAndIndex) {
   const auto w = container_workload();
   Session::Options o = session_options(2);
@@ -272,10 +272,11 @@ TEST(Session, ResidentBytesMeterPrefilterAndIndex) {
   o.prefilter = true;
   o.index = true;
   Session session(w.pag, o);
-  for (std::size_t i = 0; i < 4 && i < w.queries.size(); ++i)
-    session.note_hot(w.queries[i]);
   ASSERT_TRUE(session.wait_for_prefilter());
-  ASSERT_TRUE(session.wait_for_index());
+  std::vector<Session::Item> items;
+  for (std::size_t i = 0; i < 4 && i < w.queries.size(); ++i)
+    items.push_back(Session::Item{w.queries[i], 0});
+  session.run_batch(items);
   const auto prefilter = session.prefilter_snapshot();
   ASSERT_NE(prefilter, nullptr);
   const Session::IndexInfo index = session.index_info();
